@@ -22,15 +22,20 @@ Precision policy.  Nodes near u = 1 are represented as (u_minus,
 u_plus) pairs computed from q = exp(-2 sinh-scale) without any 1 - x
 subtraction, so the node values themselves are clean.  The remaining
 noise source is the integrand re-deriving 1 - u from u, which loses
-digits proportional to the depth of the boundary layer; evaluating
-everything at
+digits proportional to the depth of the boundary layer; tanh-sinh
+therefore evaluates everything at
 
     eval_dps = max(working_digits, 2 * target_digits + 12)
 
-keeps that loss below the target for inverse-square-root singularities
-(the absolute error contributed by the deepest retained node is about
-10^-(target + 8)).  The node range is capped so that u_plus stays
-strictly below 1 and u_minus strictly above 0 at eval_dps.
+which keeps that loss below the target for inverse-square-root
+singularities (the absolute error contributed by the deepest retained
+node is about 10^-(target + 8)).  The node range is capped so that
+u_plus stays strictly below 1 and u_minus strictly above 0 at eval_dps.
+
+The half line has no such boundary layer, so exp-sinh runs at
+working_digits rounded up to a multiple of 10 (see
+PrecisionConfig.half_line_digits); the rounding lets nearby working
+precisions share one node table.
 """
 
 from __future__ import annotations
@@ -63,8 +68,9 @@ class PrecisionConfig:
     """Requested accuracy and the arithmetic budget used to reach it.
 
     ``working_digits`` must exceed ``target_digits`` by at least 10
-    guard digits; evaluation may run hotter still (see module
-    docstring).  ``max_levels`` bounds the step-halving refinements.
+    guard digits; each integrator evaluates at its own precision
+    derived from these (see the module docstring).  ``max_levels``
+    bounds the step-halving refinements.
     """
 
     target_digits: int = 30
@@ -84,7 +90,20 @@ class PrecisionConfig:
 
     @property
     def eval_digits(self) -> int:
+        """Evaluation precision of the tanh-sinh integrator on (0, 1).
+
+        Only tanh-sinh runs this hot: its integrands re-derive 1 - u
+        near the singular endpoint.  Exp-sinh uses
+        :attr:`half_line_digits` instead.
+        """
         return max(self.working_digits, 2 * self.target_digits + 12)
+
+    @property
+    def half_line_digits(self) -> int:
+        """Evaluation precision of the exp-sinh integrator on (0, inf):
+        working_digits rounded up to a multiple of 10, so that nearby
+        working precisions share one node table."""
+        return -(-self.working_digits // 10) * 10
 
 
 DEFAULT_PRECISION = PrecisionConfig()
@@ -183,7 +202,9 @@ def _es_level_nodes(eval_dps: int, level: int):
     truncation depths differ: toward zero the map must reach
     x ~ 10^-(eval_dps + 10) before w f(x) ~ x is negligible, while
     toward infinity x grows so fast that ln x ~ 2 (eval_dps + 10) ln 10
-    already overshoots any decay rate >= 1/2.
+    already overshoots any decay rate >= 1/2.  The sides mirror each
+    other at equal |t|, so both come from one exp(t) and one exp(s):
+    x = exp(+-s) and w = (pi/2) cosh(t) x.
     """
     with mp.workdps(eval_dps):
         depth = mp.mpf(eval_dps + 10) * mp.log(10)
@@ -191,35 +212,32 @@ def _es_level_nodes(eval_dps: int, level: int):
         t_hi = mp.asinh(4 * depth / mp.pi)       # t > 0 side, x -> inf
         h = mp.mpf(1) / 2**level
         step = 1 if level == 0 else 2
-        sides = []
-        for bound in (t_lo, t_hi):
-            ts = []
-            k = 1
-            t = k * h
-            while t <= bound:
-                ts.append(t)
-                k += step
-                t = k * h
-            sides.append(ts)
+        quarter_pi = mp.pi / 4
         toward_zero = []
-        for t in sides[0]:
-            s = mp.pi * mp.sinh(t) / 2
-            x = mp.exp(-s)
-            toward_zero.append((x, mp.pi * mp.cosh(t) * x / 2))
         toward_inf = []
-        for t in sides[1]:
-            s = mp.pi * mp.sinh(t) / 2
-            x = mp.exp(s)
-            toward_inf.append((x, mp.pi * mp.cosh(t) * x / 2))
+        k = 1
+        t = k * h
+        while t <= t_hi:
+            e_t = mp.exp(t)
+            e_neg = 1 / e_t
+            x = mp.exp(quarter_pi * (e_t - e_neg))  # s = (pi/2) sinh t
+            half_w = quarter_pi * (e_t + e_neg)     # (pi/2) cosh t
+            toward_inf.append((x, half_w * x))
+            if t <= t_lo:
+                toward_zero.append((1 / x, half_w / x))
+            k += step
+            t = k * h
         return tuple(toward_zero), tuple(toward_inf)
 
 
 def clear_node_caches() -> None:
-    """Drop memoized node tables (they are pure functions of dps/level)."""
+    """Drop memoized node tables (they are pure functions of dps/level),
+    the asech values at the nodes and the memoized moments."""
     _ts_tmax.cache_clear()
     _ts_level_nodes.cache_clear()
     _es_level_nodes.cache_clear()
     _IN_CACHE.clear()
+    _ASECH_AT_NODES.clear()
 
 
 def _tail_sum(pairs, f, eps) -> tuple[mp.mpf, int]:
@@ -307,8 +325,9 @@ def integrate_0inf_decaying(f, cfg: PrecisionConfig = DEFAULT_PRECISION) -> Quad
     any exponential rate is covered.  An integrand that merely
     oscillates or grows shows up as NonConvergenceError; one with an
     out-of-contract heavy tail is the documented silent failure mode.
+    Evaluation runs at ``cfg.half_line_digits``.
     """
-    eval_dps = cfg.eval_digits
+    eval_dps = cfg.half_line_digits
 
     def level_sum(level: int, eps):
         toward_zero, toward_inf = _es_level_nodes(eval_dps, level)
@@ -328,13 +347,21 @@ def integrate_0inf_decaying(f, cfg: PrecisionConfig = DEFAULT_PRECISION) -> Quad
 
 _IN_CACHE: dict[tuple[int, PrecisionConfig], QuadratureResult] = {}
 
+# asech at the tanh-sinh nodes, one table per eval precision, keyed by
+# node value and filled as moments reach the nodes.  Every I_n at that
+# precision divides by the same asech values, so each is computed once.
+_ASECH_AT_NODES: dict[int, dict[mp.mpf, mp.mpf]] = {}
+
 
 def integral_In(n: int, cfg: PrecisionConfig = DEFAULT_PRECISION) -> QuadratureResult:
     """I_n = integral of u^(2n-1) / asech(u) over (0, 1), memoized.
 
     The integrand vanishes at u = 0 (for n >= 1) and blows up like
     (2 (1-u))^(-1/2) at u = 1, the exact singularity class the
-    tanh-sinh integrator is tuned for.
+    tanh-sinh integrator is tuned for.  asech comes from a per-node
+    table shared by all moments at the same eval precision; the values
+    are the ones asech_stable returns, so results do not depend on
+    which moments ran first.
     """
     if n < 1:
         raise ValueError(f"moment index n must be >= 1, got {n}")
@@ -343,9 +370,13 @@ def integral_In(n: int, cfg: PrecisionConfig = DEFAULT_PRECISION) -> QuadratureR
     if hit is not None:
         return hit
     e = 2 * n - 1
+    asech_at = _ASECH_AT_NODES.setdefault(cfg.eval_digits, {})
 
     def f(u):
-        return u**e / asech_stable(u)
+        a = asech_at.get(u)
+        if a is None:
+            a = asech_at[u] = asech_stable(u)
+        return u**e / a
 
     result = integrate_01_singular(f, cfg)
     _IN_CACHE[key] = result

@@ -98,6 +98,20 @@ def zeta_reference(m: int, digits: int = 30) -> mp.mpf:
             N *= 2
 
 
+def _q_and_complement(u) -> tuple[mp.mpf, mp.mpf]:
+    """(q, 1 - q) with q = e^-u, from one exponential.
+
+    Below u = 1 the complement is the small one and comes from expm1;
+    from u = 1 on, q <= 1/e and 1 - q >= 1 - 1/e, so neither
+    subtraction cancels.
+    """
+    if u < 1:
+        d = -mp.expm1(-u)
+        return 1 - d, d
+    q = mp.exp(-u)
+    return q, 1 - q
+
+
 def zeta3_exp_integral(cfg: PrecisionConfig = DEFAULT_PRECISION) -> mp.mpf:
     """zeta(3) from its dedicated exponential-kernel integral.
 
@@ -107,22 +121,54 @@ def zeta3_exp_integral(cfg: PrecisionConfig = DEFAULT_PRECISION) -> mp.mpf:
     than delegated to :func:`zeta_via_exp_kernel` so the two can be
     played against each other in tests.
     """
-    eval_dps = cfg.eval_digits
 
     def kernel(u):
-        q = mp.exp(-u)
-        d = -mp.expm1(-u)  # 1 - e^-u without cancellation
+        q, d = _q_and_complement(u)
         return q * d / ((1 + q) ** 3 * u)
 
     res = integrate_0inf_decaying(kernel, cfg)
-    with mp.workdps(eval_dps):
+    with mp.workdps(cfg.half_line_digits):
         return 4 * mp.pi**2 / 7 * res.value
+
+
+def _exp_kernel(u, weights) -> mp.mpf:
+    """-(1 - q)/u * sum_l w_l P^l (1 + q + ... + q^(l-1)) with q = e^-u
+    and P = 1/(1+q); ``weights`` are w_1..w_m as mpf."""
+    q, d = _q_and_complement(u)
+    p = 1 / (1 + q)
+    p_power = mp.mpf(1)
+    q_power = mp.mpf(1)
+    geometric = mp.mpf(0)
+    total = mp.mpf(0)
+    for w in weights:
+        p_power *= p
+        geometric += q_power
+        q_power *= q
+        total += w * p_power * geometric
+    return -(d / u) * total
+
+
+def _exp_route_setup(m: int, cfg: PrecisionConfig) -> tuple[PrecisionConfig, tuple]:
+    """The exp route's precision and kernel weights at degree m.
+
+    Returns cfg with the cancellation guard added to working_digits,
+    and w_1..w_m converted to mpf once at the precision the kernel runs
+    at (cfg.half_line_digits).
+    """
+    wv = solve_weights(m)
+    w_scale = max(abs(w) for w in wv.weights) * m
+    guard = len(str(int(w_scale))) + 2
+    cfg = replace(cfg, working_digits=cfg.working_digits + guard)
+    with mp.workdps(cfg.half_line_digits):
+        weights = tuple(mp.mpf(w.numerator) / w.denominator for w in wv.weights)
+    return cfg, weights
 
 
 def zeta_via_exp_kernel(m: int, cfg: PrecisionConfig = DEFAULT_PRECISION) -> mp.mpf:
     """zeta(m) through the collapsed weight-system kernel on (0, inf).
 
-    The kernel is  -(1 - e^-u)/u * sum_l w_l P^l (1 + q + ... + q^(l-1))
+    The kernel (:func:`_exp_kernel`) is
+    -(1 - e^-u)/u * sum_l w_l P^l (1 + q + ... + q^(l-1))
     with q = e^-u and P = 1/(1+q); the geometric factors keep every
     summand O(1) so the only cancellation is the designed-in vanishing
     of sum_l w_l, which costs about log10(max |w_l| * m) digits.  Those
@@ -134,30 +180,9 @@ def zeta_via_exp_kernel(m: int, cfg: PrecisionConfig = DEFAULT_PRECISION) -> mp.
     """
     if m < 3 or m % 2 == 0:
         raise ValueError(f"degree m must be odd and >= 3, got {m}")
-    wv = solve_weights(m)
-    pairs = [(w.numerator, w.denominator) for w in wv.weights]
-    w_scale = max(abs(w) for w in wv.weights) * m
-    guard = len(str(int(w_scale))) + 2
-    cfg = replace(cfg, working_digits=cfg.working_digits + guard)
-    eval_dps = cfg.eval_digits
-
-    def kernel(u):
-        q = mp.exp(-u)
-        d = -mp.expm1(-u)
-        p = 1 / (1 + q)
-        p_power = mp.mpf(1)
-        q_power = mp.mpf(1)
-        geometric = mp.mpf(0)
-        total = mp.mpf(0)
-        for num, den in pairs:
-            p_power *= p
-            geometric += q_power
-            q_power *= q
-            total += mp.mpf(num) / den * p_power * geometric
-        return -(d / u) * total
-
-    res = integrate_0inf_decaying(kernel, cfg)
-    with mp.workdps(eval_dps):
+    cfg, weights = _exp_route_setup(m, cfg)
+    res = integrate_0inf_decaying(lambda u: _exp_kernel(u, weights), cfg)
+    with mp.workdps(cfg.half_line_digits):
         front = (2 * mp.pi) ** (m - 1) / ((2**m - 1) * factorial(m - 1))
         return front * res.value
 

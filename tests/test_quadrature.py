@@ -43,6 +43,12 @@ class TestPrecisionConfig:
         assert PrecisionConfig(40, 100).eval_digits == 100
         assert PrecisionConfig(40, 52).eval_digits == 92
 
+    def test_half_line_digits_round_working_up_to_tens(self):
+        assert DEFAULT_PRECISION.half_line_digits == 50
+        assert PrecisionConfig(30, 51).half_line_digits == 60
+        assert PrecisionConfig(40, 52).half_line_digits == 60
+        assert PrecisionConfig(90, 200).half_line_digits == 200
+
     def test_validation(self):
         with pytest.raises(ValueError):
             PrecisionConfig(target_digits=0)
@@ -108,6 +114,16 @@ class TestHalfLine:
     def test_sech(self):
         res = integrate_0inf_decaying(mp.sech, QUICK)
         assert _close(res.value, mp.pi / 2, "1e-19")
+
+    def test_runs_at_half_line_digits(self):
+        cfg = PrecisionConfig(target_digits=20, working_digits=33)
+        clear_node_caches()
+        integrate_0inf_decaying(lambda u: mp.exp(-u), cfg)
+        built = _es_level_nodes.cache_info().currsize
+        assert built >= 2
+        _es_level_nodes(cfg.half_line_digits, 0)
+        _es_level_nodes(cfg.half_line_digits, 1)
+        assert _es_level_nodes.cache_info().currsize == built
 
     def test_growing_integrand_raises(self):
         small = PrecisionConfig(target_digits=15, working_digits=30, max_levels=4)
@@ -177,6 +193,25 @@ class TestMomentIntegrals:
         again = integral_In(4, PrecisionConfig(target_digits=30, working_digits=50))
         assert again is first  # equal configs share the memo slot
 
+    def test_asech_table_matches_direct_integrand(self):
+        # integral_In reads asech from a shared per-node table; the plain
+        # integrand must give the same bits, with warm and with cold
+        # tables, and two precisions in one session must not share values
+        configs = [PrecisionConfig(d, d + 20) for d in (30, 100)]
+        for _ in range(2):
+            for cfg in configs:
+                for n in range(1, 7):
+                    e = 2 * n - 1
+                    got = integral_In(n, cfg)
+                    want = integrate_01_singular(
+                        lambda u, e=e: u**e / asech_stable(u), cfg
+                    )
+                    assert got.value == want.value
+                    assert got.error_estimate == want.error_estimate
+                    assert got.nodes_used == want.nodes_used
+                    assert got.levels == want.levels
+            clear_node_caches()
+
     def test_cache_reset_reproduces_bit_identical_value(self):
         first = integral_In(1, QUICK)
         clear_node_caches()
@@ -212,3 +247,49 @@ class TestNodeTables:
         fine = {u for um, up, _ in level1 for u in (um, up)}
         assert coarse and fine
         assert not coarse & fine
+
+
+def _es_level_nodes_by_sinh(eval_dps: int, level: int):
+    """Exp-sinh nodes from the textbook formulas, each side on its own:
+    s = (pi/2) sinh t, x = exp(-+s), w = (pi/2) cosh(t) x."""
+    with mp.workdps(eval_dps):
+        depth = mp.mpf(eval_dps + 10) * mp.log(10)
+        bounds = (mp.asinh(2 * depth / mp.pi), mp.asinh(4 * depth / mp.pi))
+        h = mp.mpf(1) / 2**level
+        step = 1 if level == 0 else 2
+        sides = []
+        for sign, bound in zip((-1, 1), bounds):
+            side = []
+            k = 1
+            t = k * h
+            while t <= bound:
+                x = mp.exp(sign * mp.pi * mp.sinh(t) / 2)
+                side.append((x, mp.pi * mp.cosh(t) * x / 2))
+                k += step
+                t = k * h
+            sides.append(side)
+        return sides
+
+
+class TestHalfLineNodes:
+    @pytest.mark.parametrize("dps", [45, 212])
+    @pytest.mark.parametrize("level", [0, 1, 2, 3])
+    def test_match_sinh_cosh_formulas(self, dps, level):
+        got = _es_level_nodes(dps, level)
+        want = _es_level_nodes_by_sinh(dps, level)
+        with mp.workdps(dps):
+            tol = mp.mpf(10) ** (3 - dps)
+            for got_side, want_side in zip(got, want):
+                assert len(got_side) == len(want_side)
+                for (x, w), (x_ref, w_ref) in zip(got_side, want_side):
+                    assert abs(x - x_ref) <= tol * x_ref
+                    assert abs(w - w_ref) <= tol * w_ref
+
+    @pytest.mark.parametrize("dps", [45, 212])
+    def test_sides_are_reciprocal_at_shared_t(self, dps):
+        toward_zero, toward_inf = _es_level_nodes(dps, 2)
+        assert len(toward_zero) < len(toward_inf)
+        with mp.workdps(dps):
+            tol = mp.mpf(10) ** (1 - dps)
+            for (x_zero, _), (x_inf, _) in zip(toward_zero, toward_inf):
+                assert abs(x_zero * x_inf - 1) <= tol

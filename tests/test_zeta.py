@@ -5,7 +5,7 @@ import pytest
 
 import zetaodd.zeta as zeta_mod
 from zetaodd.hyperbolic import tau_top
-from zetaodd.quadrature import DEFAULT_PRECISION, integral_In
+from zetaodd.quadrature import DEFAULT_PRECISION, PrecisionConfig, integral_In
 from zetaodd.zeta import (
     LinearForm,
     ScanReport,
@@ -26,6 +26,20 @@ from zetaodd.zeta import (
 def _high_ambient_dps():
     with mp.workdps(60):
         yield
+
+
+def _exp_kernel_two_exponentials(u, weights):
+    q = mp.exp(-u)
+    d = -mp.expm1(-u)
+    p = 1 / (1 + q)
+    p_power = q_power = mp.mpf(1)
+    geometric = total = mp.mpf(0)
+    for w in weights:
+        p_power *= p
+        geometric += q_power
+        q_power *= q
+        total += w * p_power * geometric
+    return -(d / u) * total
 
 
 class TestReference:
@@ -68,6 +82,39 @@ class TestIntegralRoutes:
         a = zeta3_exp_integral(DEFAULT_PRECISION)
         b = zeta_via_exp_kernel(3, DEFAULT_PRECISION)
         assert abs(a - b) < mp.mpf("1e-28")
+
+    @pytest.mark.parametrize(
+        "m, target",
+        [(m, t) for m in (3, 13, 41) for t in (15, 30, 60)] + [(3, 100)],
+    )
+    def test_exp_kernel_precision_grid(self, m, target):
+        cfg = PrecisionConfig(target_digits=target, working_digits=target + 20)
+        got = zeta_via_exp_kernel(m, cfg)
+        with mp.workdps(target + 30):
+            assert abs(got - mp.zeta(m)) <= mp.mpf(10) ** -(target + 10)
+
+    def test_zeta3_dedicated_kernel_at_30_digits(self):
+        cfg = PrecisionConfig(target_digits=30, working_digits=50)
+        got = zeta3_exp_integral(cfg)
+        assert abs(got - mp.zeta(3)) <= mp.mpf(10) ** -40
+
+    @pytest.mark.parametrize("m", [3, 13, 41])
+    def test_exp_kernel_one_exponential_form(self, m):
+        # the kernel derives q and 1 - q from one exponential; the form
+        # with separate exp and expm1 calls must agree at the route's own
+        # precision and weights, on both sides of the u = 1 switch
+        cfg, weights = zeta_mod._exp_route_setup(m, DEFAULT_PRECISION)
+        eval_dps = cfg.half_line_digits
+        with mp.workdps(eval_dps):
+            tol = mp.mpf(10) ** (5 - eval_dps)
+            for u in (
+                mp.mpf("1e-40"), mp.mpf("1e-3"), mp.mpf("0.5"),
+                1 - mp.mpf("1e-30"), mp.mpf(1), 1 + mp.mpf("1e-30"),
+                mp.mpf(7), mp.mpf(10) ** 4,
+            ):
+                got = zeta_mod._exp_kernel(u, weights)
+                want = _exp_kernel_two_exponentials(u, weights)
+                assert abs(got - want) <= tol * abs(want)
 
     @pytest.mark.parametrize("m", [2, 4, 1, 0])
     def test_exp_kernel_domain(self, m):
