@@ -9,19 +9,14 @@ route against an independent series oracle.
 """
 
 from .bernoulli import (
-    CacheParseError,
-    CacheValidationError,
     GenBernoulliTable,
     TableConsistencyError,
     default_table,
     gen_bernoulli,
     gen_bernoulli_poly,
-    load_cache,
     series_oracle,
-    set_default_table,
-    write_cache,
 )
-from .exact import ExactRational, binomial, factorial, format_rational, parse_rational
+from .exact import ExactRational, binomial, factorial, format_rational
 from .hyperbolic import (
     TauTable,
     partial_fraction_residual,
@@ -76,7 +71,6 @@ __all__ = [
     "binomial",
     "factorial",
     "format_rational",
-    "parse_rational",
     # generalized Bernoulli numbers
     "gen_bernoulli",
     "gen_bernoulli_poly",
@@ -84,11 +78,6 @@ __all__ = [
     "GenBernoulliTable",
     "TableConsistencyError",
     "default_table",
-    "set_default_table",
-    "write_cache",
-    "load_cache",
-    "CacheParseError",
-    "CacheValidationError",
     # weight systems
     "coeff_b",
     "d_coefficients",

@@ -18,17 +18,17 @@ Two routes to the same value live here on purpose:
 
 :class:`GenBernoulliTable` memoizes values and refuses to store any
 entry on which the two routes disagree, so a transcription slip in
-either formula cannot propagate silently.
+either formula cannot propagate silently.  The table lives in process
+memory only; nothing is read back from disk, so every entry the weight
+and tau pipelines see has passed that check in the same process.
 """
 
 from __future__ import annotations
 
-import os
-import tempfile
 from fractions import Fraction
 from functools import lru_cache
 
-from .exact import ExactRational, binomial, factorial, format_rational, parse_rational
+from .exact import ExactRational, binomial, factorial, format_rational
 
 __all__ = [
     "gen_bernoulli",
@@ -36,37 +36,12 @@ __all__ = [
     "series_oracle",
     "GenBernoulliTable",
     "TableConsistencyError",
-    "CacheParseError",
-    "CacheValidationError",
     "default_table",
-    "set_default_table",
-    "write_cache",
-    "load_cache",
 ]
 
 
 class TableConsistencyError(ArithmeticError):
     """Closed form and series construction disagree on an entry."""
-
-
-class CacheParseError(ValueError):
-    """A cache file line is malformed (carries the 1-based line number)."""
-
-    def __init__(self, line_no: int, reason: str):
-        super().__init__(f"cache line {line_no}: {reason}")
-        self.line_no = line_no
-
-
-class CacheValidationError(ValueError):
-    """A cache entry fails revalidation against the closed form."""
-
-    def __init__(self, n: int, l: int, stored: Fraction, recomputed: Fraction):
-        super().__init__(
-            f"cache entry B({n}, {l}) = {format_rational(stored)} does not match "
-            f"recomputed value {format_rational(recomputed)}"
-        )
-        self.n = n
-        self.l = l
 
 
 def _validate_indices(n: int, l: int) -> None:
@@ -234,91 +209,10 @@ class GenBernoulliTable:
             self._entries[key] = closed
         self._column_hi[l] = n_hi
 
-    def _install_unchecked(self, n: int, l: int, value: Fraction) -> None:
-        # cache loading only; see load_cache for the validation story
-        self._entries[(n, l)] = value
-
 
 _DEFAULT_TABLE = GenBernoulliTable()
 
 
 def default_table() -> GenBernoulliTable:
-    """Process-wide shared table used by the weight and tau pipelines."""
+    """The process-wide verified table read by the weight and tau pipelines."""
     return _DEFAULT_TABLE
-
-
-def set_default_table(table: GenBernoulliTable) -> None:
-    global _DEFAULT_TABLE
-    _DEFAULT_TABLE = table
-
-
-# -- cache persistence -------------------------------------------------
-#
-# Line format, one entry per line, sorted by (l, n):
-#
-#     B <n> <l> <rational>
-#
-# with <rational> in the canonical form of exact.format_rational.
-
-def write_cache(table: GenBernoulliTable, path: str) -> int:
-    """Write the table to ``path`` atomically (temp file + rename).
-
-    Returns the number of entries written.  The sort order and the
-    canonical rational format make the file contents a pure function of
-    the table contents, so identical tables produce identical bytes.
-    """
-    rows = sorted(table.items(), key=lambda kv: (kv[0][1], kv[0][0]))
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".genbernoulli-", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            for (n, l), value in rows:
-                fh.write(f"B {n} {l} {format_rational(value)}\n")
-        os.replace(tmp_path, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_path)
-        except OSError:
-            pass
-        raise
-    return len(rows)
-
-
-def load_cache(path: str, trust: bool = False) -> GenBernoulliTable:
-    """Load a cache file into a fresh table.
-
-    A missing file yields an empty table.  Malformed lines raise
-    :class:`CacheParseError` with the offending line number.  Unless
-    ``trust`` is set, every entry is recomputed through the closed form
-    and a mismatch raises :class:`CacheValidationError`; ``trust=True``
-    skips that pass and is meant for large caches whose provenance is
-    this package's own :func:`write_cache`.
-    """
-    table = GenBernoulliTable()
-    if not os.path.exists(path):
-        return table
-    with open(path, "r") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if line == "":
-                raise CacheParseError(line_no, "blank line")
-            parts = line.split(" ")
-            if len(parts) != 4 or parts[0] != "B":
-                raise CacheParseError(line_no, f"expected 'B <n> <l> <rational>', got {line!r}")
-            try:
-                n = int(parts[1])
-                l = int(parts[2])
-            except ValueError:
-                raise CacheParseError(line_no, f"bad indices in {line!r}") from None
-            if n < 0 or l < 1:
-                raise CacheParseError(line_no, f"indices out of range in {line!r}")
-            try:
-                value = parse_rational(parts[3])
-            except ValueError as exc:
-                raise CacheParseError(line_no, str(exc)) from None
-            if not trust:
-                recomputed = gen_bernoulli(n, l)
-                if recomputed != value:
-                    raise CacheValidationError(n, l, value, recomputed)
-            table._install_unchecked(n, l, value)
-    return table

@@ -1,10 +1,12 @@
-"""Command-line front end.
+"""Command-line front end: the ``zetaodd`` script of an installed
+package, or ``python -m zetaodd.cli`` from a source tree.
 
-Exit codes: 0 success, 1 verification failure (including cache
-corruption), 2 usage error, 3 quadrature non-convergence.  Results go
-to stdout, diagnostics to stderr.  JSON output is deterministic for a
-given invocation: fixed key order, rationals as exact ``num/den``
-strings, decimals with exactly ``--digits`` significant digits.
+Exit codes: 0 success, 1 verification failure, 2 usage error (argparse
+also exits 2 on unknown commands and flags), 3 quadrature
+non-convergence.  Results go to stdout, diagnostics to stderr.  JSON
+output is deterministic for a given invocation: fixed key order,
+rationals as exact ``num/den`` strings, decimals with exactly
+``--digits`` significant digits.
 """
 
 from __future__ import annotations
@@ -13,13 +15,12 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 from dataclasses import dataclass
 
 import mpmath as mp
 
-from . import bernoulli as bern
+from .bernoulli import default_table
 from .exact import format_rational
 from .hyperbolic import tau_row
 from .quadrature import NonConvergenceError, PrecisionConfig, integral_In
@@ -44,8 +45,6 @@ class RunConfig:
     command: str
     digits: int = 30
     format: str = "text"
-    cache_path: str | None = None
-    trust_cache: bool = False
     m: int | None = None
     n: int | None = None
     l: int | None = None
@@ -132,7 +131,7 @@ def _cmd_bernoulli(cfg: RunConfig) -> int:
         single != rect,
         "bernoulli requires either --n and --l, or --max-n and --max-l",
     )
-    table = bern.default_table()
+    table = default_table()
     if single:
         _require(cfg.n >= 0, "--n must be >= 0")
         _require(cfg.l >= 1, "--l must be >= 1")
@@ -170,9 +169,6 @@ def _cmd_bernoulli(cfg: RunConfig) -> int:
     else:
         for n, l, v in entries:
             _emit(f"B({n}, {l}) = {format_rational(v)}")
-    if cfg.cache_path:
-        count = bern.write_cache(table, cfg.cache_path)
-        print(f"wrote {count} entries to {cfg.cache_path}", file=sys.stderr)
     return 0
 
 
@@ -403,12 +399,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--format", choices=("text", "json", "csv"), default="text", help="output format"
     )
-    common.add_argument("--cache", dest="cache_path", default=None, help="Bernoulli cache file")
-    common.add_argument(
-        "--trust-cache",
-        action="store_true",
-        help="skip revalidation of loaded cache entries",
-    )
 
     p = sub.add_parser("weights", parents=[common], help="solve the degree-m weight system")
     p.add_argument("--m", type=int, required=True)
@@ -448,13 +438,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     if args.digits < 15:
         raise UsageError(f"--digits must be >= 15, got {args.digits}")
-    cache_path = os.environ.get("ZETAODD_CACHE") or args.cache_path
     return RunConfig(
         command=args.command,
         digits=args.digits,
         format=args.format,
-        cache_path=cache_path,
-        trust_cache=args.trust_cache,
         m=getattr(args, "m", None),
         n=getattr(args, "n", None),
         l=getattr(args, "l", None),
@@ -471,21 +458,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _config_from_args(args)
-        if cfg.cache_path:
-            loaded = bern.load_cache(cfg.cache_path, trust=cfg.trust_cache)
-            if len(loaded):
-                print(
-                    f"loaded {len(loaded)} cache entries from {cfg.cache_path}",
-                    file=sys.stderr,
-                )
-            bern.set_default_table(loaded)
         return _HANDLERS[cfg.command](cfg)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (bern.CacheParseError, bern.CacheValidationError) as exc:
-        print(f"cache error: {exc}", file=sys.stderr)
-        return 1
     except NonConvergenceError as exc:
         print(f"quadrature did not converge: {exc}", file=sys.stderr)
         return 3
@@ -493,3 +469,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def entrypoint() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entrypoint()

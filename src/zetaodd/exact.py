@@ -10,7 +10,6 @@ evaluation.
 from __future__ import annotations
 
 import math
-import re
 from fractions import Fraction
 
 __all__ = [
@@ -18,12 +17,9 @@ __all__ = [
     "binomial",
     "factorial",
     "format_rational",
-    "parse_rational",
 ]
 
 ExactRational = Fraction
-
-_RATIONAL_RE = re.compile(r"^(-?(?:0|[1-9][0-9]*))(?:/([1-9][0-9]*))?$")
 
 
 def binomial(a: int, b: int) -> int:
@@ -48,25 +44,6 @@ def factorial(n: int) -> int:
 
 def format_rational(x: Fraction | int) -> str:
     """Canonical text form: ``num/den`` in lowest terms, or ``num`` alone
-    when the denominator is 1.  The sign, if any, sits on the numerator."""
+    when the denominator is 1.  The sign, if any, sits on the numerator;
+    ``Fraction(text)`` reads the text back exactly."""
     return str(Fraction(x))
-
-
-def parse_rational(text: str) -> Fraction:
-    """Inverse of :func:`format_rational`.
-
-    Only the canonical grammar is accepted: an optional minus sign, a
-    base-10 integer with no leading zeros, and an optional ``/den`` part
-    with den >= 1.  Whitespace, ``+`` signs, and floats are rejected so
-    that round-tripping is bit-exact by construction.
-    """
-    m = _RATIONAL_RE.match(text)
-    if m is None:
-        raise ValueError(f"not a canonical rational: {text!r}")
-    num = int(m.group(1))
-    den = int(m.group(2)) if m.group(2) else 1
-    value = Fraction(num, den)
-    if format_rational(value) != text:
-        # reducible input such as 2/4 is treated as malformed on purpose
-        raise ValueError(f"rational not in lowest terms: {text!r}")
-    return value

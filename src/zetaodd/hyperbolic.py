@@ -126,6 +126,27 @@ def tau_top(n: int) -> ExactRational:
     shortcut and the general path must agree exactly; a mismatch would
     mean the recursion domain or the weight solve drifted, so it is
     treated as an internal error rather than a return value.
+
+    The value is always tau(n+1, 2n+1) = 1/(2^(2n+1) - 1).  Proof: with
+    y = e^u + e^-u = 2 cosh u, the symmetric sum is
+
+        sum_{p=0}^{l-1} e^((2p+1-l)u) = sinh(lu) / sinh(u) = U_{l-1}(y/2)
+
+    (Chebyshev U), and U_{l-1}(y/2) = sum_i (-1)^i C(l-1-i, i) y^(l-1-2i).
+    Dividing by y^l and putting j = i + 1 gives the staircase expansion
+    with coefficients (-1)^(j-1) C(l-j, j-1); the coefficients of an
+    expansion in powers of 1/y are unique, so
+
+        q(j, l) = (-1)^(j-1) C(l-j, j-1),
+
+    and at the top q(n+1, 2n+1) = (-1)^n C(n, n) = (-1)^n.  The weight
+    system has a unit diagonal, so w_m = -s_m, which for odd m = 2n+1 is
+    (-1)^(n+1) (2n)!; the shortcut is therefore
+
+        -(-1)^(n+1) (2n)! (-1)^n / ((2n)! (2^m - 1)) = 1 / (2^m - 1).
+
+    Check 11 of the verify suite compares q_coeff with the binomial form
+    for l <= 119 and this function with 1/(2^m - 1) for n <= 20.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")

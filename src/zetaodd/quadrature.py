@@ -240,13 +240,14 @@ def clear_node_caches() -> None:
     _ASECH_AT_NODES.clear()
 
 
-def _tail_sum(pairs, f, eps) -> tuple[mp.mpf, int]:
-    """Sum w*f(x) over (x, w) pairs with monotone-tail truncation."""
+def _tail_sum(terms, eps) -> tuple[mp.mpf, int]:
+    """Sum a lazy sequence of terms ordered outward from the center,
+    stopping once _TAIL_RUN consecutive terms are <= eps (never inside
+    the first _TAIL_MIN_INDEX + 1).  Returns (sum, terms consumed)."""
     total = mp.mpf(0)
     quiet = 0
     used = 0
-    for i, (x, w) in enumerate(pairs):
-        term = w * f(x)
+    for i, term in enumerate(terms):
         used += 1
         total += term
         if abs(term) <= eps:
@@ -296,23 +297,10 @@ def integrate_01_singular(f, cfg: PrecisionConfig = DEFAULT_PRECISION) -> Quadra
 
     def level_sum(level: int, eps):
         nodes = _ts_level_nodes(eval_dps, level)
-        total = mp.mpf(0)
-        quiet = 0
-        used = 0
+        total, count = _tail_sum((w * (f(lo) + f(hi)) for lo, hi, w in nodes), eps)
         if level == 0:
-            total += mp.pi / 4 * f(mp.mpf(1) / 2)
-            used += 1
-        for i, (u_minus, u_plus, w) in enumerate(nodes):
-            term = w * (f(u_minus) + f(u_plus))
-            used += 2
-            total += term
-            if abs(term) <= eps:
-                quiet += 1
-                if quiet >= _TAIL_RUN and i >= _TAIL_MIN_INDEX:
-                    break
-            else:
-                quiet = 0
-        return total, used
+            return mp.pi / 4 * f(mp.mpf(1) / 2) + total, 2 * count + 1
+        return total, 2 * count
 
     return _refine(level_sum, cfg, eval_dps, "tanh-sinh on (0,1)")
 
@@ -331,14 +319,10 @@ def integrate_0inf_decaying(f, cfg: PrecisionConfig = DEFAULT_PRECISION) -> Quad
 
     def level_sum(level: int, eps):
         toward_zero, toward_inf = _es_level_nodes(eval_dps, level)
-        total = mp.mpf(0)
-        used = 0
-        if level == 0:
-            total += mp.pi / 2 * f(mp.mpf(1))
-            used += 1
-        down, n1 = _tail_sum(toward_zero, f, eps)
-        up, n2 = _tail_sum(toward_inf, f, eps)
-        return total + down + up, used + n1 + n2
+        center, used = (mp.pi / 2 * f(mp.mpf(1)), 1) if level == 0 else (0, 0)
+        down, n1 = _tail_sum((w * f(x) for x, w in toward_zero), eps)
+        up, n2 = _tail_sum((w * f(x) for x, w in toward_inf), eps)
+        return center + down + up, used + n1 + n2
 
     return _refine(level_sum, cfg, eval_dps, "exp-sinh on (0,inf)")
 

@@ -9,31 +9,22 @@ a single home.
 
 The checks deliberately re-derive their expected values through routes
 that are as independent as the package allows: frozen integer tables
-for the exact layer, the Dirichlet-series oracle for anything touching
-quadrature, and a second quadrature scheme for the singular moments.
+and integer closed forms for the exact layer, the Dirichlet-series
+oracle for anything touching quadrature, and a second quadrature scheme
+for the singular moments.
 """
 
 from __future__ import annotations
 
-import os
-import tempfile
 import time
 from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath as mp
 
-from .bernoulli import (
-    CacheValidationError,
-    GenBernoulliTable,
-    gen_bernoulli,
-    gen_bernoulli_poly,
-    load_cache,
-    series_oracle,
-    write_cache,
-)
-from .exact import factorial
-from .hyperbolic import partial_fraction_residual, tau
+from .bernoulli import gen_bernoulli, gen_bernoulli_poly, series_oracle
+from .exact import binomial, factorial
+from .hyperbolic import partial_fraction_residual, q_coeff, tau, tau_top
 from .quadrature import (
     DEFAULT_PRECISION,
     integral_In,
@@ -261,40 +252,40 @@ def _check_dimension_scan() -> tuple[bool, str]:
 
 
 # -- 11 --------------------------------------------------------------------
+#
+# Expected values come from integer recurrences and binomials only: no
+# Bernoulli number, triangular solve or q recursion goes into them.
 
-def _check_cache_round_trip() -> tuple[bool, str]:
-    table = GenBernoulliTable()
-    table.ensure(12, 12)
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "bernoulli.cache")
-        wrote = write_cache(table, path)
-        loaded = load_cache(path)
-        if dict(loaded.items()) != dict(table.items()):
-            return False, "reloaded table differs from original"
-        second = os.path.join(tmp, "bernoulli2.cache")
-        write_cache(loaded, second)
-        with open(path, "rb") as fa, open(second, "rb") as fb:
-            if fa.read() != fb.read():
-                return False, "cache file is not byte-stable across a round trip"
-        # tamper with one entry and expect the loader to notice
-        with open(path) as fh:
-            lines = fh.readlines()
-        target = lines[20].split(" ")
-        value = Fraction(target[3])
-        target[3] = f"{value.numerator + 1}\n" if value.denominator == 1 else (
-            f"{value.numerator + value.denominator}/{value.denominator}\n"
+def _stirling2_rows(m_max: int) -> list[list[int]]:
+    """rows[m][l] = S(m, l), Stirling numbers of the second kind."""
+    rows = [[1]]
+    for m in range(1, m_max + 1):
+        prev = rows[-1] + [0]
+        rows.append([0] + [l * prev[l] + prev[l - 1] for l in range(1, m + 1)])
+    return rows
+
+
+def _check_integer_closed_forms() -> tuple[bool, str]:
+    stirling = _stirling2_rows(41)
+    for m in range(1, 42):
+        expected = tuple(
+            Fraction((-1) ** (m // 2 + l) * factorial(l - 1) * stirling[m][l])
+            for l in range(1, m + 1)
         )
-        lines[20] = " ".join(target)
-        with open(path, "w") as fh:
-            fh.writelines(lines)
-        try:
-            load_cache(path)
-        except CacheValidationError as exc:
-            return True, (
-                f"{wrote} entries round-trip byte-stably; tamper at "
-                f"B({exc.n}, {exc.l}) detected"
-            )
-        return False, "tampered cache loaded without complaint"
+        if solve_weights(m).weights != expected:
+            return False, f"weights differ from (-1)^(m//2+l) (l-1)! S(m,l) at m={m}"
+    for l in range(1, 120):
+        for j in range(1, (l + 1) // 2 + 1):
+            if q_coeff(j, l) != (-1) ** (j - 1) * binomial(l - j, j - 1):
+                return False, f"q({j},{l}) != (-1)^(j-1) C(l-j,j-1)"
+    for n in range(1, 21):
+        if tau_top(n) != Fraction(1, 2 ** (2 * n + 1) - 1):
+            return False, f"tau_top({n}) != 1/(2^{2 * n + 1}-1)"
+    return True, (
+        "w = (-1)^(m//2+l) (l-1)! S(m,l) for m<=41; "
+        "q(j,l) = (-1)^(j-1) C(l-j,j-1) for l<=119; "
+        "tau_top(n) = 1/(2^(2n+1)-1) for n<=20"
+    )
 
 
 CHECKS = (
@@ -308,7 +299,7 @@ CHECKS = (
     (8, "partial-fraction residuals l <= 15", None, _check_partial_fractions),
     (9, "moment monotonicity + second scheme", 60.0, _check_moment_sequence),
     (10, "dimension scan + linear forms", 120.0, _check_dimension_scan),
-    (11, "cache round trip + tamper detection", None, _check_cache_round_trip),
+    (11, "integer closed forms vs the exact pipeline", 30.0, _check_integer_closed_forms),
 )
 
 

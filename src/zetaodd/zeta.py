@@ -16,8 +16,10 @@ Routes to zeta(m):
 The exact side of the same pairing is :func:`linear_form`: for each n
 it back-solves the triangular tau array so that a rational combination
 of zeta(3)/pi^2, zeta(5)/pi^4, ..., zeta(2n+1)/pi^2n telescopes to
-theta_next * I_n.  Whether theta_next can ever vanish is exactly what
-:func:`dimension_scan` probes, via the top coefficients tau(n+1, 2n+1).
+theta_next * I_n.  Whether theta_next can ever vanish is what
+:func:`dimension_scan` probes, via the top coefficients tau(n+1, 2n+1);
+those equal 1/(2^(2n+1) - 1) for every n (proof in
+:func:`~zetaodd.hyperbolic.tau_top`), so none of them is zero.
 """
 
 from __future__ import annotations
@@ -385,7 +387,17 @@ class ScanReport:
 
 
 def dimension_scan(n_max: int = 20) -> ScanReport:
-    """Evaluate tau(n+1, 2n+1) exactly for n = 1..n_max."""
+    """Evaluate tau(n+1, 2n+1) exactly for n = 1..n_max.
+
+    Every row is 1/(2^(2n+1) - 1), so a scan can never report a zero:
+    q(n+1, 2n+1) = (-1)^n (the top Chebyshev-U coefficient) and
+    w_{2n+1} = (-1)^(n+1) (2n)! cancel the shortcut's other factors
+    exactly; :func:`~zetaodd.hyperbolic.tau_top` has the proof.  The scan
+    therefore checks an identity through the full exact pipeline.  What
+    the identity does not prove is that the span of the zeta ratios
+    grows, since I_n itself might be a rational combination of the
+    lower ratios; the summary line says so.
+    """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     rows = []

@@ -7,8 +7,11 @@ assertion fails OR it overruns its time budget (checks with no budget
 only need to pass).
 """
 
+from dataclasses import replace
+
 import pytest
 
+import zetaodd.verify as verify
 from zetaodd.verify import CHECKS, format_result, run_checks
 
 _IDS = [c[0] for c in CHECKS]
@@ -35,6 +38,45 @@ def test_acceptance_check(check_id):
 def test_suite_is_complete():
     # ids must be 1..11 with no gaps so the CLI surface stays stable
     assert _IDS == list(range(1, 12))
+
+
+_ORIGINAL = {
+    name: getattr(verify, name) for name in ("solve_weights", "q_coeff", "tau_top")
+}
+
+
+def _perturbed_weights(m):
+    wv = _ORIGINAL["solve_weights"](m)
+    if m != 17:
+        return wv
+    weights = list(wv.weights)
+    weights[5] += 1
+    return replace(wv, weights=tuple(weights))
+
+
+def _perturbed_q(j, l):
+    return _ORIGINAL["q_coeff"](j, l) + (1 if (j, l) == (30, 101) else 0)
+
+
+def _perturbed_tau_top(n):
+    return _ORIGINAL["tau_top"](n) * (2 if n == 13 else 1)
+
+
+@pytest.mark.parametrize(
+    "name,fake,where",
+    [
+        ("solve_weights", _perturbed_weights, "at m=17"),
+        ("q_coeff", _perturbed_q, "q(30,101)"),
+        ("tau_top", _perturbed_tau_top, "tau_top(13)"),
+    ],
+    ids=["solve_weights", "q_coeff", "tau_top"],
+)
+def test_check_11_catches_one_wrong_entry(monkeypatch, name, fake, where):
+    monkeypatch.setattr(verify, name, fake)
+    (result,) = run_checks([11])
+    print(format_result(result))
+    assert not result.passed
+    assert where in result.detail
 
 
 def test_full_run_summary():

@@ -1,15 +1,16 @@
-import os
+"""The verified table is the package's only cache of B(n, l).
+
+It lives in process memory: entries are stored only after the closed
+form and the series oracle agree, and a filled table keeps growing on
+demand.
+"""
+
+from fractions import Fraction
 
 import pytest
 
-from zetaodd.bernoulli import (
-    CacheParseError,
-    CacheValidationError,
-    GenBernoulliTable,
-    gen_bernoulli,
-    load_cache,
-    write_cache,
-)
+from zetaodd import bernoulli
+from zetaodd.bernoulli import GenBernoulliTable, TableConsistencyError, gen_bernoulli
 
 
 @pytest.fixture
@@ -19,107 +20,28 @@ def small_table():
     return table
 
 
-def test_round_trip_exact(tmp_path, small_table):
-    path = str(tmp_path / "bern.cache")
-    count = write_cache(small_table, path)
-    assert count == 9 * 8
-    loaded = load_cache(path)
-    assert dict(loaded.items()) == dict(small_table.items())
+def test_tamper_detection_names_entry(monkeypatch, small_table):
+    # B(1, 1) = -1/2; a plausible-looking wrong closed form is refused
+    real = bernoulli.gen_bernoulli
+
+    def tampered(n, l):
+        return Fraction(-1, 3) if (n, l) == (1, 1) else real(n, l)
+
+    monkeypatch.setattr(bernoulli, "gen_bernoulli", tampered)
+    fresh = GenBernoulliTable()
+    with pytest.raises(TableConsistencyError, match=r"B\(1, 1\)"):
+        fresh.value(1, 1)
+    assert (1, 1) not in fresh
+
+    # a stored entry altered in memory is caught when its column grows
+    small_table._entries[(1, 1)] = Fraction(-1, 3)
+    with pytest.raises(TableConsistencyError, match=r"B\(1, 1\)"):
+        small_table.value(20, 1)
 
 
-def test_bytes_are_stable(tmp_path, small_table):
-    a = str(tmp_path / "a.cache")
-    b = str(tmp_path / "b.cache")
-    write_cache(small_table, a)
-    write_cache(load_cache(a), b)
-    assert open(a, "rb").read() == open(b, "rb").read()
-
-
-def test_sorted_by_order_then_degree(tmp_path, small_table):
-    path = str(tmp_path / "bern.cache")
-    write_cache(small_table, path)
-    keys = []
-    for line in open(path):
-        _, n, l, _ = line.split(" ")
-        keys.append((int(l), int(n)))
-    assert keys == sorted(keys)
-
-
-def test_absent_file_gives_empty_table(tmp_path):
-    loaded = load_cache(str(tmp_path / "nope.cache"))
-    assert len(loaded) == 0
-
-
-def test_write_replaces_existing_file(tmp_path, small_table):
-    path = str(tmp_path / "bern.cache")
-    path_obj = tmp_path / "bern.cache"
-    path_obj.write_text("B 0 1 2\n")  # stale, wrong
-    write_cache(small_table, path)
-    loaded = load_cache(path)
-    assert loaded.value(0, 1) == 1
-    # no temp droppings left behind
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["bern.cache"]
-
-
-@pytest.mark.parametrize(
-    "line,fragment",
-    [
-        ("X 0 1 1", "expected"),
-        ("B 0 1", "expected"),
-        ("B 0 1 1 extra", "expected"),
-        ("B a 1 1", "bad indices"),
-        ("B 0 0 1", "out of range"),
-        ("B -1 1 1", "out of range"),
-        ("B 0 1 2/4", "lowest terms"),
-        ("B 0 1 1.5", "not a canonical rational"),
-        ("", "blank"),
-    ],
-)
-def test_parse_errors_carry_line_number(tmp_path, line, fragment):
-    path = tmp_path / "bad.cache"
-    path.write_text("B 0 1 1\n" + line + "\n")
-    with pytest.raises(CacheParseError) as exc:
-        load_cache(str(path))
-    assert exc.value.line_no == 2
-    assert fragment in str(exc.value)
-
-
-def test_tamper_detection_names_entry(tmp_path, small_table):
-    path = str(tmp_path / "bern.cache")
-    write_cache(small_table, path)
-    lines = open(path).read().splitlines()
-    # B(1, 1) = -1/2; replace with a plausible-looking wrong value
-    idx = lines.index("B 1 1 -1/2")
-    lines[idx] = "B 1 1 -1/3"
-    open(path, "w").write("\n".join(lines) + "\n")
-    with pytest.raises(CacheValidationError) as exc:
-        load_cache(str(path))
-    assert (exc.value.n, exc.value.l) == (1, 1)
-    assert "B(1, 1)" in str(exc.value)
-
-
-def test_trusted_load_skips_validation(tmp_path, small_table):
-    path = str(tmp_path / "bern.cache")
-    write_cache(small_table, path)
-    lines = open(path).read().splitlines()
-    idx = lines.index("B 1 1 -1/2")
-    lines[idx] = "B 1 1 -1/3"
-    open(path, "w").write("\n".join(lines) + "\n")
-    loaded = load_cache(str(path), trust=True)
-    # the tampered value is taken at face value: that is the contract
-    assert loaded.value(1, 1) != gen_bernoulli(1, 1)
-
-
-def test_loaded_table_can_keep_growing(tmp_path, small_table):
-    path = str(tmp_path / "bern.cache")
-    write_cache(small_table, path)
-    loaded = load_cache(str(path))
-    assert loaded.value(10, 2) == gen_bernoulli(10, 2)
-
-
-def test_write_into_current_directory(tmp_path, small_table, monkeypatch):
-    # exercises the dirname("") fallback in the atomic-write path
-    monkeypatch.chdir(tmp_path)
-    write_cache(small_table, "plain.cache")
-    assert os.path.exists("plain.cache")
-    assert len(load_cache("plain.cache")) == len(small_table)
+def test_loaded_table_can_keep_growing(small_table):
+    assert small_table.column_extent(2) == 8
+    assert small_table.value(10, 2) == gen_bernoulli(10, 2)
+    assert small_table.column_extent(2) >= 10
+    assert small_table.value(3, 9) == gen_bernoulli(3, 9)
+    assert small_table.max_order == 9

@@ -1,22 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-import zetaodd.bernoulli as bern
+import zetaodd
 from zetaodd.cli import main
 
 I1_30_DIGITS = "0.852556797635011581847042853192"
 ZETA3_PREFIX = "1.2020569031595942853997381615"
-
-
-@pytest.fixture(autouse=True)
-def _isolated_global_state(monkeypatch):
-    # cache-loading invocations swap the process-wide Bernoulli table;
-    # put the original back so test order cannot matter
-    monkeypatch.delenv("ZETAODD_CACHE", raising=False)
-    saved = bern.default_table()
-    yield
-    bern.set_default_table(saved)
 
 
 def run(capsys, *argv):
@@ -252,48 +246,44 @@ class TestCommonFlags:
         assert exc.value.code == 2
 
 
-class TestCacheFlow:
-    def test_write_reload_tamper(self, capsys, tmp_path, monkeypatch):
-        cache = tmp_path / "bern.cache"
+class TestRemovedFlags:
+    """The disk-cache flags are gone; passing one fails loudly."""
 
-        rc, _, err = run(
-            capsys, "bernoulli", "--max-n", "4", "--max-l", "4",
-            "--cache", str(cache),
+    @pytest.mark.parametrize(
+        "argv,flag,value",
+        [
+            (["bernoulli", "--max-n", "4", "--max-l", "4"], "cache", ["x"]),
+            (["weights", "--m", "3"], "trust-cache", []),
+        ],
+        ids=["cache", "trust-cache"],
+    )
+    def test_cache_flags_are_usage_errors(self, capsys, argv, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, f"--{flag}", *value])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
+class TestModuleEntryPoint:
+    """``python -m zetaodd.cli`` runs the CLI instead of exiting silently."""
+
+    @staticmethod
+    def run_module(*argv):
+        src = str(Path(zetaodd.__file__).resolve().parents[1])
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+        return subprocess.run(
+            [sys.executable, "-m", "zetaodd.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=120,
         )
-        assert rc == 0
-        assert f"wrote 20 entries to {cache}" in err
-        assert cache.exists()
 
-        rc, out, err = run(capsys, "bernoulli", "--n", "3", "--l", "2",
-                           "--cache", str(cache))
-        assert rc == 0
-        assert f"loaded 20 cache entries from {cache}" in err
-        assert out == "B(3, 2) = -1/2\n"
+    def test_prints_csv_golden(self):
+        proc = self.run_module("weights", "--m", "3", "--format", "csv")
+        assert proc.returncode == 0
+        assert proc.stdout == "l,weight\n1,1\n2,-3\n3,2\n"
 
-        lines = cache.read_text().splitlines()
-        assert lines[0].startswith("B ")
-        target = next(i for i, ln in enumerate(lines) if ln == "B 2 3 2")
-        lines[target] = "B 2 3 5/3"
-        cache.write_text("\n".join(lines) + "\n")
-
-        rc, _, err = run(capsys, "bernoulli", "--n", "3", "--l", "2",
-                         "--cache", str(cache))
-        assert rc == 1
-        assert "cache error" in err
-
-        rc, out, _ = run(capsys, "bernoulli", "--n", "2", "--l", "3",
-                         "--cache", str(cache), "--trust-cache")
-        assert rc == 0
-        assert out == "B(2, 3) = 5/3\n"  # trusted load takes the file's word
-
-    def test_env_var_overrides(self, capsys, tmp_path, monkeypatch):
-        cache = tmp_path / "env.cache"
-        rc, _, _ = run(
-            capsys, "bernoulli", "--max-n", "2", "--max-l", "2",
-            "--cache", str(cache),
-        )
-        assert rc == 0
-        monkeypatch.setenv("ZETAODD_CACHE", str(cache))
-        rc, _, err = run(capsys, "weights", "--m", "3")
-        assert rc == 0
-        assert f"loaded 6 cache entries from {cache}" in err
+    def test_usage_error_exit_code(self):
+        proc = self.run_module("weights", "--m", "3", "--digits", "10")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "--digits must be >= 15" in proc.stderr

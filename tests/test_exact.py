@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from zetaodd.exact import binomial, factorial, format_rational, parse_rational
+from zetaodd.exact import binomial, factorial, format_rational
 
 
 class TestBinomial:
@@ -57,15 +57,7 @@ class TestRationalText:
 
     @pytest.mark.parametrize("text", ["0", "7", "-50", "25/12", "-1/3"])
     def test_parse_round_trip(self, text):
-        assert format_rational(parse_rational(text)) == text
-
-    @pytest.mark.parametrize(
-        "text",
-        ["", " 1", "1 ", "+3", "03", "1/0", "1/-2", "2/4", "-0", "1.5", "1/2/3", "a"],
-    )
-    def test_parse_rejects_non_canonical(self, text):
-        with pytest.raises(ValueError):
-            parse_rational(text)
+        assert format_rational(Fraction(text)) == text
 
     @given(
         st.integers(-(10**12), 10**12),
@@ -73,12 +65,12 @@ class TestRationalText:
     )
     def test_round_trip_random(self, num, den):
         x = Fraction(num, den)
-        assert parse_rational(format_rational(x)) == x
+        assert Fraction(format_rational(x)) == x
 
     @given(st.fractions())
     def test_format_is_canonical(self, x):
         text = format_rational(x)
         assert "+" not in text
         assert not text.endswith("/1")
-        back = parse_rational(text)
+        back = Fraction(text)
         assert back == x

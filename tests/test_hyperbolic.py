@@ -100,9 +100,7 @@ class TestTau:
             assert tau_top(n) == tau(n + 1, 2 * n + 1)
 
     def test_top_values(self):
-        # the observed pattern 1/(2^m - 1); the scan treats each value
-        # as a fresh exact computation, not as this formula
-        for n in range(1, 9):
+        for n in range(1, 41):
             assert tau_top(n) == Fraction(1, 2 ** (2 * n + 1) - 1)
 
     def test_domain(self):
