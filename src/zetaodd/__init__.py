@@ -8,14 +8,7 @@ integrals with double-exponential quadrature and cross-checks every
 route against an independent series oracle.
 """
 
-from .bernoulli import (
-    GenBernoulliTable,
-    TableConsistencyError,
-    default_table,
-    gen_bernoulli,
-    gen_bernoulli_poly,
-    series_oracle,
-)
+from .bernoulli import gen_bernoulli, gen_bernoulli_poly, series_oracle
 from .exact import ExactRational, binomial, factorial, format_rational
 from .hyperbolic import (
     TauTable,
@@ -75,9 +68,6 @@ __all__ = [
     "gen_bernoulli",
     "gen_bernoulli_poly",
     "series_oracle",
-    "GenBernoulliTable",
-    "TableConsistencyError",
-    "default_table",
     # weight systems
     "coeff_b",
     "d_coefficients",

@@ -16,11 +16,10 @@ Two routes to the same value live here on purpose:
   coefficients off.  It shares no intermediate quantities with the
   closed form.
 
-:class:`GenBernoulliTable` memoizes values and refuses to store any
-entry on which the two routes disagree, so a transcription slip in
-either formula cannot propagate silently.  The table lives in process
-memory only; nothing is read back from disk, so every entry the weight
-and tau pipelines see has passed that check in the same process.
+The weight and tau pipelines read the memoized closed form only.  The
+oracle is the independent reference it is compared against, by verify
+check 3 and the tests, so a transcription slip in either formula fails
+there.
 """
 
 from __future__ import annotations
@@ -28,20 +27,13 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .exact import ExactRational, binomial, factorial, format_rational
+from .exact import ExactRational, binomial, factorial
 
 __all__ = [
     "gen_bernoulli",
     "gen_bernoulli_poly",
     "series_oracle",
-    "GenBernoulliTable",
-    "TableConsistencyError",
-    "default_table",
 ]
-
-
-class TableConsistencyError(ArithmeticError):
-    """Closed form and series construction disagree on an entry."""
 
 
 def _validate_indices(n: int, l: int) -> None:
@@ -80,9 +72,8 @@ def gen_bernoulli_poly(n: int, l: int, x: ExactRational | int) -> ExactRational:
     """Generalized Bernoulli polynomial sum_k C(n, k) B(k, l) x^(n-k)."""
     _validate_indices(n, l)
     xf = Fraction(x)
-    table = default_table()
     return sum(
-        (binomial(n, k) * table.value(k, l) * xf ** (n - k) for k in range(n + 1)),
+        (binomial(n, k) * gen_bernoulli(k, l) * xf ** (n - k) for k in range(n + 1)),
         Fraction(0),
     )
 
@@ -140,79 +131,3 @@ def series_oracle(l: int, max_n: int) -> list[ExactRational]:
     g = _series_inv(c, max_n)
     h = _series_pow(g, l, max_n)
     return [h[i] * factorial(i) for i in range(max_n + 1)]
-
-
-# -- verified memo table -----------------------------------------------
-
-class GenBernoulliTable:
-    """Memoized B(n, l) store where every entry is double-checked.
-
-    Growth happens column by column (fixed l, n ascending).  When a
-    column is extended, the series oracle is rebuilt for the whole
-    column and each closed-form value is compared against it before
-    being stored; disagreement raises :class:`TableConsistencyError`.
-    Growth is idempotent, and already-stored entries are never
-    recomputed.
-    """
-
-    def __init__(self) -> None:
-        self._entries: dict[tuple[int, int], Fraction] = {}
-        self._column_hi: dict[int, int] = {}
-
-    @property
-    def max_order(self) -> int:
-        """Largest order l present, 0 when empty."""
-        return max(self._column_hi, default=0)
-
-    def column_extent(self, l: int) -> int:
-        """Largest verified degree in column l, -1 when absent."""
-        return self._column_hi.get(l, -1)
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __contains__(self, key: tuple[int, int]) -> bool:
-        return key in self._entries
-
-    def items(self):
-        return self._entries.items()
-
-    def value(self, n: int, l: int) -> ExactRational:
-        _validate_indices(n, l)
-        if (n, l) not in self._entries:
-            self._grow_column(l, n)
-        return self._entries[(n, l)]
-
-    def ensure(self, max_n: int, max_l: int) -> None:
-        """Populate the rectangle n <= max_n, 1 <= l <= max_l."""
-        for l in range(1, max_l + 1):
-            self._grow_column(l, max_n)
-
-    def _grow_column(self, l: int, n: int) -> None:
-        have = self._column_hi.get(l, -1)
-        if n <= have:
-            return
-        # grow with headroom: callers that walk a column upward one
-        # degree at a time would otherwise rebuild the oracle per step
-        n_hi = max(n, l - 1, 2 * have)
-        oracle = series_oracle(l, n_hi)
-        for k in range(n_hi + 1):
-            key = (k, l)
-            closed = self._entries.get(key)
-            if closed is None:
-                closed = gen_bernoulli(k, l)
-            if closed != oracle[k]:
-                raise TableConsistencyError(
-                    f"B({k}, {l}): closed form {format_rational(closed)} vs "
-                    f"series {format_rational(oracle[k])}"
-                )
-            self._entries[key] = closed
-        self._column_hi[l] = n_hi
-
-
-_DEFAULT_TABLE = GenBernoulliTable()
-
-
-def default_table() -> GenBernoulliTable:
-    """The process-wide verified table read by the weight and tau pipelines."""
-    return _DEFAULT_TABLE

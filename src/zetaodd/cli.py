@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import mpmath as mp
 
-from .bernoulli import default_table
+from .bernoulli import gen_bernoulli
 from .exact import format_rational
 from .hyperbolic import tau_row
 from .quadrature import NonConvergenceError, PrecisionConfig, integral_In
@@ -125,17 +125,17 @@ def _cmd_weights(cfg: RunConfig) -> int:
 
 
 def _cmd_bernoulli(cfg: RunConfig) -> int:
-    single = cfg.n is not None and cfg.l is not None
-    rect = cfg.max_n is not None and cfg.max_l is not None
+    single = cfg.n is not None or cfg.l is not None
+    rect = cfg.max_n is not None or cfg.max_l is not None
+    flags = (cfg.n, cfg.l) if single else (cfg.max_n, cfg.max_l)
     _require(
-        single != rect,
+        single != rect and None not in flags,
         "bernoulli requires either --n and --l, or --max-n and --max-l",
     )
-    table = default_table()
     if single:
         _require(cfg.n >= 0, "--n must be >= 0")
         _require(cfg.l >= 1, "--l must be >= 1")
-        value = table.value(cfg.n, cfg.l)
+        value = gen_bernoulli(cfg.n, cfg.l)
         if cfg.format == "json":
             _emit_json({"n": cfg.n, "l": cfg.l, "value": format_rational(value)})
         elif cfg.format == "csv":
@@ -145,10 +145,10 @@ def _cmd_bernoulli(cfg: RunConfig) -> int:
         return 0
     _require(cfg.max_n >= 0, "--max-n must be >= 0")
     _require(cfg.max_l >= 1, "--max-l must be >= 1")
-    table.ensure(cfg.max_n, cfg.max_l)
-    entries = sorted(table.items(), key=lambda kv: (kv[0][1], kv[0][0]))
     entries = [
-        (n, l, v) for (n, l), v in entries if n <= cfg.max_n and l <= cfg.max_l
+        (n, l, gen_bernoulli(n, l))
+        for l in range(1, cfg.max_l + 1)
+        for n in range(cfg.max_n + 1)
     ]
     if cfg.format == "json":
         _emit_json(
@@ -352,7 +352,7 @@ def _cmd_verify(cfg: RunConfig) -> int:
                         "id": r.check_id,
                         "title": r.title,
                         "passed": r.ok,
-                        "detail": r.detail,
+                        "detail": r.note,
                     }
                     for r in results
                 ],
@@ -363,7 +363,7 @@ def _cmd_verify(cfg: RunConfig) -> int:
         _emit_csv(
             ["id", "title", "passed", "elapsed_s", "detail"],
             [
-                [r.check_id, r.title, str(r.ok).lower(), f"{r.elapsed:.2f}", r.detail]
+                [r.check_id, r.title, str(r.ok).lower(), f"{r.elapsed:.2f}", r.note]
                 for r in results
             ],
         )

@@ -61,16 +61,20 @@ class CheckResult:
     def ok(self) -> bool:
         return self.passed and self.within_budget
 
+    @property
+    def note(self) -> str:
+        """The detail as reported, saying why a passing check still fails."""
+        if self.passed and not self.within_budget:
+            return f"over budget; {self.detail}"
+        return self.detail
+
 
 def format_result(r: CheckResult) -> str:
     status = "PASS" if r.ok else "FAIL"
     timing = f"{r.elapsed:.2f} s"
     if r.budget is not None:
         timing += f" / {r.budget:.0f} s"
-    note = r.detail
-    if r.passed and not r.within_budget:
-        note = f"over budget; {note}"
-    return f"[{r.check_id:2d}] {status} {r.title} ({timing}) {note}"
+    return f"[{r.check_id:2d}] {status} {r.title} ({timing}) {r.note}"
 
 
 # -- 1 ---------------------------------------------------------------------
@@ -120,10 +124,11 @@ def _check_integer_rows() -> tuple[bool, str]:
 # -- 3 ---------------------------------------------------------------------
 
 def _check_bernoulli_routes() -> tuple[bool, str]:
-    for l in range(1, 13):
-        oracle = series_oracle(l, 12)
-        for n in range(13):
-            if gen_bernoulli(n, l) != oracle[n]:
+    # n <= l-1 covers every entry solve_weights(41) reads
+    for l in range(1, 42):
+        oracle = series_oracle(l, max(12, l - 1))
+        for n, expected in enumerate(oracle):
+            if gen_bernoulli(n, l) != expected:
                 return False, f"route mismatch at B({n}, {l})"
     for l in range(1, 9):
         for n in range(11):
@@ -131,7 +136,9 @@ def _check_bernoulli_routes() -> tuple[bool, str]:
             direct = gen_bernoulli(n, l)
             if reflected != (-direct if n % 2 else direct):
                 return False, f"reflection fails at (n, l) = ({n}, {l})"
-    return True, "closed form == series (n<=12, l<=12); reflection exact (n<=10, l<=8)"
+    return True, (
+        "closed form == series (n<=max(12,l-1), l<=41); reflection exact (n<=10, l<=8)"
+    )
 
 
 # -- 4 ---------------------------------------------------------------------
@@ -266,8 +273,8 @@ def _stirling2_rows(m_max: int) -> list[list[int]]:
 
 
 def _check_integer_closed_forms() -> tuple[bool, str]:
-    stirling = _stirling2_rows(41)
-    for m in range(1, 42):
+    stirling = _stirling2_rows(61)
+    for m in range(1, 62):
         expected = tuple(
             Fraction((-1) ** (m // 2 + l) * factorial(l - 1) * stirling[m][l])
             for l in range(1, m + 1)
@@ -282,7 +289,7 @@ def _check_integer_closed_forms() -> tuple[bool, str]:
         if tau_top(n) != Fraction(1, 2 ** (2 * n + 1) - 1):
             return False, f"tau_top({n}) != 1/(2^{2 * n + 1}-1)"
     return True, (
-        "w = (-1)^(m//2+l) (l-1)! S(m,l) for m<=41; "
+        "w = (-1)^(m//2+l) (l-1)! S(m,l) for m<=61; "
         "q(j,l) = (-1)^(j-1) C(l-j,j-1) for l<=119; "
         "tau_top(n) = 1/(2^(2n+1)-1) for n<=20"
     )

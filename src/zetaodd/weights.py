@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .bernoulli import default_table
+from .bernoulli import gen_bernoulli
 from .exact import ExactRational, factorial
 
 __all__ = [
@@ -42,7 +42,7 @@ def coeff_b(j: int, l: int) -> ExactRational:
         raise ValueError(f"coeff_b requires 1 <= j <= l, got j={j}, l={l}")
     k = l - j
     sign = -1 if k & 1 else 1
-    return sign * default_table().value(k, l) / factorial(k)
+    return sign * gen_bernoulli(k, l) / factorial(k)
 
 
 def d_coefficients(l: int) -> list[ExactRational]:
@@ -81,8 +81,6 @@ class TriangularSystem:
 def triangular_system(m: int) -> TriangularSystem:
     if m < 1:
         raise ValueError(f"degree m must be >= 1, got {m}")
-    # touch the deepest column first so the shared table grows once
-    default_table().value(m - 1, m)
     entries = {(j, l): coeff_b(j, l) for l in range(1, m + 1) for j in range(1, l + 1)}
     return TriangularSystem(m, entries)
 

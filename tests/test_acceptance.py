@@ -79,6 +79,19 @@ def test_check_11_catches_one_wrong_entry(monkeypatch, name, fake, where):
     assert where in result.detail
 
 
+def test_check_3_catches_one_wrong_entry(monkeypatch):
+    real = verify.gen_bernoulli
+
+    def wrong(n, l):
+        return real(n, l) + (1 if (n, l) == (30, 37) else 0)
+
+    monkeypatch.setattr(verify, "gen_bernoulli", wrong)
+    (result,) = run_checks([3])
+    print(format_result(result))
+    assert not result.passed
+    assert "B(30, 37)" in result.detail
+
+
 def test_full_run_summary():
     results = run_checks()
     assert len(results) == len(CHECKS)

@@ -4,12 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zetaodd.bernoulli import (
-    GenBernoulliTable,
-    gen_bernoulli,
-    gen_bernoulli_poly,
-    series_oracle,
-)
+from zetaodd.bernoulli import gen_bernoulli, gen_bernoulli_poly, series_oracle
 
 # classical Bernoulli numbers, the l = 1 column
 CLASSICAL = [
@@ -82,34 +77,3 @@ class TestReflection:
         for l in range(1, 6):
             for n in range(8):
                 assert gen_bernoulli_poly(n, l, 0) == gen_bernoulli(n, l)
-
-
-class TestTable:
-    def test_value_agrees_with_closed_form(self):
-        table = GenBernoulliTable()
-        assert table.value(4, 3) == gen_bernoulli(4, 3)
-        assert (4, 3) in table
-
-    def test_growth_is_idempotent(self):
-        table = GenBernoulliTable()
-        table.ensure(6, 4)
-        first = dict(table.items())
-        table.ensure(6, 4)
-        assert dict(table.items()) == first
-        table.ensure(8, 4)
-        assert len(table) > len(first)
-
-    def test_extents(self):
-        table = GenBernoulliTable()
-        assert table.max_order == 0
-        assert table.column_extent(3) == -1
-        table.ensure(5, 3)
-        assert table.max_order == 3
-        assert table.column_extent(3) >= 5
-
-    def test_column_headroom_covers_weight_walk(self):
-        # the weight solver reads a column upward one degree at a time;
-        # a single deep request must not rebuild the oracle per step
-        table = GenBernoulliTable()
-        table.value(0, 9)
-        assert table.column_extent(9) >= 8

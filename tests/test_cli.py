@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import zetaodd
+import zetaodd.verify as verify
 from zetaodd.cli import main
 
 I1_30_DIGITS = "0.852556797635011581847042853192"
@@ -86,10 +87,15 @@ class TestBernoulli:
         rc, _, err = run(capsys, "bernoulli", "--n", "2")
         assert rc == 2
         assert "usage error" in err
-        rc, _, err = run(
-            capsys, "bernoulli", "--n", "2", "--l", "3", "--max-n", "4", "--max-l", "4"
-        )
-        assert rc == 2
+        for argv in (
+            ["--n", "2", "--l", "3", "--max-n", "4", "--max-l", "4"],
+            ["--n", "3", "--l", "2", "--max-n", "5"],
+            ["--max-n", "5", "--max-l", "5", "--n", "3"],
+        ):
+            rc, out, err = run(capsys, "bernoulli", *argv)
+            assert rc == 2, argv
+            assert out == ""
+            assert "usage error" in err
 
 
 class TestTau:
@@ -223,6 +229,17 @@ class TestVerify:
         for r in payload["results"]:
             assert r["passed"] is True
             assert "elapsed" not in r  # keeps JSON deterministic
+
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    def test_over_budget_reason_in_every_format(self, capsys, monkeypatch, fmt):
+        # a check that passes but overruns its budget says why it failed
+        check_id, title, _, func = verify.CHECKS[0]
+        monkeypatch.setattr(
+            verify, "CHECKS", ((check_id, title, 0.0, func), *verify.CHECKS[1:])
+        )
+        rc, out, _ = run(capsys, "verify", "--suite", "1", "--format", fmt)
+        assert rc == 1
+        assert "over budget; exact match at m = 3, 5, 7" in out
 
     def test_unknown_id(self, capsys):
         rc, _, err = run(capsys, "verify", "--suite", "99")
