@@ -3,8 +3,12 @@ package, or ``python -m zetaodd.cli`` from a source tree.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error (argparse
 also exits 2 on unknown commands and flags), 3 quadrature
-non-convergence.  Results go to stdout, diagnostics to stderr.  JSON
-output is deterministic for a given invocation: fixed key order,
+non-convergence.  Inputs are bounded, so that an out-of-range value
+fails at once (exit 2) instead of running for hours: ``--digits`` must
+lie in 15..300 and ``zeta --m`` must be at most 101.  On a 2.1 GHz
+core ``zeta --m 101 --digits 15`` takes about 8 s cold, while the
+exact weights alone take about 40 s at m = 151.  Results go to
+stdout, diagnostics to stderr.  JSON output is deterministic for a given invocation: fixed key order,
 rationals as exact ``num/den`` strings, decimals with exactly
 ``--digits`` significant digits.
 """
@@ -36,6 +40,10 @@ from .zeta import (
 )
 
 __all__ = ["RunConfig", "main", "entrypoint"]
+
+MIN_DIGITS = 15
+MAX_DIGITS = 300
+MAX_ZETA_M = 101
 
 
 @dataclass(frozen=True)
@@ -220,6 +228,7 @@ def _cmd_integral(cfg: RunConfig) -> int:
 
 def _cmd_zeta(cfg: RunConfig) -> int:
     _require(cfg.m is not None and cfg.m >= 3, "zeta requires --m >= 3")
+    _require(cfg.m <= MAX_ZETA_M, f"zeta requires --m <= {MAX_ZETA_M}, got {cfg.m}")
     _require_odd(cfg.m, "zeta")
     precision = cfg.precision()
     if cfg.method == "all":
@@ -395,7 +404,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--digits", type=int, default=30, help="significant digits (>= 15)")
+    common.add_argument(
+        "--digits",
+        type=int,
+        default=30,
+        help=f"significant digits ({MIN_DIGITS}..{MAX_DIGITS})",
+    )
     common.add_argument(
         "--format", choices=("text", "json", "csv"), default="text", help="output format"
     )
@@ -416,7 +430,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
 
     p = sub.add_parser("zeta", parents=[common], help="zeta(m) for odd m, three routes")
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--m", type=int, required=True, help=f"odd degree, 3..{MAX_ZETA_M}")
     p.add_argument(
         "--method",
         choices=("reference", "exp", "asech", "all"),
@@ -436,8 +450,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    if args.digits < 15:
-        raise UsageError(f"--digits must be >= 15, got {args.digits}")
+    if args.digits < MIN_DIGITS:
+        raise UsageError(f"--digits must be >= {MIN_DIGITS}, got {args.digits}")
+    if args.digits > MAX_DIGITS:
+        raise UsageError(f"--digits must be <= {MAX_DIGITS}, got {args.digits}")
     return RunConfig(
         command=args.command,
         digits=args.digits,

@@ -33,6 +33,7 @@ from .quadrature import (
 from .weights import coeff_b, d_coefficients, s_constant, solve_weights, triangular_system
 from .zeta import (
     dimension_scan,
+    exp_kernel_polynomial,
     in_sequence_report,
     linear_form,
     linear_form_residual,
@@ -272,6 +273,15 @@ def _stirling2_rows(m_max: int) -> list[list[int]]:
     return rows
 
 
+def _eulerian_rows(n_max: int) -> list[list[int]]:
+    """rows[n][k] = A(n, k), Eulerian numbers: A_n(t) = sum_k A(n, k) t^k."""
+    rows = [[1]]
+    for n in range(1, n_max + 1):
+        prev = rows[-1] + [0]  # prev[-1] is this padding 0 when k = 0
+        rows.append([(k + 1) * prev[k] + (n - k) * prev[k - 1] for k in range(n)])
+    return rows
+
+
 def _check_integer_closed_forms() -> tuple[bool, str]:
     stirling = _stirling2_rows(61)
     for m in range(1, 62):
@@ -288,10 +298,23 @@ def _check_integer_closed_forms() -> tuple[bool, str]:
     for n in range(1, 21):
         if tau_top(n) != Fraction(1, 2 ** (2 * n + 1) - 1):
             return False, f"tau_top({n}) != 1/(2^{2 * n + 1}-1)"
+    eulerian = _eulerian_rows(60)
+    for m in range(3, 62, 2):
+        c = exp_kernel_polynomial(m)
+        lhs = [a - b for a, b in zip(c + (0,), (0,) + c)]  # (1 - q) C_m(q)
+        sign = (-1) ** ((m - 1) // 2)
+        rhs = [0] + [sign * 2 * (-1) ** k * a for k, a in enumerate(eulerian[m - 1])]
+        rhs += [0] * (len(lhs) - len(rhs))
+        for k, (got, want) in enumerate(zip(lhs, rhs)):
+            if got != want:
+                return False, (
+                    f"(1-q) C_m(q) != (-1)^((m-1)/2) 2q A_(m-1)(-q) at m={m}, q^{k}"
+                )
     return True, (
         "w = (-1)^(m//2+l) (l-1)! S(m,l) for m<=61; "
         "q(j,l) = (-1)^(j-1) C(l-j,j-1) for l<=119; "
-        "tau_top(n) = 1/(2^(2n+1)-1) for n<=20"
+        "tau_top(n) = 1/(2^(2n+1)-1) for n<=20; "
+        "(1-q) C_m(q) = (-1)^((m-1)/2) 2q A_(m-1)(-q) for odd m<=61"
     )
 
 

@@ -41,7 +41,8 @@ def test_suite_is_complete():
 
 
 _ORIGINAL = {
-    name: getattr(verify, name) for name in ("solve_weights", "q_coeff", "tau_top")
+    name: getattr(verify, name)
+    for name in ("solve_weights", "q_coeff", "tau_top", "exp_kernel_polynomial")
 }
 
 
@@ -62,14 +63,22 @@ def _perturbed_tau_top(n):
     return _ORIGINAL["tau_top"](n) * (2 if n == 13 else 1)
 
 
+def _perturbed_kernel_polynomial(m):
+    coeffs = _ORIGINAL["exp_kernel_polynomial"](m)
+    if m != 23:
+        return coeffs
+    return coeffs[:7] + (coeffs[7] + 1,) + coeffs[8:]
+
+
 @pytest.mark.parametrize(
     "name,fake,where",
     [
         ("solve_weights", _perturbed_weights, "at m=17"),
         ("q_coeff", _perturbed_q, "q(30,101)"),
         ("tau_top", _perturbed_tau_top, "tau_top(13)"),
+        ("exp_kernel_polynomial", _perturbed_kernel_polynomial, "at m=23, q^7"),
     ],
-    ids=["solve_weights", "q_coeff", "tau_top"],
+    ids=["solve_weights", "q_coeff", "tau_top", "exp_kernel_polynomial"],
 )
 def test_check_11_catches_one_wrong_entry(monkeypatch, name, fake, where):
     monkeypatch.setattr(verify, name, fake)

@@ -7,8 +7,9 @@ from pathlib import Path
 import pytest
 
 import zetaodd
+import zetaodd.cli as cli
 import zetaodd.verify as verify
-from zetaodd.cli import main
+from zetaodd.cli import MAX_DIGITS, MAX_ZETA_M, main
 
 I1_30_DIGITS = "0.852556797635011581847042853192"
 ZETA3_PREFIX = "1.2020569031595942853997381615"
@@ -261,6 +262,66 @@ class TestCommonFlags:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+
+class _RouteStarted(Exception):
+    pass
+
+
+class TestInputLimits:
+    """--digits and zeta --m have upper limits.  Every route is replaced
+    by one that raises, so no test here starts a computation."""
+
+    @pytest.fixture(autouse=True)
+    def _routes_raise(self, monkeypatch):
+        def started(*args, **kwargs):
+            raise _RouteStarted
+
+        for name in (
+            "integral_In", "zeta_report", "zeta_reference",
+            "zeta_via_exp_kernel", "zeta_via_asech_kernel",
+        ):
+            monkeypatch.setattr(cli, name, started)
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["zeta", "--m", "3", "--digits", str(MAX_DIGITS + 1)],
+             f"--digits must be <= {MAX_DIGITS}, got {MAX_DIGITS + 1}"),
+            (["integral", "--n", "1", "--digits", "100000"],
+             f"--digits must be <= {MAX_DIGITS}, got 100000"),
+            (["zeta", "--m", str(MAX_ZETA_M + 2)],
+             f"zeta requires --m <= {MAX_ZETA_M}, got {MAX_ZETA_M + 2}"),
+            (["zeta", "--m", str(10**6 + 1), "--method", "exp"],
+             f"zeta requires --m <= {MAX_ZETA_M}, got {10**6 + 1}"),
+        ],
+        ids=["zeta-digits", "integral-digits", "zeta-m", "zeta-m-exp"],
+    )
+    def test_above_limit_is_usage_error(self, capsys, argv, message):
+        rc, out, err = run(capsys, *argv)
+        assert rc == 2
+        assert out == ""
+        assert f"usage error: {message}" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["zeta", "--m", "3", "--digits", str(MAX_DIGITS)],
+            ["zeta", "--m", str(MAX_ZETA_M), "--digits", "15"],
+            ["zeta", "--m", str(MAX_ZETA_M), "--method", "asech"],
+            ["integral", "--n", "1", "--digits", str(MAX_DIGITS)],
+            # the largest documented runs stay admitted
+            ["zeta", "--m", "3", "--digits", "300"],
+            ["zeta", "--m", "61", "--digits", "15"],
+        ],
+        ids=[
+            "zeta-digits", "zeta-m", "zeta-m-asech", "integral-digits",
+            "zeta-3-300", "zeta-61-15",
+        ],
+    )
+    def test_at_limit_starts_the_route(self, argv):
+        with pytest.raises(_RouteStarted):
+            main(argv)
 
 
 class TestRemovedFlags:

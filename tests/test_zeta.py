@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import mpmath as mp
@@ -6,6 +7,7 @@ import pytest
 import zetaodd.zeta as zeta_mod
 from zetaodd.hyperbolic import tau_top
 from zetaodd.quadrature import DEFAULT_PRECISION, PrecisionConfig, integral_In
+from zetaodd.weights import solve_weights
 from zetaodd.zeta import (
     LinearForm,
     ScanReport,
@@ -29,6 +31,8 @@ def _high_ambient_dps():
 
 
 def _exp_kernel_two_exponentials(u, weights):
+    # the weight-sum kernel -(1 - q)/u * sum_l w_l P^l (1 + ... + q^(l-1)),
+    # P = 1/(1+q), with q and 1 - q from separate exp and expm1 calls
     q = mp.exp(-u)
     d = -mp.expm1(-u)
     p = 1 / (1 + q)
@@ -40,6 +44,26 @@ def _exp_kernel_two_exponentials(u, weights):
         q_power *= q
         total += w * p_power * geometric
     return -(d / u) * total
+
+
+def _envelope_condition_digits(m, coeffs, n=500):
+    """log10 of max g(q) sum |c_k| q^k over max g(q) |C_m(q)| on q = i/n,
+    g(q) = (1 - q)/(u (1 + q)^m): how far Horner's rounding envelope
+    rises above the kernel itself.  Polynomial values are exact
+    integers, scaled by n^(m-1)."""
+    pows = [n**j for j in range(m)]
+    envelope_peak = kernel_peak = -math.inf
+    for i in range(1, n):
+        q = i / n
+        log_g = math.log10((1 - q) / (-math.log(q) * (1 + q) ** m))
+        value = envelope = 0
+        for k in range(m - 1, -1, -1):
+            value = value * i + coeffs[k] * pows[m - 1 - k]
+            envelope = envelope * i + abs(coeffs[k]) * pows[m - 1 - k]
+        envelope_peak = max(envelope_peak, math.log10(envelope) + log_g)
+        if value:
+            kernel_peak = max(kernel_peak, math.log10(abs(value)) + log_g)
+    return envelope_peak - kernel_peak
 
 
 class TestReference:
@@ -85,7 +109,8 @@ class TestIntegralRoutes:
 
     @pytest.mark.parametrize(
         "m, target",
-        [(m, t) for m in (3, 13, 41) for t in (15, 30, 60)] + [(3, 100)],
+        [(m, t) for m in (3, 13, 41) for t in (15, 30, 60)]
+        + [(3, 100), (61, 15), (61, 30)],
     )
     def test_exp_kernel_precision_grid(self, m, target):
         cfg = PrecisionConfig(target_digits=target, working_digits=target + 20)
@@ -100,11 +125,19 @@ class TestIntegralRoutes:
 
     @pytest.mark.parametrize("m", [3, 13, 41])
     def test_exp_kernel_one_exponential_form(self, m):
-        # the kernel derives q and 1 - q from one exponential; the form
-        # with separate exp and expm1 calls must agree at the route's own
-        # precision and weights, on both sides of the u = 1 switch
-        cfg, weights = zeta_mod._exp_route_setup(m, DEFAULT_PRECISION)
+        # the Horner kernel on C_m, with q and 1 - q from one exponential,
+        # must agree with the weight-sum form it replaced, on both sides
+        # of the u = 1 switch.  The oracle runs with the old
+        # weight-cancellation guard on top of the route's precision, plus
+        # log10(1/q) digits: at large u its sum_l w_l = 0 cancels to O(q).
+        # The tolerance is relative to Horner's rounding envelope
+        # (1 - q)/u * sum |c_k| q^k / (1 + q)^m, which C_m's roots in
+        # (0, 1) and its cancellation near q = 1 keep above |kernel|.
+        cfg, coeffs = zeta_mod._exp_route_setup(m, DEFAULT_PRECISION)
         eval_dps = cfg.half_line_digits
+        abs_coeffs = [abs(c) for c in reversed(zeta_mod.exp_kernel_polynomial(m))]
+        wv = solve_weights(m).weights
+        old_guard = len(str(int(max(abs(w) for w in wv) * m))) + 2
         with mp.workdps(eval_dps):
             tol = mp.mpf(10) ** (5 - eval_dps)
             for u in (
@@ -112,9 +145,23 @@ class TestIntegralRoutes:
                 1 - mp.mpf("1e-30"), mp.mpf(1), 1 + mp.mpf("1e-30"),
                 mp.mpf(7), mp.mpf(10) ** 4,
             ):
-                got = zeta_mod._exp_kernel(u, weights)
-                want = _exp_kernel_two_exponentials(u, weights)
-                assert abs(got - want) <= tol * abs(want)
+                got = zeta_mod._exp_kernel(u, coeffs)
+                q = mp.exp(-u)
+                envelope = -mp.expm1(-u) / u * mp.polyval(abs_coeffs, q) / (1 + q) ** m
+                with mp.workdps(eval_dps + old_guard + int(u / mp.ln10)):
+                    weights = tuple(mp.mpf(w.numerator) / w.denominator for w in wv)
+                    want = _exp_kernel_two_exponentials(u, weights)
+                assert abs(got - want) <= tol * envelope
+
+    def test_exp_guard_covers_horner_cancellation(self):
+        # C_m has real roots in (0, 1), so the pointwise ratio
+        # sum |c_k| q^k / |C_m(q)| is unbounded; the guard must cover the
+        # envelope's rise over the kernel's own peak
+        for m in range(3, 62, 2):
+            cfg, _ = zeta_mod._exp_route_setup(m, DEFAULT_PRECISION)
+            guard = cfg.working_digits - DEFAULT_PRECISION.working_digits
+            coeffs = zeta_mod.exp_kernel_polynomial(m)
+            assert guard >= _envelope_condition_digits(m, coeffs), m
 
     @pytest.mark.parametrize("m", [2, 4, 1, 0])
     def test_exp_kernel_domain(self, m):
