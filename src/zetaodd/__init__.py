@@ -27,7 +27,7 @@ from .quadrature import (
     integral_In,
     integral_In_crosscheck,
     integrate_01_singular,
-    integrate_0inf_decaying,
+    neglog_stable,
 )
 from .verify import CheckResult, run_checks
 from .weights import (
@@ -89,8 +89,8 @@ __all__ = [
     "QuadratureResult",
     "NonConvergenceError",
     "asech_stable",
+    "neglog_stable",
     "integrate_01_singular",
-    "integrate_0inf_decaying",
     "integral_In",
     "integral_In_crosscheck",
     # zeta routes and exact forms

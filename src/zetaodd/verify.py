@@ -10,8 +10,9 @@ a single home.
 The checks deliberately re-derive their expected values through routes
 that are as independent as the package allows: frozen integer tables
 and integer closed forms for the exact layer, the Dirichlet-series
-oracle for anything touching quadrature, and a second quadrature scheme
-for the singular moments.
+oracle for anything touching quadrature, ``mpmath.quad`` for the
+zeta(3) kernel (check 5), and a second quadrature scheme for the
+singular moments.
 """
 
 from __future__ import annotations

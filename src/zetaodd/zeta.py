@@ -7,10 +7,9 @@ Routes to zeta(m):
   tables (the tail constants come from mpmath's own bernoulli), so it
   can serve as an independent oracle for the other two routes.
 * :func:`zeta_via_exp_kernel` collapses the degree-m weight system
-  into a single smooth integrand on (0, infinity), whose numerator is
-  one exact integer polynomial per degree
-  (:func:`exp_kernel_polynomial`) evaluated by Horner's rule; its guard
-  digits come from that polynomial's own cancellation.
+  into a single integrand on (0, infinity), whose numerator is one
+  exact integer polynomial per degree (:func:`exp_kernel_polynomial`),
+  and integrates it in q = e^-u on the moments' tanh-sinh nodes.
 * :func:`zeta_via_asech_kernel` (odd m only) pairs the exact tau
   coefficients with the singular moment integrals I_n on (0, 1):
 
@@ -27,6 +26,7 @@ those equal 1/(2^(2n+1) - 1) for every n (proof in
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -37,8 +37,10 @@ from .hyperbolic import tau, tau_row, tau_top
 from .quadrature import (
     DEFAULT_PRECISION,
     PrecisionConfig,
+    at_nodes,
     integral_In,
-    integrate_0inf_decaying,
+    integrate_01_singular,
+    neglog_stable,
 )
 from .weights import solve_weights
 
@@ -104,39 +106,24 @@ def zeta_reference(m: int, digits: int = 30) -> mp.mpf:
             N *= 2
 
 
-def _q_and_complement(u) -> tuple[mp.mpf, mp.mpf]:
-    """(q, 1 - q) with q = e^-u, from one exponential.
-
-    Below u = 1 the complement is the small one and comes from expm1;
-    from u = 1 on, q <= 1/e and 1 - q >= 1 - 1/e, so neither
-    subtraction cancels.
-    """
-    if u < 1:
-        d = -mp.expm1(-u)
-        return 1 - d, d
-    q = mp.exp(-u)
-    return q, 1 - q
-
-
 def zeta3_exp_integral(cfg: PrecisionConfig = DEFAULT_PRECISION) -> mp.mpf:
     """zeta(3) from its dedicated exponential-kernel integral.
 
     The degree-3 weight system collapses, after clearing denominators,
     to the single integrand q (1 - q) / ((1 + q)^3 u) with q = e^-u,
-    and zeta(3) = (4 pi^2 / 7) * integral.  This is the general route at
-    m = 3, where :func:`exp_kernel_polynomial` gives C_3(q) = -2q.
-    Written out by hand rather than delegated to
-    :func:`zeta_via_exp_kernel` so the two can be played against each
-    other in tests.
+    and zeta(3) = (4 pi^2 / 7) * integral over (0, infinity).  This is
+    the general route at m = 3, where :func:`exp_kernel_polynomial`
+    gives C_3(q) = -2q.  Written out by hand and integrated with
+    ``mpmath.quad``, which the package does not otherwise use, so the
+    two can be played against each other in tests and verify check 5.
     """
 
     def kernel(u):
-        q, d = _q_and_complement(u)
-        return q * d / ((1 + q) ** 3 * u)
+        q = mp.exp(-u)
+        return q * -mp.expm1(-u) / ((1 + q) ** 3 * u)
 
-    res = integrate_0inf_decaying(kernel, cfg)
-    with mp.workdps(cfg.half_line_digits):
-        return 4 * mp.pi**2 / 7 * res.value
+    with mp.workdps(cfg.eval_digits):
+        return 4 * mp.pi**2 / 7 * mp.quad(kernel, [0, 1, mp.inf])
 
 
 def exp_kernel_polynomial(m: int) -> tuple[int, ...]:
@@ -165,60 +152,63 @@ def _digits(n: int) -> int:
     return len(str(abs(n)))
 
 
-def _exp_kernel(u, coeffs) -> mp.mpf:
-    """-(1 - q)/u * C_m(q) / (1 + q)^m with q = e^-u; ``coeffs`` are the
-    m coefficients c_(m-1)..c_0 as mpf, highest first, for Horner."""
-    q, d = _q_and_complement(u)
-    acc = mp.mpf(0)
+def _exp_kernel(q, d, log_recip, coeffs) -> mp.mpf:
+    """-(d / L) D_m(q) / (1 + q)^m at the node q with complement d and
+    L = ln(1/q).  ``coeffs`` are the integer coefficients of
+    D_m = C_m / q, highest first; D_m is evaluated by Horner's rule in
+    fixed point, on q truncated to mp.mp.prec fractional bits."""
+    prec = mp.mp.prec
+    x = int(mp.ldexp(q, prec))
+    acc = 0
     for c in coeffs:
-        acc = acc * q + c
-    return -(d / u) * acc / (1 + q) ** len(coeffs)
+        acc = (acc * x >> prec) + (c << prec)
+    return -(d / log_recip) * mp.ldexp(acc, -prec) / (1 + q) ** (len(coeffs) + 1)
 
 
 def _exp_route_setup(m: int, cfg: PrecisionConfig) -> tuple[PrecisionConfig, tuple]:
     """The exp route's precision and kernel coefficients at degree m.
 
-    Horner evaluation of C_m(q) = sum_k c_k q^k has absolute error of
-    order m eps sum_k |c_k| q^k.  The guard added to working_digits is
+    The guard added to working_digits is
 
         digits(sum_k |c_k|) - digits(|C_m(1)|) + digits(m) + 5,
 
-    the cancellation of that sum at q = 1 (u = 0, where the kernel is
-    largest), plus digits(m) for the error's growth with the degree
-    and 5 to spare: 6, 8, 13 and 17 digits at m = 3, 13, 41 and 61.
-    The check behind it: the pointwise ratio sum |c_k| q^k / |C_m(q)|
-    is unbounded, because C_m has real roots in (0, 1) for m >= 5
-    (those of A_(m-1)(-q); Eulerian polynomials have only real roots),
-    so the measure is the kernel's envelope instead,
-    max_q g(q) sum |c_k| q^k / max_q g(q) |C_m(q)| with
-    g(q) = (1 - q)/(u (1 + q)^m).  Sampled on a q grid it stays below
-    the guard for every odd m <= 61 (tests/test_zeta.py); it is 1.3,
-    6.3 and 10.1 digits at m = 13, 41 and 61, and the integral's own
-    ratio (integral of g sum |c_k| q^k over |integral of g C_m|) is
-    1.7, 6.9 and 10.8.
+    the cancellation of C_m(q) = sum_k c_k q^k at q = 1 (u = 0, where
+    the kernel is largest), plus digits(m) for the error's growth with
+    the degree and 5 to spare: 6, 8, 13 and 17 digits at m = 3, 13, 41
+    and 61.
+
+    D_m = C_m / q is evaluated by Horner's rule in fixed point with
+    p = mp.mp.prec fractional bits.  Truncating q costs at most
+    |D_m'(q)| 2^-p and every later step at most 2^-p, so the absolute
+    error at q is at most (m + sum_k (k-1) |c_k| q^(k-2)) 2^-p.  Weighted
+    by the kernel's (1 - q)/(L (1 + q)^m) and divided by the integral,
+    that is 2.6, 8.3, 12.3 and 20.3 digits at m = 13, 41, 61 and 101,
+    inside the guard for every odd m <= 101 (tests/test_zeta.py); the
+    unweighted bound (m + sum_k (k-1) |c_k|) 2^-p is not.
 
     Returns cfg with the guard added to working_digits, and the
-    coefficients as mpf, highest first, converted once at the precision
-    the kernel runs at (cfg.half_line_digits).
+    coefficients c_(m-1)..c_1 of D_m, highest first.
     """
     coeffs = exp_kernel_polynomial(m)
     guard = _digits(sum(abs(c) for c in coeffs)) - _digits(sum(coeffs)) + _digits(m) + 5
-    cfg = replace(cfg, working_digits=cfg.working_digits + guard)
-    with mp.workdps(cfg.half_line_digits):
-        return cfg, tuple(mp.mpf(c) for c in reversed(coeffs))
+    return replace(cfg, working_digits=cfg.working_digits + guard), coeffs[:0:-1]
 
 
 def zeta_via_exp_kernel(m: int, cfg: PrecisionConfig = DEFAULT_PRECISION) -> mp.mpf:
-    """zeta(m) through the collapsed weight-system kernel on (0, inf).
+    """zeta(m) through the collapsed weight-system kernel.
 
-    The kernel (:func:`_exp_kernel`) is
+    On the half line the kernel is
     -(1 - q)/u * sum_l w_l P^l (1 + q + ... + q^(l-1)) with q = e^-u and
     P = 1/(1+q), which is -(1 - q)/u * C_m(q) / (1 + q)^m for the
-    integer polynomial C_m of :func:`exp_kernel_polynomial`.  The
-    designed-in vanishing of sum_l w_l happens exactly, in C_m's
-    integer coefficients; what is left is Horner's own cancellation,
-    which :func:`_exp_route_setup` adds to the working precision up
-    front (13 digits at m = 41).
+    integer polynomial C_m of :func:`exp_kernel_polynomial`.  With
+    q = e^-u it becomes the integral over (0, 1) of
+    -(d / L) D_m(q) / (1 + q)^m, with d = 1 - q, L = ln(1/q) and
+    D_m = C_m / q (exact, since c_0 = 0), taken on the moments' nodes
+    with L from a per-node table: no exponential per node.  The
+    designed-in vanishing of sum_l w_l happens exactly, in C_m's integer
+    coefficients; what is left is Horner's own cancellation, which
+    :func:`_exp_route_setup` adds to the working precision up front
+    (13 digits at m = 41).
 
     Odd m only: for even m the weighted kernel vanishes identically
     (the same cancellation that makes the odd case converge kills the
@@ -227,19 +217,49 @@ def zeta_via_exp_kernel(m: int, cfg: PrecisionConfig = DEFAULT_PRECISION) -> mp.
     if m < 3 or m % 2 == 0:
         raise ValueError(f"degree m must be odd and >= 3, got {m}")
     cfg, coeffs = _exp_route_setup(m, cfg)
-    res = integrate_0inf_decaying(lambda u: _exp_kernel(u, coeffs), cfg)
-    with mp.workdps(cfg.half_line_digits):
+    log_recip = at_nodes(neglog_stable, cfg.eval_digits)
+    res = integrate_01_singular(
+        lambda q, d: _exp_kernel(q, d, log_recip(q, d), coeffs), cfg
+    )
+    with mp.workdps(cfg.eval_digits):
         front = (2 * mp.pi) ** (m - 1) / ((2**m - 1) * factorial(m - 1))
         return front * res.value
 
 
+def _asech_guard(m: int, taus) -> int:
+    """Guard digits for the cancellation in pi^(m-1) sum_j tau_j I_(j-1).
+
+    The sum is zeta(m) > 1, and every I_n lies in (0, 1), so it cancels
+    at most log10(pi^(m-1) sum_j |tau_j|) digits: 0.15, 2.6, 9.6, 14.7
+    and 24.7 at m = 3, 13, 41, 61 and 101.  A loss under one digit
+    counts as none; the rest is rounded up to a multiple of 10, so that
+    nearby degrees share one precision and one set of memoized moments.
+    """
+    total = sum(abs(t) for t in taus)
+    lost = (
+        (m - 1) * math.log10(math.pi)
+        + math.log10(total.numerator)
+        - math.log10(total.denominator)
+    )
+    return 10 * math.ceil(lost / 10) if lost >= 1 else 0
+
+
 def zeta_via_asech_kernel(m: int, cfg: PrecisionConfig = DEFAULT_PRECISION) -> mp.mpf:
-    """zeta(m) from the tau coefficients and the singular moments I_n."""
+    """zeta(m) from the tau coefficients and the singular moments I_n.
+
+    The sum cancels; the moments are computed to target + g digits and
+    summed at working + g, with g from :func:`_asech_guard`.
+    """
     if m < 3 or m % 2 == 0:
         raise ValueError(f"degree m must be odd and >= 3, got {m}")
     row = tau_row(m)
-    eval_dps = cfg.eval_digits
-    with mp.workdps(eval_dps):
+    guard = _asech_guard(m, row.taus.values())
+    cfg = replace(
+        cfg,
+        target_digits=cfg.target_digits + guard,
+        working_digits=cfg.working_digits + guard,
+    )
+    with mp.workdps(cfg.eval_digits):
         acc = mp.mpf(0)
         for j in sorted(row.taus):
             t = row.taus[j]
@@ -368,9 +388,9 @@ def linear_form(n: int) -> LinearForm:
 
 
 def linear_form_residual(form: LinearForm, cfg: PrecisionConfig = DEFAULT_PRECISION) -> mp.mpf:
-    """|sum_k theta_k zeta(2k+1)/pi^2k - theta_next I_n| numerically."""
-    eval_dps = cfg.eval_digits
-    with mp.workdps(eval_dps):
+    """|sum_k theta_k zeta(2k+1)/pi^2k - theta_next I_n| numerically,
+    summed at ``cfg.eval_digits``, the precision I_n is integrated at."""
+    with mp.workdps(cfg.eval_digits):
         acc = mp.mpf(0)
         for k in range(1, form.n + 1):
             th = form.thetas[k - 1]

@@ -9,7 +9,7 @@ import pytest
 import zetaodd
 import zetaodd.cli as cli
 import zetaodd.verify as verify
-from zetaodd.cli import MAX_DIGITS, MAX_ZETA_M, main
+from zetaodd.cli import MAX_DIGITS, MAX_INTEGRAL_N, MAX_ZETA_M, main
 
 I1_30_DIGITS = "0.852556797635011581847042853192"
 ZETA3_PREFIX = "1.2020569031595942853997381615"
@@ -143,6 +143,12 @@ class TestIntegral:
         assert rc == 2
         assert "requires --n >= 1" in err
 
+    def test_large_n_converges(self, capsys):
+        # I_180 = 0.0660401717814... (Gauss-Legendre crosscheck)
+        rc, out, _ = run(capsys, "integral", "--n", "180", "--format", "json")
+        assert rc == 0
+        assert json.loads(out)["value"].startswith("0.0660401717814")
+
 
 class TestZeta:
     def test_all_methods_json(self, capsys):
@@ -269,8 +275,9 @@ class _RouteStarted(Exception):
 
 
 class TestInputLimits:
-    """--digits and zeta --m have upper limits.  Every route is replaced
-    by one that raises, so no test here starts a computation."""
+    """--digits, zeta --m and integral --n have upper limits.  Every
+    route is replaced by one that raises, so no test here starts a
+    computation."""
 
     @pytest.fixture(autouse=True)
     def _routes_raise(self, monkeypatch):
@@ -294,8 +301,15 @@ class TestInputLimits:
              f"zeta requires --m <= {MAX_ZETA_M}, got {MAX_ZETA_M + 2}"),
             (["zeta", "--m", str(10**6 + 1), "--method", "exp"],
              f"zeta requires --m <= {MAX_ZETA_M}, got {10**6 + 1}"),
+            (["integral", "--n", str(MAX_INTEGRAL_N + 1)],
+             f"integral requires --n <= {MAX_INTEGRAL_N}, got {MAX_INTEGRAL_N + 1}"),
+            (["integral", "--n", str(10**9), "--format", "json"],
+             f"integral requires --n <= {MAX_INTEGRAL_N}, got {10**9}"),
         ],
-        ids=["zeta-digits", "integral-digits", "zeta-m", "zeta-m-exp"],
+        ids=[
+            "zeta-digits", "integral-digits", "zeta-m", "zeta-m-exp",
+            "integral-n", "integral-n-json",
+        ],
     )
     def test_above_limit_is_usage_error(self, capsys, argv, message):
         rc, out, err = run(capsys, *argv)
@@ -310,13 +324,14 @@ class TestInputLimits:
             ["zeta", "--m", str(MAX_ZETA_M), "--digits", "15"],
             ["zeta", "--m", str(MAX_ZETA_M), "--method", "asech"],
             ["integral", "--n", "1", "--digits", str(MAX_DIGITS)],
+            ["integral", "--n", str(MAX_INTEGRAL_N), "--digits", str(MAX_DIGITS)],
             # the largest documented runs stay admitted
             ["zeta", "--m", "3", "--digits", "300"],
             ["zeta", "--m", "61", "--digits", "15"],
         ],
         ids=[
             "zeta-digits", "zeta-m", "zeta-m-asech", "integral-digits",
-            "zeta-3-300", "zeta-61-15",
+            "integral-n", "zeta-3-300", "zeta-61-15",
         ],
     )
     def test_at_limit_starts_the_route(self, argv):

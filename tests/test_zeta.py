@@ -5,8 +5,8 @@ import mpmath as mp
 import pytest
 
 import zetaodd.zeta as zeta_mod
-from zetaodd.hyperbolic import tau_top
-from zetaodd.quadrature import DEFAULT_PRECISION, PrecisionConfig, integral_In
+from zetaodd.hyperbolic import tau_row, tau_top
+from zetaodd.quadrature import DEFAULT_PRECISION, PrecisionConfig, integral_In, neglog_stable
 from zetaodd.weights import solve_weights
 from zetaodd.zeta import (
     LinearForm,
@@ -28,6 +28,15 @@ from zetaodd.zeta import (
 def _high_ambient_dps():
     with mp.workdps(60):
         yield
+
+
+# Digits x odd degree; the deep corners run only with --run-slow.
+_SLOW_CORNERS = {(300, m) for m in (3, 13, 41, 61, 101)} | {(100, 61), (100, 101)}
+_PRECISION_GRID = [
+    pytest.param(d, m, marks=pytest.mark.slow) if (d, m) in _SLOW_CORNERS else (d, m)
+    for d in (15, 30, 100, 300)
+    for m in (3, 13, 41, 61, 101)
+]
 
 
 def _exp_kernel_two_exponentials(u, weights):
@@ -64,6 +73,26 @@ def _envelope_condition_digits(m, coeffs, n=500):
         if value:
             kernel_peak = max(kernel_peak, math.log10(abs(value)) + log_g)
     return envelope_peak - kernel_peak
+
+
+def _fixed_point_error_digits(m, coeffs, n=2000):
+    """log10 of the integral of (1 - q)/(L (1 + q)^m) (m + sum (k-1)
+    |c_k| q^(k-2)) over (0, 1), L = ln(1/q), by the midpoint rule on q,
+    over the integral of the exp kernel itself, which is zeta(m)
+    (2^m - 1) (m-1)! / (2 pi)^(m-1)."""
+    weighted = [float((k - 1) * abs(coeffs[k])) for k in range(m - 1, 1, -1)]
+    total = 0.0
+    for i in range(n):
+        q = (i + 0.5) / n
+        p = 0.0
+        for a in weighted:
+            p = p * q + a
+        total += (1 - q) / (-math.log(q) * (1 + q) ** m) * (m + p)
+    log_kernel = (
+        math.log10(mp.zeta(m)) + math.log10(2**m - 1)
+        + math.lgamma(m) / math.log(10) - (m - 1) * math.log10(2 * math.pi)
+    )
+    return math.log10(total / n) - log_kernel
 
 
 class TestReference:
@@ -125,33 +154,50 @@ class TestIntegralRoutes:
 
     @pytest.mark.parametrize("m", [3, 13, 41])
     def test_exp_kernel_one_exponential_form(self, m):
-        # the Horner kernel on C_m, with q and 1 - q from one exponential,
-        # must agree with the weight-sum form it replaced, on both sides
-        # of the u = 1 switch.  The oracle runs with the old
-        # weight-cancellation guard on top of the route's precision, plus
-        # log10(1/q) digits: at large u its sum_l w_l = 0 cancels to O(q).
-        # The tolerance is relative to Horner's rounding envelope
-        # (1 - q)/u * sum |c_k| q^k / (1 + q)^m, which C_m's roots in
-        # (0, 1) and its cancellation near q = 1 keep above |kernel|.
+        # the q-form kernel -(d/L) D_m(q)/(1+q)^m at a node (q, d) must
+        # equal the half-line weight-sum form it came from, K(u)/q at
+        # u = L, on both sides of L's switch at q = 1/2 (u = ln 2).  The
+        # oracle runs with the old weight-cancellation guard on top of
+        # the route's precision, plus log10(1/q) digits: at large u its
+        # sum_l w_l = 0 cancels to O(q).  The tolerance is relative to
+        # Horner's rounding envelope sum |c_k| q^(k-1) plus the
+        # fixed-point bound (m + sum (k-1) |c_k|) 2^-prec, both times
+        # (d/L)/(1+q)^m.
         cfg, coeffs = zeta_mod._exp_route_setup(m, DEFAULT_PRECISION)
-        eval_dps = cfg.half_line_digits
-        abs_coeffs = [abs(c) for c in reversed(zeta_mod.exp_kernel_polynomial(m))]
+        eval_dps = cfg.eval_digits
+        c = zeta_mod.exp_kernel_polynomial(m)
+        abs_coeffs = [abs(x) for x in reversed(c[1:])]
+        fixed = m + sum((k - 1) * abs(x) for k, x in enumerate(c) if k)
         wv = solve_weights(m).weights
         old_guard = len(str(int(max(abs(w) for w in wv) * m))) + 2
         with mp.workdps(eval_dps):
             tol = mp.mpf(10) ** (5 - eval_dps)
             for u in (
                 mp.mpf("1e-40"), mp.mpf("1e-3"), mp.mpf("0.5"),
-                1 - mp.mpf("1e-30"), mp.mpf(1), 1 + mp.mpf("1e-30"),
+                mp.ln2 - mp.mpf("1e-30"), mp.ln2, mp.ln2 + mp.mpf("1e-30"),
                 mp.mpf(7), mp.mpf(10) ** 4,
             ):
-                got = zeta_mod._exp_kernel(u, coeffs)
-                q = mp.exp(-u)
-                envelope = -mp.expm1(-u) / u * mp.polyval(abs_coeffs, q) / (1 + q) ** m
+                q, d = mp.exp(-u), -mp.expm1(-u)
+                log_recip = neglog_stable(q, d)
+                got = zeta_mod._exp_kernel(q, d, log_recip, coeffs)
+                envelope = d / log_recip / (1 + q) ** m * (
+                    mp.polyval(abs_coeffs, q) + fixed * mp.ldexp(1, -mp.mp.prec)
+                )
                 with mp.workdps(eval_dps + old_guard + int(u / mp.ln10)):
                     weights = tuple(mp.mpf(w.numerator) / w.denominator for w in wv)
-                    want = _exp_kernel_two_exponentials(u, weights)
+                    want = _exp_kernel_two_exponentials(u, weights) / mp.exp(-u)
                 assert abs(got - want) <= tol * envelope
+
+    def test_exp_guard_covers_fixed_point_horner(self):
+        # D_m's fixed-point error at q is at most
+        # (m + sum (k-1) |c_k| q^(k-2)) 2^-prec; integrated against the
+        # kernel's weight and divided by the integral itself it must stay
+        # below the guard, for every admitted degree
+        for m in range(3, 102, 2):
+            cfg, _ = zeta_mod._exp_route_setup(m, DEFAULT_PRECISION)
+            guard = cfg.working_digits - DEFAULT_PRECISION.working_digits
+            coeffs = zeta_mod.exp_kernel_polynomial(m)
+            assert guard >= _fixed_point_error_digits(m, coeffs), m
 
     def test_exp_guard_covers_horner_cancellation(self):
         # C_m has real roots in (0, 1), so the pointwise ratio
@@ -162,6 +208,25 @@ class TestIntegralRoutes:
             guard = cfg.working_digits - DEFAULT_PRECISION.working_digits
             coeffs = zeta_mod.exp_kernel_polynomial(m)
             assert guard >= _envelope_condition_digits(m, coeffs), m
+
+    @pytest.mark.parametrize("route", ["exp", "asech"])
+    @pytest.mark.parametrize("digits, m", _PRECISION_GRID)
+    def test_precision_grid(self, route, digits, m):
+        cfg = PrecisionConfig(target_digits=digits, working_digits=digits + 20)
+        compute = {"exp": zeta_via_exp_kernel, "asech": zeta_via_asech_kernel}[route]
+        got = compute(m, cfg)
+        with mp.workdps(digits + 30):
+            want = mp.zeta(m)
+            assert abs(got - want) <= mp.mpf(10) ** -digits * want
+
+    def test_asech_guard_rounds_loss_up_to_tens(self):
+        # pi^(m-1) sum |tau_j| is 0.15, 0.62, 1.1, 2.6, 9.6, 10.1, 14.7
+        # and 24.7 digits at these degrees
+        got = {
+            m: zeta_mod._asech_guard(m, tau_row(m).taus.values())
+            for m in (3, 5, 7, 13, 41, 43, 61, 101)
+        }
+        assert got == {3: 0, 5: 0, 7: 10, 13: 10, 41: 10, 43: 20, 61: 20, 101: 30}
 
     @pytest.mark.parametrize("m", [2, 4, 1, 0])
     def test_exp_kernel_domain(self, m):
@@ -187,6 +252,12 @@ class TestZetaReport:
         rep = zeta_report(3, DEFAULT_PRECISION, tolerance=mp.mpf("1e-5"))
         assert rep.tolerance == mp.mpf("1e-5")
         assert rep.passed
+
+    @pytest.mark.parametrize("m", [61, 101])
+    def test_cancelling_degrees_pass_at_30_digits(self, m):
+        rep = zeta_report(m, PrecisionConfig(target_digits=30, working_digits=50))
+        assert rep.passed
+        assert rep.max_abs_diff < mp.mpf(10) ** -30
 
     def test_impossible_tolerance_fails_cleanly(self):
         rep = zeta_report(3, DEFAULT_PRECISION, tolerance=mp.mpf("1e-80"))
