@@ -1,10 +1,10 @@
 """Tanh-sinh quadrature on (0, 1), the one integrator of this package.
 
 :func:`integrate_01_singular` refines a trapezoid sum over the
-tanh-sinh change of variable by halving the step until two consecutive
-levels agree.  It is built for integrands with an inverse-square-root
-blowup at u = 1 and anything milder at u = 0 (a logarithm, an inverse
-square root).  Integrals over (0, infinity) come here too, through
+tanh-sinh change of variable by halving the step, and stops once an
+extrapolated error estimate clears the target (see Stopping rule).  It
+is built for integrands with an inverse-square-root blowup at u = 1
+and anything milder at u = 0 (a logarithm, an inverse square root).  Integrals over (0, infinity) come here too, through
 q = e^-u: the exp-kernel route of :mod:`zetaodd.zeta` integrates in q,
 reading ln(1/q) from a per-node table (:func:`neglog_stable`).
 
@@ -12,8 +12,25 @@ It is not a general-purpose integrator: the tail rule assumes the
 transformed terms rise to a peak and then fall monotonically, which
 holds for the fixed-sign kernels this package feeds in but not for
 oscillatory ones.  A tail heavier than the truncation depth is the one
-failure the level-agreement test cannot see, because the truncated mass
-is the same at every level.
+failure the error estimate cannot see, because the truncated mass is
+the same at every level.
+
+Stopping rule.  The error of level k is extrapolated from two level
+differences: D1 = log10|T_k - T_(k-1)| and D2 = log10|T_k - T_(k-2)|
+stand for the errors of levels k-1 and k-2; each level multiplies the
+correct digits by about D1/D2 (two for tanh-sinh), so level k's error
+is about 10^(D1^2/D2).  The estimate for level k >= 2 is
+10^max(D1^2/D2, 2 D1, -eval_digits) (Bailey, Jeyabalan and Li, "A
+comparison of three high-precision quadrature schemes", Experimental
+Math. 14, 2005; mpmath's TanhSinh.estimate_error).  Level 1 uses
+|T_1 - T_0|, as does any level with D2 >= 0; a zero difference gives the
+floor 10^-eval_digits.  Level k is returned once the estimate is at most
+10^-(target + _STOP_HEADROOM) (1 + |T_k|).  The headroom covers the
+extrapolation's optimism: it predicts the next difference, not a bound,
+and without it the exp route at 15 digits misses its 10^-25 test bound.
+Usually the level returned is the one before the level a plain "two
+levels agree" test would stop at, so that finest level, about half of
+all nodes, is never built.
 
 Complement-aware integrands.  Nodes come in pairs (u_minus, u_plus)
 with u_minus + u_plus = 1, both computed from q = exp(-2 sinh-scale)
@@ -61,6 +78,7 @@ __all__ = [
 
 _TAIL_EPS_SHIFT = 5   # tail cutoff sits 10^-5 below eval precision
 _TAIL_RUN = 3         # consecutive negligible terms before truncating
+_STOP_HEADROOM = 10   # the error estimate must clear the target by 10^-10
 
 
 @dataclass(frozen=True)
@@ -103,8 +121,11 @@ DEFAULT_PRECISION = PrecisionConfig()
 class QuadratureResult:
     """Converged integral value with its refinement diagnostics.
 
-    ``error_estimate`` is the absolute difference between the last two
-    refinement levels; ``nodes_used`` counts integrand evaluations.
+    ``error_estimate`` is the extrapolated discretization error of
+    ``value`` from the module docstring's stopping rule; it does not
+    count the mass beyond the outermost node ("One precision, separate
+    depth" in the module docstring).
+    ``nodes_used`` counts integrand evaluations.
     """
 
     value: mp.mpf
@@ -114,11 +135,13 @@ class QuadratureResult:
 
 
 class NonConvergenceError(ArithmeticError):
-    """Refinement exhausted max_levels without two levels agreeing.
+    """Refinement exhausted max_levels before the error estimate cleared
+    the target.
 
-    Carries the best value seen so that a caller who wants to inspect
-    the failure can; the usual cause is an integrand outside the
-    contract (oscillation, a stronger singularity, a heavy tail).
+    Carries the last level sum as ``best_value`` and its extrapolated
+    ``error_estimate``, so that a caller who wants to inspect the
+    failure can; the usual cause is an integrand outside the contract
+    (oscillation, a stronger singularity, a heavy tail).
     """
 
     def __init__(self, message: str, best_value=None, error_estimate=None):
@@ -253,6 +276,25 @@ def _tail_sum(terms, eps) -> tuple[mp.mpf, int]:
     return total, used
 
 
+def _error_estimate(sums, eval_dps: int) -> mp.mpf:
+    """Extrapolated error of the last of the level sums ``sums`` (two or
+    three of them, oldest first); see the module docstring."""
+    floor = mp.mpf(10) ** -eval_dps
+    d1 = abs(sums[-1] - sums[-2])
+    if d1 == 0:
+        return floor
+    if len(sums) < 3:
+        return d1
+    d2 = abs(sums[-1] - sums[-3])
+    if d2 == 0:
+        return floor
+    if d2 >= 1:
+        return d1
+    D1 = mp.log10(d1)
+    D2 = mp.log10(d2)
+    return mp.mpf(10) ** max(D1 * D1 / D2, 2 * D1, -eval_dps)
+
+
 def integrate_01_singular(f, cfg: PrecisionConfig = DEFAULT_PRECISION) -> QuadratureResult:
     """Tanh-sinh integral over (0, 1) of the integrand f(u, 1 - u).
 
@@ -265,14 +307,14 @@ def integrate_01_singular(f, cfg: PrecisionConfig = DEFAULT_PRECISION) -> Quadra
     eval_dps = cfg.eval_digits
     depth = _node_depth(cfg)
     with mp.workdps(eval_dps):
-        tol = mp.mpf(10) ** (-cfg.target_digits)
+        tol = mp.mpf(10) ** (-(cfg.target_digits + _STOP_HEADROOM))
         base_eps = mp.mpf(10) ** (-(eval_dps + _TAIL_EPS_SHIFT))
         half = mp.mpf(1) / 2
-        total = None
+        sums = []  # the last three level sums, oldest first
         err = mp.inf
         used = 0
         for level in range(cfg.max_levels):
-            scale = 1 + abs(total) if total is not None else mp.mpf(1)
+            scale = 1 + abs(sums[-1]) if sums else mp.mpf(1)
             nodes = _ts_level_nodes(eval_dps, depth, level)
             new, count = _tail_sum(
                 (w * (f(lo, hi) + f(hi, lo)) for lo, hi, w in nodes), base_eps * scale
@@ -280,18 +322,18 @@ def integrate_01_singular(f, cfg: PrecisionConfig = DEFAULT_PRECISION) -> Quadra
             used += 2 * count
             h = mp.mpf(1) / 2**level
             if level == 0:
-                current = h * (mp.pi / 4 * f(half, half) + new)
+                sums.append(h * (mp.pi / 4 * f(half, half) + new))
                 used += 1
-            else:
-                current = total / 2 + h * new
-                err = abs(current - total)
-                if err <= tol * (1 + abs(current)):
-                    return QuadratureResult(current, err, used, level + 1)
-            total = current
+                continue
+            current = sums[-1] / 2 + h * new
+            sums = sums[-2:] + [current]
+            err = _error_estimate(sums, eval_dps)
+            if err <= tol * (1 + abs(current)):
+                return QuadratureResult(current, err, used, level + 1)
         raise NonConvergenceError(
             f"tanh-sinh on (0,1): no convergence to {cfg.target_digits} digits "
-            f"within {cfg.max_levels} levels (last delta {mp.nstr(err, 3)})",
-            best_value=total,
+            f"within {cfg.max_levels} levels (error estimate {mp.nstr(err, 3)})",
+            best_value=sums[-1],
             error_estimate=err,
         )
 

@@ -9,7 +9,16 @@ import pytest
 import zetaodd
 import zetaodd.cli as cli
 import zetaodd.verify as verify
-from zetaodd.cli import MAX_DIGITS, MAX_INTEGRAL_N, MAX_ZETA_M, main
+from zetaodd.cli import (
+    MAX_BERNOULLI_GRID,
+    MAX_BERNOULLI_N,
+    MAX_DIGITS,
+    MAX_FORM_N,
+    MAX_INTEGRAL_N,
+    MAX_WEIGHTS_M,
+    MAX_ZETA_M,
+    main,
+)
 
 I1_30_DIGITS = "0.852556797635011581847042853192"
 ZETA3_PREFIX = "1.2020569031595942853997381615"
@@ -275,8 +284,8 @@ class _RouteStarted(Exception):
 
 
 class TestInputLimits:
-    """--digits, zeta --m and integral --n have upper limits.  Every
-    route is replaced by one that raises, so no test here starts a
+    """--digits and every size argument have upper limits.  Every route
+    is replaced by one that raises, so no test here starts a
     computation."""
 
     @pytest.fixture(autouse=True)
@@ -287,6 +296,8 @@ class TestInputLimits:
         for name in (
             "integral_In", "zeta_report", "zeta_reference",
             "zeta_via_exp_kernel", "zeta_via_asech_kernel",
+            "solve_weights", "gen_bernoulli", "tau_row",
+            "dimension_scan", "linear_form",
         ):
             monkeypatch.setattr(cli, name, started)
 
@@ -305,10 +316,30 @@ class TestInputLimits:
              f"integral requires --n <= {MAX_INTEGRAL_N}, got {MAX_INTEGRAL_N + 1}"),
             (["integral", "--n", str(10**9), "--format", "json"],
              f"integral requires --n <= {MAX_INTEGRAL_N}, got {10**9}"),
+            (["weights", "--m", str(MAX_WEIGHTS_M + 1)],
+             f"weights requires --m <= {MAX_WEIGHTS_M}, got {MAX_WEIGHTS_M + 1}"),
+            (["tau", "--m", str(MAX_WEIGHTS_M + 2)],
+             f"tau requires --m <= {MAX_WEIGHTS_M}, got {MAX_WEIGHTS_M + 2}"),
+            (["scan", "--to", str(MAX_FORM_N + 1)],
+             f"scan requires --to <= {MAX_FORM_N}, got {MAX_FORM_N + 1}"),
+            (["linform", "--n", str(MAX_FORM_N + 1), "--format", "csv"],
+             f"linform requires --n <= {MAX_FORM_N}, got {MAX_FORM_N + 1}"),
+            (["bernoulli", "--n", str(MAX_BERNOULLI_N + 1), "--l", "1"],
+             f"bernoulli requires --n <= {MAX_BERNOULLI_N}, got {MAX_BERNOULLI_N + 1}"),
+            (["bernoulli", "--n", "0", "--l", str(10**6)],
+             f"bernoulli requires --l <= {MAX_BERNOULLI_N}, got {10**6}"),
+            (["bernoulli", "--max-n", str(MAX_BERNOULLI_GRID + 1), "--max-l", "1"],
+             f"bernoulli requires --max-n <= {MAX_BERNOULLI_GRID}, "
+             f"got {MAX_BERNOULLI_GRID + 1}"),
+            (["bernoulli", "--max-n", "0", "--max-l", str(MAX_BERNOULLI_GRID + 1)],
+             f"bernoulli requires --max-l <= {MAX_BERNOULLI_GRID}, "
+             f"got {MAX_BERNOULLI_GRID + 1}"),
         ],
         ids=[
             "zeta-digits", "integral-digits", "zeta-m", "zeta-m-exp",
-            "integral-n", "integral-n-json",
+            "integral-n", "integral-n-json", "weights-m", "tau-m", "scan-to",
+            "linform-n", "bernoulli-n", "bernoulli-l", "bernoulli-max-n",
+            "bernoulli-max-l",
         ],
     )
     def test_above_limit_is_usage_error(self, capsys, argv, message):
@@ -325,13 +356,21 @@ class TestInputLimits:
             ["zeta", "--m", str(MAX_ZETA_M), "--method", "asech"],
             ["integral", "--n", "1", "--digits", str(MAX_DIGITS)],
             ["integral", "--n", str(MAX_INTEGRAL_N), "--digits", str(MAX_DIGITS)],
+            ["weights", "--m", str(MAX_WEIGHTS_M)],
+            ["tau", "--m", str(MAX_WEIGHTS_M)],
+            ["scan", "--to", str(MAX_FORM_N)],
+            ["linform", "--n", str(MAX_FORM_N)],
+            ["bernoulli", "--n", str(MAX_BERNOULLI_N), "--l", str(MAX_BERNOULLI_N)],
+            ["bernoulli", "--max-n", str(MAX_BERNOULLI_GRID),
+             "--max-l", str(MAX_BERNOULLI_GRID)],
             # the largest documented runs stay admitted
             ["zeta", "--m", "3", "--digits", "300"],
             ["zeta", "--m", "61", "--digits", "15"],
         ],
         ids=[
             "zeta-digits", "zeta-m", "zeta-m-asech", "integral-digits",
-            "integral-n", "zeta-3-300", "zeta-61-15",
+            "integral-n", "weights-m", "tau-m", "scan-to", "linform-n",
+            "bernoulli-n-l", "bernoulli-grid", "zeta-3-300", "zeta-61-15",
         ],
     )
     def test_at_limit_starts_the_route(self, argv):

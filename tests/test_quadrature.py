@@ -1,10 +1,15 @@
+from fractions import Fraction
+
 import mpmath as mp
 import pytest
 
+import zetaodd.quadrature as quadrature
+import zetaodd.zeta as zeta_mod
 from zetaodd.quadrature import (
     DEFAULT_PRECISION,
     NonConvergenceError,
     PrecisionConfig,
+    _TAIL_EPS_SHIFT,
     _node_depth,
     _tail_sum,
     _ts_level_nodes,
@@ -100,6 +105,107 @@ class TestUnitInterval:
     def test_error_estimate_is_honest(self):
         res = integrate_01_singular(lambda u, d: 1 / mp.sqrt(d), DEFAULT_PRECISION)
         assert _close(res.value, 2, res.error_estimate + mp.mpf("1e-30"))
+
+
+def _levels_until_two_agree(f, cfg):
+    """The stopping rule the extrapolated estimate replaced, as an
+    oracle: the integrator's level sums from the same node tables and
+    tail rule, returned at the first level k >= 1 with
+    |T_k - T_(k-1)| <= 10^-target (1 + |T_k|).  Returns the level count
+    and the level sums."""
+    eval_dps = cfg.eval_digits
+    depth = _node_depth(cfg)
+    with mp.workdps(eval_dps):
+        tol = mp.mpf(10) ** (-cfg.target_digits)
+        eps = mp.mpf(10) ** (-(eval_dps + _TAIL_EPS_SHIFT))
+        half = mp.mpf(1) / 2
+        sums = []
+        for level in range(cfg.max_levels):
+            scale = 1 + abs(sums[-1]) if sums else mp.mpf(1)
+            nodes = _ts_level_nodes(eval_dps, depth, level)
+            new, _ = _tail_sum(
+                (w * (f(lo, hi) + f(hi, lo)) for lo, hi, w in nodes), eps * scale
+            )
+            h = mp.mpf(1) / 2**level
+            if level == 0:
+                sums.append(h * (mp.pi / 4 * f(half, half) + new))
+                continue
+            sums.append(sums[-1] / 2 + h * new)
+            if abs(sums[-1] - sums[-2]) <= tol * (1 + abs(sums[-1])):
+                return level + 1, sums
+    raise AssertionError("the oracle did not converge")
+
+
+def _moment_one(cfg):
+    asech = at_nodes(asech_stable, cfg.eval_digits)
+    return lambda u, d: u / asech(u, d), cfg
+
+
+def _exp_route_m3(cfg):
+    cfg, coeffs = zeta_mod._exp_route_setup(3, cfg)
+    log_recip = at_nodes(neglog_stable, cfg.eval_digits)
+    return lambda q, d: zeta_mod._exp_kernel(q, d, log_recip(q, d), coeffs), cfg
+
+
+class TestStoppingRule:
+    @pytest.mark.parametrize(
+        "integrand, target, saved",
+        [
+            (_exp_route_m3, 100, 1),
+            (_exp_route_m3, 300, 1),
+            (_moment_one, 300, 1),
+            # the old test returned T_6 on |T_6 - T_5| = 9.3e-101, just
+            # inside 10^-100 (1 + I_1): T_5 met the target by a hair, so
+            # the headroom cannot take it and both stop at 7 levels
+            (_moment_one, 100, 0),
+        ],
+        ids=["exp-m3-100", "exp-m3-300", "I1-300", "I1-100"],
+    )
+    def test_one_level_before_two_levels_agree(self, integrand, target, saved):
+        # each level doubles the correct digits, so the level the old
+        # test returned usually only confirmed the one before it
+        f, cfg = integrand(PrecisionConfig(target, target + 20))
+        got = integrate_01_singular(f, cfg)
+        old_levels, sums = _levels_until_two_agree(f, cfg)
+        assert got.levels == old_levels - saved
+        assert got.value == sums[got.levels - 1]
+
+    @pytest.mark.parametrize("target", [15, 30, 100, 300])
+    @pytest.mark.parametrize(
+        "f, exact, missing",
+        [
+            (lambda u, d: 1 / mp.sqrt(d), Fraction(2), lambda g: 2 * mp.sqrt(g) + 2 * g),
+            (lambda u, d: u**3 / mp.sqrt(d), Fraction(32, 35), lambda g: 2 * mp.sqrt(g) + 2 * g),
+            (lambda u, d: -mp.log(u), Fraction(1), lambda g: g * (2 - mp.log(g))),
+        ],
+        ids=["inv-sqrt", "cube-inv-sqrt", "neg-log"],
+    )
+    def test_estimate_bounds_error_against_closed_forms(self, f, exact, missing, target):
+        # the estimate covers the discretization error; no level
+        # difference sees the mass beyond the outermost node, at gap g
+        # from either end.  missing(g) bounds that mass: 2 sqrt(g) for a
+        # 1/sqrt(1 - u) singularity, about 10^-(target + 2) at the node
+        # depth, and g (1 - ln g) for a logarithm.
+        cfg = PrecisionConfig(target, target + 20)
+        gaps = []
+
+        def seen(u, d):
+            gaps.append(d)
+            return f(u, d)
+
+        res = integrate_01_singular(seen, cfg)
+        with mp.workdps(cfg.eval_digits + 10):
+            err = abs(res.value - mp.mpf(exact.numerator) / exact.denominator)
+            bound = res.error_estimate + missing(min(gaps)) + mp.mpf(10) ** -cfg.eval_digits
+            assert err <= bound
+
+    def test_headroom_is_needed(self, monkeypatch):
+        # without the headroom the exp route at 15 digits misses the
+        # 10^-(target + 10) bound of test_exp_kernel_precision_grid
+        monkeypatch.setattr(quadrature, "_STOP_HEADROOM", 0)
+        got = zeta_mod.zeta_via_exp_kernel(3, PrecisionConfig(15, 35))
+        with mp.workdps(45):
+            assert abs(got - mp.zeta(3)) > mp.mpf(10) ** -25
 
 
 class TestHalfLine:
@@ -322,10 +428,10 @@ class TestNodeTables:
         assert not coarse & fine
 
     def test_deep_nodes_pass_exact_complements(self):
-        # at 50 digits and depth 87 the deepest u_plus round to exactly 1;
+        # at 70 digits and depth 127 the deepest u_plus round to exactly 1;
         # the integrand must still see distinct nonzero 1 - u, and the
         # per-node tables must keep one entry per node pair
-        cfg = PrecisionConfig(40, 50)
+        cfg = PrecisionConfig(60, 70)
         seen = []
 
         def f(u, d):
