@@ -10,14 +10,7 @@ route against an independent series oracle.
 
 from .bernoulli import gen_bernoulli, gen_bernoulli_poly, series_oracle
 from .exact import ExactRational, binomial, factorial, format_rational
-from .hyperbolic import (
-    TauTable,
-    partial_fraction_residual,
-    q_coeff,
-    tau,
-    tau_row,
-    tau_top,
-)
+from .hyperbolic import partial_fraction_residual, q_coeff, tau, tau_row, tau_top
 from .quadrature import (
     DEFAULT_PRECISION,
     NonConvergenceError,
@@ -31,7 +24,6 @@ from .quadrature import (
 )
 from .verify import CheckResult, run_checks
 from .weights import (
-    TriangularSystem,
     WeightVector,
     coeff_b,
     d_coefficients,
@@ -72,7 +64,6 @@ __all__ = [
     "coeff_b",
     "d_coefficients",
     "s_constant",
-    "TriangularSystem",
     "triangular_system",
     "WeightVector",
     "solve_weights",
@@ -81,7 +72,6 @@ __all__ = [
     "partial_fraction_residual",
     "tau",
     "tau_top",
-    "TauTable",
     "tau_row",
     # quadrature
     "PrecisionConfig",

@@ -6,14 +6,15 @@ also exits 2 on unknown commands and flags), 3 quadrature
 non-convergence.  Inputs are bounded, so that an out-of-range value
 fails at once (exit 2) instead of running for hours: ``--digits`` must
 lie in 15..300, ``zeta --m``, ``weights --m`` and ``tau --m`` must be at
-most 101, ``scan --to`` and ``linform --n`` at most 50 (degree 101),
-``integral --n`` at most 400, ``bernoulli --n`` and ``--l`` at most 300,
-and ``bernoulli --max-n`` and ``--max-l`` at most 60.  On a 2.1 GHz
-core ``zeta --m 101 --digits 15`` takes about 8.5 s cold, 7.7 s of it
-in ``solve_weights(101)``; ``weights --m 101``, ``tau --m 101``,
-``scan --to 50`` and ``linform --n 50`` take 8 to 9.5 s for the same
-reason, the 60 x 60 ``bernoulli`` grid about 3 s (101 x 101 takes
-33 s) and one ``B(300, 300)`` 0.7 s.  Results go to stdout,
+most 101, ``scan --to`` at most 500, ``linform --n`` at most 50
+(degree 101), ``integral --n`` at most 400, ``bernoulli --n`` and
+``--l`` at most 300, and ``bernoulli --max-n`` and ``--max-l`` at most
+60.  On a 2.1 GHz core ``zeta --m 101 --digits 15`` takes about 8.5 s
+cold, 7.7 s of it in ``solve_weights(101)``; ``weights --m 101``,
+``tau --m 101`` and ``linform --n 50`` take 8 to 9.5 s for the same
+reason, ``scan --to 500`` (a closed form, no weight solve) about 0.2 s,
+the 60 x 60 ``bernoulli`` grid about 3 s (101 x 101 takes 33 s) and one
+``B(300, 300)`` 0.7 s.  Results go to stdout,
 diagnostics to stderr.  JSON output is deterministic for a given
 invocation: fixed key order, rationals as exact ``num/den`` strings,
 decimals with exactly ``--digits`` significant digits.
@@ -26,7 +27,6 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass
 
 import mpmath as mp
 
@@ -45,38 +45,21 @@ from .zeta import (
     zeta_via_exp_kernel,
 )
 
-__all__ = ["RunConfig", "main", "entrypoint"]
+__all__ = ["main", "entrypoint"]
 
 MIN_DIGITS = 15
 MAX_DIGITS = 300
 MAX_ZETA_M = 101
 MAX_WEIGHTS_M = 101      # weights --m and tau --m
-MAX_FORM_N = 50          # scan --to and linform --n: degree 2n + 1 <= 101
+MAX_SCAN_N = 500         # scan --to
+MAX_FORM_N = 50          # linform --n: degree 2n + 1 <= 101
 MAX_INTEGRAL_N = 400
 MAX_BERNOULLI_N = 300    # bernoulli --n and --l
 MAX_BERNOULLI_GRID = 60  # bernoulli --max-n and --max-l
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated invocation: one command plus its parameters."""
-
-    command: str
-    digits: int = 30
-    format: str = "text"
-    m: int | None = None
-    n: int | None = None
-    l: int | None = None
-    max_n: int | None = None
-    max_l: int | None = None
-    n_max: int | None = None
-    method: str = "all"
-    suite: str = "all"
-
-    def precision(self) -> PrecisionConfig:
-        return PrecisionConfig(
-            target_digits=self.digits, working_digits=self.digits + 20
-        )
+def _precision(digits: int) -> PrecisionConfig:
+    return PrecisionConfig(target_digits=digits, working_digits=digits + 20)
 
 
 class UsageError(Exception):
@@ -123,11 +106,11 @@ def _require_odd(m: int, command: str) -> None:
 
 # -- command handlers ------------------------------------------------------
 
-def _cmd_weights(cfg: RunConfig) -> int:
-    _require(cfg.m is not None and cfg.m >= 1, "weights requires --m >= 1")
-    _require_at_most("weights", "--m", cfg.m, MAX_WEIGHTS_M)
-    wv = solve_weights(cfg.m)
-    if cfg.format == "json":
+def _cmd_weights(args: argparse.Namespace) -> int:
+    _require(args.m is not None and args.m >= 1, "weights requires --m >= 1")
+    _require_at_most("weights", "--m", args.m, MAX_WEIGHTS_M)
+    wv = solve_weights(args.m)
+    if args.format == "json":
         _emit_json(
             {
                 "m": wv.m,
@@ -135,7 +118,7 @@ def _cmd_weights(cfg: RunConfig) -> int:
                 "weights": [format_rational(w) for w in wv.weights],
             }
         )
-    elif cfg.format == "csv":
+    elif args.format == "csv":
         _emit_csv(
             ["l", "weight"],
             [[l, format_rational(w)] for l, w in enumerate(wv.weights, start=1)],
@@ -148,48 +131,48 @@ def _cmd_weights(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_bernoulli(cfg: RunConfig) -> int:
-    single = cfg.n is not None or cfg.l is not None
-    rect = cfg.max_n is not None or cfg.max_l is not None
-    flags = (cfg.n, cfg.l) if single else (cfg.max_n, cfg.max_l)
+def _cmd_bernoulli(args: argparse.Namespace) -> int:
+    single = args.n is not None or args.l is not None
+    rect = args.max_n is not None or args.max_l is not None
+    flags = (args.n, args.l) if single else (args.max_n, args.max_l)
     _require(
         single != rect and None not in flags,
         "bernoulli requires either --n and --l, or --max-n and --max-l",
     )
     if single:
-        _require(cfg.n >= 0, "--n must be >= 0")
-        _require(cfg.l >= 1, "--l must be >= 1")
-        _require_at_most("bernoulli", "--n", cfg.n, MAX_BERNOULLI_N)
-        _require_at_most("bernoulli", "--l", cfg.l, MAX_BERNOULLI_N)
-        value = gen_bernoulli(cfg.n, cfg.l)
-        if cfg.format == "json":
-            _emit_json({"n": cfg.n, "l": cfg.l, "value": format_rational(value)})
-        elif cfg.format == "csv":
-            _emit_csv(["n", "l", "value"], [[cfg.n, cfg.l, format_rational(value)]])
+        _require(args.n >= 0, "--n must be >= 0")
+        _require(args.l >= 1, "--l must be >= 1")
+        _require_at_most("bernoulli", "--n", args.n, MAX_BERNOULLI_N)
+        _require_at_most("bernoulli", "--l", args.l, MAX_BERNOULLI_N)
+        value = gen_bernoulli(args.n, args.l)
+        if args.format == "json":
+            _emit_json({"n": args.n, "l": args.l, "value": format_rational(value)})
+        elif args.format == "csv":
+            _emit_csv(["n", "l", "value"], [[args.n, args.l, format_rational(value)]])
         else:
-            _emit(f"B({cfg.n}, {cfg.l}) = {format_rational(value)}")
+            _emit(f"B({args.n}, {args.l}) = {format_rational(value)}")
         return 0
-    _require(cfg.max_n >= 0, "--max-n must be >= 0")
-    _require(cfg.max_l >= 1, "--max-l must be >= 1")
-    _require_at_most("bernoulli", "--max-n", cfg.max_n, MAX_BERNOULLI_GRID)
-    _require_at_most("bernoulli", "--max-l", cfg.max_l, MAX_BERNOULLI_GRID)
+    _require(args.max_n >= 0, "--max-n must be >= 0")
+    _require(args.max_l >= 1, "--max-l must be >= 1")
+    _require_at_most("bernoulli", "--max-n", args.max_n, MAX_BERNOULLI_GRID)
+    _require_at_most("bernoulli", "--max-l", args.max_l, MAX_BERNOULLI_GRID)
     entries = [
         (n, l, gen_bernoulli(n, l))
-        for l in range(1, cfg.max_l + 1)
-        for n in range(cfg.max_n + 1)
+        for l in range(1, args.max_l + 1)
+        for n in range(args.max_n + 1)
     ]
-    if cfg.format == "json":
+    if args.format == "json":
         _emit_json(
             {
-                "max_n": cfg.max_n,
-                "max_l": cfg.max_l,
+                "max_n": args.max_n,
+                "max_l": args.max_l,
                 "entries": [
                     {"n": n, "l": l, "value": format_rational(v)}
                     for n, l, v in entries
                 ],
             }
         )
-    elif cfg.format == "csv":
+    elif args.format == "csv":
         _emit_csv(
             ["n", "l", "value"],
             [[n, l, format_rational(v)] for n, l, v in entries],
@@ -200,107 +183,106 @@ def _cmd_bernoulli(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_tau(cfg: RunConfig) -> int:
-    _require(cfg.m is not None and cfg.m >= 3, "tau requires --m >= 3")
-    _require_at_most("tau", "--m", cfg.m, MAX_WEIGHTS_M)
-    _require_odd(cfg.m, "tau")
-    row = tau_row(cfg.m)
-    items = sorted(row.taus.items())
-    if cfg.format == "json":
+def _cmd_tau(args: argparse.Namespace) -> int:
+    _require(args.m is not None and args.m >= 3, "tau requires --m >= 3")
+    _require_at_most("tau", "--m", args.m, MAX_WEIGHTS_M)
+    _require_odd(args.m, "tau")
+    items = sorted(tau_row(args.m).items())
+    if args.format == "json":
         _emit_json(
-            {"m": row.m, "taus": {str(j): format_rational(t) for j, t in items}}
+            {"m": args.m, "taus": {str(j): format_rational(t) for j, t in items}}
         )
-    elif cfg.format == "csv":
+    elif args.format == "csv":
         _emit_csv(["j", "tau"], [[j, format_rational(t)] for j, t in items])
     else:
-        _emit(f"m = {row.m}")
+        _emit(f"m = {args.m}")
         for j, t in items:
             _emit(f"tau_{j} = {format_rational(t)}")
     return 0
 
 
-def _cmd_integral(cfg: RunConfig) -> int:
-    _require(cfg.n is not None and cfg.n >= 1, "integral requires --n >= 1")
-    _require_at_most("integral", "--n", cfg.n, MAX_INTEGRAL_N)
-    result = integral_In(cfg.n, cfg.precision())
-    value = _decimal(result.value, cfg.digits)
+def _cmd_integral(args: argparse.Namespace) -> int:
+    _require(args.n is not None and args.n >= 1, "integral requires --n >= 1")
+    _require_at_most("integral", "--n", args.n, MAX_INTEGRAL_N)
+    result = integral_In(args.n, _precision(args.digits))
+    value = _decimal(result.value, args.digits)
     err = mp.nstr(result.error_estimate, 3)
-    if cfg.format == "json":
+    if args.format == "json":
         _emit_json(
             {
-                "n": cfg.n,
-                "digits": cfg.digits,
+                "n": args.n,
+                "digits": args.digits,
                 "value": value,
                 "error_estimate": err,
                 "nodes": result.nodes_used,
                 "levels": result.levels,
             }
         )
-    elif cfg.format == "csv":
+    elif args.format == "csv":
         _emit_csv(
             ["n", "value", "error_estimate", "nodes", "levels"],
-            [[cfg.n, value, err, result.nodes_used, result.levels]],
+            [[args.n, value, err, result.nodes_used, result.levels]],
         )
     else:
-        _emit(f"I_{cfg.n} = {value}")
+        _emit(f"I_{args.n} = {value}")
         _emit(f"error estimate = {err}")
         _emit(f"nodes = {result.nodes_used}, levels = {result.levels}")
     return 0
 
 
-def _cmd_zeta(cfg: RunConfig) -> int:
-    _require(cfg.m is not None and cfg.m >= 3, "zeta requires --m >= 3")
-    _require_at_most("zeta", "--m", cfg.m, MAX_ZETA_M)
-    _require_odd(cfg.m, "zeta")
-    precision = cfg.precision()
-    if cfg.method == "all":
-        report = zeta_report(cfg.m, precision)
+def _cmd_zeta(args: argparse.Namespace) -> int:
+    _require(args.m is not None and args.m >= 3, "zeta requires --m >= 3")
+    _require_at_most("zeta", "--m", args.m, MAX_ZETA_M)
+    _require_odd(args.m, "zeta")
+    precision = _precision(args.digits)
+    if args.method == "all":
+        report = zeta_report(args.m, precision)
         fields = [
             ("reference", report.reference),
             ("via_exp_kernel", report.via_exp_kernel),
             ("via_asech_kernel", report.via_asech_kernel),
         ]
-        if cfg.format == "json":
+        if args.format == "json":
             payload = {"m": report.m}
-            payload.update((k, _decimal(v, cfg.digits)) for k, v in fields)
+            payload.update((k, _decimal(v, args.digits)) for k, v in fields)
             payload["max_abs_diff"] = mp.nstr(report.max_abs_diff, 3)
             payload["pass"] = report.passed
             _emit_json(payload)
-        elif cfg.format == "csv":
+        elif args.format == "csv":
             _emit_csv(
                 ["m", "method", "value"],
-                [[report.m, k, _decimal(v, cfg.digits)] for k, v in fields],
+                [[report.m, k, _decimal(v, args.digits)] for k, v in fields],
             )
         else:
             _emit(f"m = {report.m}")
             for k, v in fields:
-                _emit(f"{k} = {_decimal(v, cfg.digits)}")
+                _emit(f"{k} = {_decimal(v, args.digits)}")
             _emit(f"max_abs_diff = {mp.nstr(report.max_abs_diff, 3)}")
             _emit(f"pass = {str(report.passed).lower()}")
         return 0 if report.passed else 1
     route = {
-        "reference": lambda: zeta_reference(cfg.m, cfg.digits + 10),
-        "exp": lambda: zeta_via_exp_kernel(cfg.m, precision),
-        "asech": lambda: zeta_via_asech_kernel(cfg.m, precision),
-    }[cfg.method]
-    value = _decimal(route(), cfg.digits)
-    if cfg.format == "json":
-        _emit_json({"m": cfg.m, "method": cfg.method, "value": value})
-    elif cfg.format == "csv":
-        _emit_csv(["m", "method", "value"], [[cfg.m, cfg.method, value]])
+        "reference": lambda: zeta_reference(args.m, args.digits + 10),
+        "exp": lambda: zeta_via_exp_kernel(args.m, precision),
+        "asech": lambda: zeta_via_asech_kernel(args.m, precision),
+    }[args.method]
+    value = _decimal(route(), args.digits)
+    if args.format == "json":
+        _emit_json({"m": args.m, "method": args.method, "value": value})
+    elif args.format == "csv":
+        _emit_csv(["m", "method", "value"], [[args.m, args.method, value]])
     else:
-        _emit(f"zeta({cfg.m}) [{cfg.method}] = {value}")
+        _emit(f"zeta({args.m}) [{args.method}] = {value}")
     return 0
 
 
-def _cmd_scan(cfg: RunConfig) -> int:
-    _require(cfg.n_max is not None and cfg.n_max >= 1, "scan requires --to >= 1")
-    _require_at_most("scan", "--to", cfg.n_max, MAX_FORM_N)
-    report = dimension_scan(cfg.n_max)
-    if cfg.format == "json":
+def _cmd_scan(args: argparse.Namespace) -> int:
+    _require(args.n_max is not None and args.n_max >= 1, "scan requires --to >= 1")
+    _require_at_most("scan", "--to", args.n_max, MAX_SCAN_N)
+    report = dimension_scan(args.n_max)
+    if args.format == "json":
         _emit_json(
             {
-                "n_max": cfg.n_max,
+                "n_max": args.n_max,
                 "rows": [
                     {
                         "n": r.n,
@@ -314,7 +296,7 @@ def _cmd_scan(cfg: RunConfig) -> int:
                 "summary": report.summary(),
             }
         )
-    elif cfg.format == "csv":
+    elif args.format == "csv":
         _emit_csv(
             ["n", "tau_numerator", "tau_denominator", "is_zero"],
             [
@@ -330,11 +312,11 @@ def _cmd_scan(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_linform(cfg: RunConfig) -> int:
-    _require(cfg.n is not None and cfg.n >= 1, "linform requires --n >= 1")
-    _require_at_most("linform", "--n", cfg.n, MAX_FORM_N)
-    form = linear_form(cfg.n)
-    if cfg.format == "json":
+def _cmd_linform(args: argparse.Namespace) -> int:
+    _require(args.n is not None and args.n >= 1, "linform requires --n >= 1")
+    _require_at_most("linform", "--n", args.n, MAX_FORM_N)
+    form = linear_form(args.n)
+    if args.format == "json":
         _emit_json(
             {
                 "n": form.n,
@@ -342,7 +324,7 @@ def _cmd_linform(cfg: RunConfig) -> int:
                 "theta_next": format_rational(form.theta_next),
             }
         )
-    elif cfg.format == "csv":
+    elif args.format == "csv":
         rows = [[k, format_rational(t)] for k, t in enumerate(form.thetas, start=1)]
         rows.append(["next", format_rational(form.theta_next)])
         _emit_csv(["k", "theta"], rows)
@@ -354,15 +336,15 @@ def _cmd_linform(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_verify(cfg: RunConfig) -> int:
-    if cfg.suite == "all":
+def _cmd_verify(args: argparse.Namespace) -> int:
+    if args.suite == "all":
         ids = None
     else:
         try:
-            ids = [int(tok) for tok in cfg.suite.split(",")]
+            ids = [int(tok) for tok in args.suite.split(",")]
         except ValueError:
             raise UsageError(
-                f"--suite must be 'all' or comma-separated check ids, got {cfg.suite!r}"
+                f"--suite must be 'all' or comma-separated check ids, got {args.suite!r}"
             ) from None
         known = {c[0] for c in CHECKS}
         bad = sorted(set(ids) - known)
@@ -370,14 +352,14 @@ def _cmd_verify(cfg: RunConfig) -> int:
             raise UsageError(f"unknown check ids: {bad}")
 
     def report(result):
-        if cfg.format == "text":
+        if args.format == "text":
             _emit(format_result(result))
         else:
             print(format_result(result), file=sys.stderr)
 
     results = run_checks(ids, reporter=report)
     all_ok = all(r.ok for r in results)
-    if cfg.format == "json":
+    if args.format == "json":
         _emit_json(
             {
                 "results": [
@@ -392,7 +374,7 @@ def _cmd_verify(cfg: RunConfig) -> int:
                 "all_passed": all_ok,
             }
         )
-    elif cfg.format == "csv":
+    elif args.format == "csv":
         _emit_csv(
             ["id", "title", "passed", "elapsed_s", "detail"],
             [
@@ -469,7 +451,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scan", parents=[common], help="top tau coefficients for n = 1..n_max")
     p.add_argument(
-        "--to", dest="n_max", type=int, default=20, help=f"n_max, 1..{MAX_FORM_N}"
+        "--to", dest="n_max", type=int, default=20, help=f"n_max, 1..{MAX_SCAN_N}"
     )
 
     p = sub.add_parser("linform", parents=[common], help="exact telescoping linear form")
@@ -481,32 +463,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    if args.digits < MIN_DIGITS:
-        raise UsageError(f"--digits must be >= {MIN_DIGITS}, got {args.digits}")
-    if args.digits > MAX_DIGITS:
-        raise UsageError(f"--digits must be <= {MAX_DIGITS}, got {args.digits}")
-    return RunConfig(
-        command=args.command,
-        digits=args.digits,
-        format=args.format,
-        m=getattr(args, "m", None),
-        n=getattr(args, "n", None),
-        l=getattr(args, "l", None),
-        max_n=getattr(args, "max_n", None),
-        max_l=getattr(args, "max_l", None),
-        n_max=getattr(args, "n_max", None),
-        method=getattr(args, "method", "all"),
-        suite=getattr(args, "suite", "all"),
-    )
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _config_from_args(args)
-        return _HANDLERS[cfg.command](cfg)
+        _require(
+            args.digits >= MIN_DIGITS, f"--digits must be >= {MIN_DIGITS}, got {args.digits}"
+        )
+        _require(
+            args.digits <= MAX_DIGITS, f"--digits must be <= {MAX_DIGITS}, got {args.digits}"
+        )
+        return _HANDLERS[args.command](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

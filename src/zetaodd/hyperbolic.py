@@ -7,28 +7,29 @@ powers of y = e^u + e^-u:
 
     sum_{p=0}^{l-1} e^((2p+1-l)u) / y^l  =  sum_{j=1}^{ceil(l/2)} q(j, l) / y^(2j-1)
 
-with integer coefficients q(j, l) given by the recursion
+with integer coefficients q(j, l) = (-1)^(j-1) C(l-j, j-1), the
+Chebyshev-U coefficients (proof in :func:`tau_top`;
+https://oeis.org/A011973).  That closed form is what :func:`q_coeff`
+returns.  The paper defines the same integers by the recursion
 
     q(1, l) = 1,
-    q(j, l) = 1 - sum_{k=1}^{j-1} C(l+1-2k, j-k) q(k, l).
+    q(j, l) = 1 - sum_{k=1}^{j-1} C(l+1-2k, j-k) q(k, l),
+
+which lives in the verify suite as the closed form's oracle.
 
 The tau coefficients then mix a weight system into these integers:
 
     tau(j, m) = -(2^(m-1) / ((m-1)! (2^m - 1)))
                 * sum_{l=2j-1}^{m} w_l q(j, l) / 4^(j-1),
 
-and for odd m = 2n+1 the top coefficient admits the shortcut
-
-    tau(n+1, 2n+1) = -w_m q(n+1, m) / ((2n)! (2^m - 1)),
-
-which this module cross-checks against the general formula.
+and for odd m = 2n+1 the top coefficient is tau(n+1, 2n+1) =
+1/(2^(2n+1) - 1), which :func:`tau_top` returns directly; the verify
+suite checks it against the general formula.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import mpmath as mp
 
@@ -40,7 +41,6 @@ __all__ = [
     "partial_fraction_residual",
     "tau",
     "tau_top",
-    "TauTable",
     "tau_row",
 ]
 
@@ -49,29 +49,17 @@ def _ceil_half(l: int) -> int:
     return (l + 1) // 2
 
 
-@lru_cache(maxsize=None)
-def _q_row(l: int) -> tuple[int, ...]:
-    if l < 1:
-        raise ValueError(f"order l must be >= 1, got {l}")
-    row: list[int] = [1]
-    for j in range(2, _ceil_half(l) + 1):
-        acc = 1
-        for k in range(1, j):
-            # upper index l+1-2k >= 2 throughout the recursion domain
-            acc -= binomial(l + 1 - 2 * k, j - k) * row[k - 1]
-        row.append(acc)
-    return tuple(row)
-
-
 def q_coeff(j: int, l: int) -> int:
-    """Integer partial-fraction coefficient q(j, l), 1 <= j <= ceil(l/2)."""
+    """Integer partial-fraction coefficient q(j, l) = (-1)^(j-1) C(l-j, j-1),
+    for 1 <= j <= ceil(l/2)."""
     if l < 1:
         raise ValueError(f"order l must be >= 1, got {l}")
     if not 1 <= j <= _ceil_half(l):
         raise ValueError(
             f"index j must be in 1..ceil(l/2) = 1..{_ceil_half(l)}, got {j}"
         )
-    return _q_row(l)[j - 1]
+    sign = -1 if (j - 1) & 1 else 1
+    return sign * binomial(l - j, j - 1)
 
 
 def partial_fraction_residual(l: int, u) -> mp.mpf:
@@ -100,7 +88,6 @@ def partial_fraction_residual(l: int, u) -> mp.mpf:
     return abs(direct - expanded)
 
 
-@lru_cache(maxsize=None)
 def tau(j: int, m: int) -> ExactRational:
     """Rational coefficient tau(j, m) for odd m >= 3 and 1 <= j <= (m+1)/2."""
     if m < 3 or m % 2 == 0:
@@ -119,16 +106,9 @@ def tau(j: int, m: int) -> ExactRational:
 
 
 def tau_top(n: int) -> ExactRational:
-    """tau(n+1, 2n+1) via the closed shortcut, double-checked.
+    """tau(n+1, 2n+1) = 1/(2^(2n+1) - 1), by its closed form.
 
-    Only the l = m term of the mixing sum survives at the top index,
-    which collapses the general formula to a three-factor product.  The
-    shortcut and the general path must agree exactly; a mismatch would
-    mean the recursion domain or the weight solve drifted, so it is
-    treated as an internal error rather than a return value.
-
-    The value is always tau(n+1, 2n+1) = 1/(2^(2n+1) - 1).  Proof: with
-    y = e^u + e^-u = 2 cosh u, the symmetric sum is
+    Proof: with y = e^u + e^-u = 2 cosh u, the symmetric sum is
 
         sum_{p=0}^{l-1} e^((2p+1-l)u) = sinh(lu) / sinh(u) = U_{l-1}(y/2)
 
@@ -139,44 +119,27 @@ def tau_top(n: int) -> ExactRational:
 
         q(j, l) = (-1)^(j-1) C(l-j, j-1),
 
-    and at the top q(n+1, 2n+1) = (-1)^n C(n, n) = (-1)^n.  The weight
-    system has a unit diagonal, so w_m = -s_m, which for odd m = 2n+1 is
-    (-1)^(n+1) (2n)!; the shortcut is therefore
+    and at the top q(n+1, 2n+1) = (-1)^n C(n, n) = (-1)^n.  Only the
+    l = m term of the mixing sum survives at the top index, so
+
+        tau(n+1, 2n+1) = -w_m q(n+1, m) / ((2n)! (2^m - 1)).
+
+    The weight system has a unit diagonal, so w_m = -s_m, which for odd
+    m = 2n+1 is (-1)^(n+1) (2n)!; the top coefficient is therefore
 
         -(-1)^(n+1) (2n)! (-1)^n / ((2n)! (2^m - 1)) = 1 / (2^m - 1).
 
-    Check 11 of the verify suite compares q_coeff with the binomial form
-    for l <= 119 and this function with 1/(2^m - 1) for n <= 20.
+    Check 11 of the verify suite compares :func:`q_coeff` with the
+    paper's recursion for l <= 119 and this function with the general
+    :func:`tau` for n <= 20.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    m = 2 * n + 1
-    wv = solve_weights(m)
-    shortcut = Fraction(
-        -wv.weight(m) * q_coeff(n + 1, m),
-        factorial(2 * n) * (2**m - 1),
-    )
-    general = tau(n + 1, m)
-    if shortcut != general:
-        raise ArithmeticError(
-            f"tau top mismatch at n={n}: shortcut {shortcut} vs general {general}"
-        )
-    return shortcut
+    return Fraction(1, 2 ** (2 * n + 1) - 1)
 
 
-@dataclass(frozen=True)
-class TauTable:
-    """All tau coefficients of one odd degree, keyed by their index j."""
-
-    m: int
-    taus: dict[int, ExactRational]
-
-    def tau(self, j: int) -> ExactRational:
-        return self.taus[j]
-
-
-def tau_row(m: int) -> TauTable:
-    """tau(j, m) for the quadrature-relevant range 2 <= j <= (m+1)/2."""
+def tau_row(m: int) -> dict[int, ExactRational]:
+    """{j: tau(j, m)} for the quadrature-relevant range 2 <= j <= (m+1)/2."""
     if m < 3 or m % 2 == 0:
         raise ValueError(f"degree m must be odd and >= 3, got {m}")
-    return TauTable(m, {j: tau(j, m) for j in range(2, _ceil_half(m) + 1)})
+    return {j: tau(j, m) for j in range(2, _ceil_half(m) + 1)}

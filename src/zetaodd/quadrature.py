@@ -79,6 +79,7 @@ __all__ = [
 _TAIL_EPS_SHIFT = 5   # tail cutoff sits 10^-5 below eval precision
 _TAIL_RUN = 3         # consecutive negligible terms before truncating
 _STOP_HEADROOM = 10   # the error estimate must clear the target by 10^-10
+_MAX_LEVELS = 12      # step-halving refinements before NonConvergenceError
 
 
 @dataclass(frozen=True)
@@ -87,13 +88,11 @@ class PrecisionConfig:
 
     ``working_digits`` must exceed ``target_digits`` by at least 10
     guard digits; the integrator evaluates at :attr:`eval_digits`,
-    derived from it.  ``max_levels`` bounds the step-halving
-    refinements.
+    derived from it.
     """
 
     target_digits: int = 30
     working_digits: int = 50
-    max_levels: int = 12
 
     def __post_init__(self) -> None:
         if self.target_digits < 1:
@@ -103,8 +102,6 @@ class PrecisionConfig:
                 "working_digits must be >= target_digits + 10, got "
                 f"{self.working_digits} for target {self.target_digits}"
             )
-        if self.max_levels < 3:
-            raise ValueError(f"max_levels must be >= 3, got {self.max_levels}")
 
     @property
     def eval_digits(self) -> int:
@@ -135,8 +132,8 @@ class QuadratureResult:
 
 
 class NonConvergenceError(ArithmeticError):
-    """Refinement exhausted max_levels before the error estimate cleared
-    the target.
+    """Refinement exhausted ``_MAX_LEVELS`` levels before the error
+    estimate cleared the target.
 
     Carries the last level sum as ``best_value`` and its extrapolated
     ``error_estimate``, so that a caller who wants to inspect the
@@ -313,7 +310,7 @@ def integrate_01_singular(f, cfg: PrecisionConfig = DEFAULT_PRECISION) -> Quadra
         sums = []  # the last three level sums, oldest first
         err = mp.inf
         used = 0
-        for level in range(cfg.max_levels):
+        for level in range(_MAX_LEVELS):
             scale = 1 + abs(sums[-1]) if sums else mp.mpf(1)
             nodes = _ts_level_nodes(eval_dps, depth, level)
             new, count = _tail_sum(
@@ -332,7 +329,7 @@ def integrate_01_singular(f, cfg: PrecisionConfig = DEFAULT_PRECISION) -> Quadra
                 return QuadratureResult(current, err, used, level + 1)
         raise NonConvergenceError(
             f"tanh-sinh on (0,1): no convergence to {cfg.target_digits} digits "
-            f"within {cfg.max_levels} levels (error estimate {mp.nstr(err, 3)})",
+            f"within {_MAX_LEVELS} levels (error estimate {mp.nstr(err, 3)})",
             best_value=sums[-1],
             error_estimate=err,
         )

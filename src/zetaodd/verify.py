@@ -8,8 +8,9 @@ both thin wrappers around this registry, so "what the suite checks" has
 a single home.
 
 The checks deliberately re-derive their expected values through routes
-that are as independent as the package allows: frozen integer tables
-and integer closed forms for the exact layer, the Dirichlet-series
+that are as independent as the package allows: frozen integer tables,
+integer closed forms and the paper's own q recursion for the exact
+layer, the Dirichlet-series
 oracle for anything touching quadrature, ``mpmath.quad`` for the
 zeta(3) kernel (check 5), and a second quadrature scheme for the
 singular moments.
@@ -162,7 +163,7 @@ def _check_structural_identities() -> tuple[bool, str]:
         wv = solve_weights(m)
         for j in range(1, m + 1):
             row = sum(
-                (system.entry(j, l) * wv.weight(l) for l in range(j, m + 1)),
+                (system[(j, l)] * wv.weight(l) for l in range(j, m + 1)),
                 Fraction(0),
             )
             expected = -s_constant(m) if j == m else Fraction(0)
@@ -262,8 +263,11 @@ def _check_dimension_scan() -> tuple[bool, str]:
 
 # -- 11 --------------------------------------------------------------------
 #
-# Expected values come from integer recurrences and binomials only: no
-# Bernoulli number, triangular solve or q recursion goes into them.
+# The weights and C_m are checked against integer recurrences: no
+# Bernoulli number or triangular solve goes into the expected values.
+# q_coeff and tau_top return closed forms, so for them the direction
+# flips: the expected values are the paper's q recursion and the general
+# tau(n+1, 2n+1) through the weight solve.
 
 def _stirling2_rows(m_max: int) -> list[list[int]]:
     """rows[m][l] = S(m, l), Stirling numbers of the second kind."""
@@ -283,6 +287,18 @@ def _eulerian_rows(n_max: int) -> list[list[int]]:
     return rows
 
 
+def _q_recursion_row(l: int) -> list[int]:
+    """[q(1, l), ..., q(ceil(l/2), l)] by the paper's recursion
+    q(1, l) = 1, q(j, l) = 1 - sum_{k=1}^{j-1} C(l+1-2k, j-k) q(k, l)."""
+    row = [1]
+    for j in range(2, (l + 1) // 2 + 1):
+        # upper index l+1-2k >= 2 throughout the recursion domain
+        row.append(
+            1 - sum(binomial(l + 1 - 2 * k, j - k) * row[k - 1] for k in range(1, j))
+        )
+    return row
+
+
 def _check_integer_closed_forms() -> tuple[bool, str]:
     stirling = _stirling2_rows(61)
     for m in range(1, 62):
@@ -293,12 +309,12 @@ def _check_integer_closed_forms() -> tuple[bool, str]:
         if solve_weights(m).weights != expected:
             return False, f"weights differ from (-1)^(m//2+l) (l-1)! S(m,l) at m={m}"
     for l in range(1, 120):
-        for j in range(1, (l + 1) // 2 + 1):
-            if q_coeff(j, l) != (-1) ** (j - 1) * binomial(l - j, j - 1):
-                return False, f"q({j},{l}) != (-1)^(j-1) C(l-j,j-1)"
+        for j, expected in enumerate(_q_recursion_row(l), start=1):
+            if q_coeff(j, l) != expected:
+                return False, f"q({j},{l}) differs from the paper's recursion"
     for n in range(1, 21):
-        if tau_top(n) != Fraction(1, 2 ** (2 * n + 1) - 1):
-            return False, f"tau_top({n}) != 1/(2^{2 * n + 1}-1)"
+        if tau_top(n) != tau(n + 1, 2 * n + 1):
+            return False, f"tau_top({n}) != tau({n + 1},{2 * n + 1}) by the weight solve"
     eulerian = _eulerian_rows(60)
     for m in range(3, 62, 2):
         c = exp_kernel_polynomial(m)
@@ -313,8 +329,8 @@ def _check_integer_closed_forms() -> tuple[bool, str]:
                 )
     return True, (
         "w = (-1)^(m//2+l) (l-1)! S(m,l) for m<=61; "
-        "q(j,l) = (-1)^(j-1) C(l-j,j-1) for l<=119; "
-        "tau_top(n) = 1/(2^(2n+1)-1) for n<=20; "
+        "q(j,l) = (-1)^(j-1) C(l-j,j-1) == recursion for l<=119; "
+        "tau_top(n) = 1/(2^(2n+1)-1) == general tau for n<=20; "
         "(1-q) C_m(q) = (-1)^((m-1)/2) 2q A_(m-1)(-q) for odd m<=61"
     )
 

@@ -29,7 +29,6 @@ __all__ = [
     "coeff_b",
     "d_coefficients",
     "s_constant",
-    "TriangularSystem",
     "triangular_system",
     "WeightVector",
     "solve_weights",
@@ -67,22 +66,11 @@ def s_constant(m: int) -> ExactRational:
     return Fraction(sign * factorial(m - 1))
 
 
-@dataclass(frozen=True)
-class TriangularSystem:
-    """Upper-triangular system matrix for degree m, keyed by (j, l)."""
-
-    m: int
-    entries: dict[tuple[int, int], ExactRational]
-
-    def entry(self, j: int, l: int) -> ExactRational:
-        return self.entries[(j, l)]
-
-
-def triangular_system(m: int) -> TriangularSystem:
+def triangular_system(m: int) -> dict[tuple[int, int], ExactRational]:
+    """Upper-triangular system matrix for degree m: {(j, l): b(j, l)}."""
     if m < 1:
         raise ValueError(f"degree m must be >= 1, got {m}")
-    entries = {(j, l): coeff_b(j, l) for l in range(1, m + 1) for j in range(1, l + 1)}
-    return TriangularSystem(m, entries)
+    return {(j, l): coeff_b(j, l) for l in range(1, m + 1) for j in range(1, l + 1)}
 
 
 @dataclass(frozen=True)
@@ -112,7 +100,7 @@ def solve_weights(m: int) -> WeightVector:
     w[m] = -s_m
     for j in range(m - 1, 0, -1):
         tail = sum(
-            (system.entry(j, l) * w[l] for l in range(j + 1, m + 1)), Fraction(0)
+            (system[(j, l)] * w[l] for l in range(j + 1, m + 1)), Fraction(0)
         )
         w[j] = -tail
     return WeightVector(m, s_m, tuple(w[1:]))

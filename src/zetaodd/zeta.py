@@ -252,8 +252,8 @@ def zeta_via_asech_kernel(m: int, cfg: PrecisionConfig = DEFAULT_PRECISION) -> m
     """
     if m < 3 or m % 2 == 0:
         raise ValueError(f"degree m must be odd and >= 3, got {m}")
-    row = tau_row(m)
-    guard = _asech_guard(m, row.taus.values())
+    taus = tau_row(m)
+    guard = _asech_guard(m, taus.values())
     cfg = replace(
         cfg,
         target_digits=cfg.target_digits + guard,
@@ -261,8 +261,8 @@ def zeta_via_asech_kernel(m: int, cfg: PrecisionConfig = DEFAULT_PRECISION) -> m
     )
     with mp.workdps(cfg.eval_digits):
         acc = mp.mpf(0)
-        for j in sorted(row.taus):
-            t = row.taus[j]
+        for j in sorted(taus):
+            t = taus[j]
             if t == 0:
                 continue
             moment = integral_In(j - 1, cfg).value
@@ -455,12 +455,13 @@ def dimension_scan(n_max: int = 20) -> ScanReport:
 
     Every row is 1/(2^(2n+1) - 1), so a scan can never report a zero:
     q(n+1, 2n+1) = (-1)^n (the top Chebyshev-U coefficient) and
-    w_{2n+1} = (-1)^(n+1) (2n)! cancel the shortcut's other factors
-    exactly; :func:`~zetaodd.hyperbolic.tau_top` has the proof.  The scan
-    therefore checks an identity through the full exact pipeline.  What
-    the identity does not prove is that the span of the zeta ratios
-    grows, since I_n itself might be a rational combination of the
-    lower ratios; the summary line says so.
+    w_{2n+1} = (-1)^(n+1) (2n)! cancel the other factors of the top
+    coefficient exactly.  The rows come from the closed form in
+    :func:`~zetaodd.hyperbolic.tau_top`, which has the proof; verify
+    check 11 compares it with the general tau(n+1, 2n+1).  What the
+    identity does not prove is that the span of the zeta ratios grows,
+    since I_n itself might be a rational combination of the lower
+    ratios; the summary line says so.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")

@@ -7,6 +7,7 @@ assertion fails OR it overruns its time budget (checks with no budget
 only need to pass).
 """
 
+import math
 from dataclasses import replace
 
 import pytest
@@ -59,6 +60,12 @@ def _perturbed_q(j, l):
     return _ORIGINAL["q_coeff"](j, l) + (1 if (j, l) == (30, 101) else 0)
 
 
+def _off_by_one_q(j, l):
+    # C(l-j, j) in place of C(l-j, j-1): a plausible misreading of the
+    # closed form, which check 11 must catch against the recursion
+    return (-1) ** (j - 1) * math.comb(l - j, j)
+
+
 def _perturbed_tau_top(n):
     return _ORIGINAL["tau_top"](n) * (2 if n == 13 else 1)
 
@@ -75,10 +82,12 @@ def _perturbed_kernel_polynomial(m):
     [
         ("solve_weights", _perturbed_weights, "at m=17"),
         ("q_coeff", _perturbed_q, "q(30,101)"),
+        ("q_coeff", _off_by_one_q, "q(1,1)"),
         ("tau_top", _perturbed_tau_top, "tau_top(13)"),
         ("exp_kernel_polynomial", _perturbed_kernel_polynomial, "at m=23, q^7"),
     ],
-    ids=["solve_weights", "q_coeff", "tau_top", "exp_kernel_polynomial"],
+    ids=["solve_weights", "q_coeff", "q_closed_form_off_by_one", "tau_top",
+         "exp_kernel_polynomial"],
 )
 def test_check_11_catches_one_wrong_entry(monkeypatch, name, fake, where):
     monkeypatch.setattr(verify, name, fake)

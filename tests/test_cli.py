@@ -15,6 +15,7 @@ from zetaodd.cli import (
     MAX_DIGITS,
     MAX_FORM_N,
     MAX_INTEGRAL_N,
+    MAX_SCAN_N,
     MAX_WEIGHTS_M,
     MAX_ZETA_M,
     main,
@@ -320,8 +321,8 @@ class TestInputLimits:
              f"weights requires --m <= {MAX_WEIGHTS_M}, got {MAX_WEIGHTS_M + 1}"),
             (["tau", "--m", str(MAX_WEIGHTS_M + 2)],
              f"tau requires --m <= {MAX_WEIGHTS_M}, got {MAX_WEIGHTS_M + 2}"),
-            (["scan", "--to", str(MAX_FORM_N + 1)],
-             f"scan requires --to <= {MAX_FORM_N}, got {MAX_FORM_N + 1}"),
+            (["scan", "--to", str(MAX_SCAN_N + 1)],
+             f"scan requires --to <= {MAX_SCAN_N}, got {MAX_SCAN_N + 1}"),
             (["linform", "--n", str(MAX_FORM_N + 1), "--format", "csv"],
              f"linform requires --n <= {MAX_FORM_N}, got {MAX_FORM_N + 1}"),
             (["bernoulli", "--n", str(MAX_BERNOULLI_N + 1), "--l", "1"],
@@ -358,7 +359,7 @@ class TestInputLimits:
             ["integral", "--n", str(MAX_INTEGRAL_N), "--digits", str(MAX_DIGITS)],
             ["weights", "--m", str(MAX_WEIGHTS_M)],
             ["tau", "--m", str(MAX_WEIGHTS_M)],
-            ["scan", "--to", str(MAX_FORM_N)],
+            ["scan", "--to", str(MAX_SCAN_N)],
             ["linform", "--n", str(MAX_FORM_N)],
             ["bernoulli", "--n", str(MAX_BERNOULLI_N), "--l", str(MAX_BERNOULLI_N)],
             ["bernoulli", "--max-n", str(MAX_BERNOULLI_GRID),

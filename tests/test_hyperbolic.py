@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zetaodd.exact import binomial
 from zetaodd.hyperbolic import (
     partial_fraction_residual,
     q_coeff,
@@ -13,6 +12,7 @@ from zetaodd.hyperbolic import (
     tau_row,
     tau_top,
 )
+from zetaodd.verify import _q_recursion_row
 
 
 class TestQCoefficients:
@@ -36,12 +36,10 @@ class TestQCoefficients:
         assert tuple(q_coeff(j, l) for j in range(1, top + 1)) == row
 
     def test_chebyshev_closed_form(self):
-        # the recursion reproduces the classical alternating-binomial
-        # coefficients of the Chebyshev-style expansion in powers of y
+        # the Chebyshev-U closed form reproduces the paper's recursion
         for l in range(1, 41):
-            for j in range(1, (l + 1) // 2 + 1):
-                expected = (-1) ** (j - 1) * binomial(l - j, j - 1)
-                assert q_coeff(j, l) == expected
+            row = [q_coeff(j, l) for j in range(1, (l + 1) // 2 + 1)]
+            assert row == _q_recursion_row(l)
 
     def test_domain(self):
         with pytest.raises(ValueError):
@@ -93,15 +91,16 @@ class TestTau:
         ],
     )
     def test_rows(self, m, expected):
-        assert tau_row(m).taus == expected
+        assert tau_row(m) == expected
 
     def test_top_matches_general_route(self):
         for n in range(1, 11):
             assert tau_top(n) == tau(n + 1, 2 * n + 1)
 
     def test_top_values(self):
+        # the general formula, through the weight solve, meets the closed form
         for n in range(1, 41):
-            assert tau_top(n) == Fraction(1, 2 ** (2 * n + 1) - 1)
+            assert tau(n + 1, 2 * n + 1) == Fraction(1, 2 ** (2 * n + 1) - 1)
 
     def test_domain(self):
         with pytest.raises(ValueError):
@@ -117,5 +116,5 @@ class TestTau:
 
     def test_row_covers_quadrature_range(self):
         row = tau_row(11)
-        assert sorted(row.taus) == [2, 3, 4, 5, 6]
-        assert row.tau(6) == tau(6, 11)
+        assert sorted(row) == [2, 3, 4, 5, 6]
+        assert row[6] == tau(6, 11)

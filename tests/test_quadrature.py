@@ -69,8 +69,6 @@ class TestPrecisionConfig:
             PrecisionConfig(target_digits=0)
         with pytest.raises(ValueError):
             PrecisionConfig(target_digits=30, working_digits=35)
-        with pytest.raises(ValueError):
-            PrecisionConfig(max_levels=2)
 
 
 class TestUnitInterval:
@@ -96,8 +94,9 @@ class TestUnitInterval:
         res = integrate_01_singular(lambda u, d: mp.log(u), QUICK)
         assert _close(res.value, -1, "1e-19")
 
-    def test_divergent_integrand_raises(self):
-        small = PrecisionConfig(target_digits=15, working_digits=30, max_levels=4)
+    def test_divergent_integrand_raises(self, monkeypatch):
+        monkeypatch.setattr(quadrature, "_MAX_LEVELS", 4)
+        small = PrecisionConfig(target_digits=15, working_digits=30)
         with pytest.raises(NonConvergenceError) as exc:
             integrate_01_singular(lambda u, d: 1 / d, small)
         assert exc.value.best_value is not None
@@ -120,7 +119,7 @@ def _levels_until_two_agree(f, cfg):
         eps = mp.mpf(10) ** (-(eval_dps + _TAIL_EPS_SHIFT))
         half = mp.mpf(1) / 2
         sums = []
-        for level in range(cfg.max_levels):
+        for level in range(quadrature._MAX_LEVELS):
             scale = 1 + abs(sums[-1]) if sums else mp.mpf(1)
             nodes = _ts_level_nodes(eval_dps, depth, level)
             new, _ = _tail_sum(
@@ -243,8 +242,9 @@ class TestHalfLine:
         _ts_level_nodes(cfg.eval_digits, _node_depth(cfg), 1)
         assert _ts_level_nodes.cache_info().currsize == built
 
-    def test_growing_integrand_raises(self):
-        small = PrecisionConfig(target_digits=15, working_digits=30, max_levels=4)
+    def test_growing_integrand_raises(self, monkeypatch):
+        monkeypatch.setattr(quadrature, "_MAX_LEVELS", 4)
+        small = PrecisionConfig(target_digits=15, working_digits=30)
         with pytest.raises(NonConvergenceError):
             _half_line(lambda u: u / (1 + u), small)
 

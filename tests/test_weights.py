@@ -94,7 +94,7 @@ class TestSolve:
         wv = solve_weights(m)
         for j in range(1, m + 1):
             total = sum(
-                (system.entry(j, l) * wv.weight(l) for l in range(j, m + 1)),
+                (system[(j, l)] * wv.weight(l) for l in range(j, m + 1)),
                 Fraction(0),
             )
             assert total == (-s_constant(m) if j == m else 0)
@@ -116,6 +116,6 @@ class TestSolve:
 
     def test_system_entry_domain(self):
         system = triangular_system(4)
-        assert system.entry(4, 4) == 1
+        assert system[(4, 4)] == 1
         with pytest.raises(KeyError):
-            system.entry(3, 2)
+            system[(3, 2)]
