@@ -16,21 +16,25 @@ failure the error estimate cannot see, because the truncated mass is
 the same at every level.
 
 Stopping rule.  The error of level k is extrapolated from two level
-differences: D1 = log10|T_k - T_(k-1)| and D2 = log10|T_k - T_(k-2)|
-stand for the errors of levels k-1 and k-2; each level multiplies the
-correct digits by about D1/D2 (two for tanh-sinh), so level k's error
-is about 10^(D1^2/D2).  The estimate for level k >= 2 is
-10^max(D1^2/D2, 2 D1, -eval_digits) (Bailey, Jeyabalan and Li, "A
-comparison of three high-precision quadrature schemes", Experimental
-Math. 14, 2005; mpmath's TanhSinh.estimate_error).  Level 1 uses
-|T_1 - T_0|, as does any level with D2 >= 0; a zero difference gives the
-floor 10^-eval_digits.  Level k is returned once the estimate is at most
-10^-(target + _STOP_HEADROOM) (1 + |T_k|).  The headroom covers the
-extrapolation's optimism: it predicts the next difference, not a bound,
-and without it the exp route at 15 digits misses its 10^-25 test bound.
-Usually the level returned is the one before the level a plain "two
-levels agree" test would stop at, so that finest level, about half of
-all nodes, is never built.
+differences, relative to 1 + |T_k| so that the rule does not depend on
+the integral's magnitude: D1 = log10(|T_k - T_(k-1)| / (1 + |T_k|)) and
+D2, the same for T_(k-2), stand for the errors of levels k-1 and k-2;
+each level multiplies the correct digits by about D1/D2 (two for
+tanh-sinh), so level k's error is about 10^(D1^2/D2).  The estimate for
+level k >= 2 is 10^max(D1^2/D2, 2 D1, -eval_digits) (Bailey, Jeyabalan
+and Li, "A comparison of three high-precision quadrature schemes",
+Experimental Math. 14, 2005; mpmath's TanhSinh.estimate_error).  Level 1
+uses the relative |T_1 - T_0|, as does any level with D2 >= 0; a zero
+difference gives the floor 10^-eval_digits.  Level k is returned once
+the estimate is at most 10^-(target + _STOP_HEADROOM).  The headroom
+covers the extrapolation's optimism: it predicts the next difference,
+not a bound, and without it the exp route at 15 digits misses its
+10^-25 test bound.  Usually the level returned is the one before the
+level a plain "two levels agree" test would stop at, so that finest
+level, about half of all nodes, is never built.  The error reported
+adds, to the estimate times 1 + |T_k|, the outermost summed term times
+the step: the mass beyond the outermost node, which no level difference
+sees and the node depth, not refinement, sets.
 
 Complement-aware integrands.  Nodes come in pairs (u_minus, u_plus)
 with u_minus + u_plus = 1, both computed from q = exp(-2 sinh-scale)
@@ -119,10 +123,10 @@ class QuadratureResult:
     """Converged integral value with its refinement diagnostics.
 
     ``error_estimate`` is the extrapolated discretization error of
-    ``value`` from the module docstring's stopping rule; it does not
-    count the mass beyond the outermost node ("One precision, separate
-    depth" in the module docstring).
-    ``nodes_used`` counts integrand evaluations.
+    ``value`` from the module docstring's stopping rule plus the
+    outermost summed term times the step, which covers the mass beyond
+    the outermost node ("One precision, separate depth" in the module
+    docstring).  ``nodes_used`` counts integrand evaluations.
     """
 
     value: mp.mpf
@@ -135,10 +139,11 @@ class NonConvergenceError(ArithmeticError):
     """Refinement exhausted ``_MAX_LEVELS`` levels before the error
     estimate cleared the target.
 
-    Carries the last level sum as ``best_value`` and its extrapolated
-    ``error_estimate``, so that a caller who wants to inspect the
-    failure can; the usual cause is an integrand outside the contract
-    (oscillation, a stronger singularity, a heavy tail).
+    Carries the last level sum as ``best_value`` and its
+    ``error_estimate``, formed as in :class:`QuadratureResult`, so that
+    a caller who wants to inspect the failure can; the usual cause is an
+    integrand outside the contract (oscillation, a stronger singularity,
+    a heavy tail).
     """
 
     def __init__(self, message: str, best_value=None, error_estimate=None):
@@ -218,10 +223,10 @@ def _ts_level_nodes(eval_dps: int, depth: int, level: int):
         return tuple(out)
 
 
-# Per-node values shared by every integrand at one eval precision (the
-# asech of the moments, ln(1/q) of the exp route), filled lazily.  They
-# are keyed by the node pair (u, 1 - u): at eval precision the deep
-# u_plus values round to exactly 1, so u alone would collide.
+# Per-node values shared by every integrand at one eval precision (asech
+# for the moments and the asech route, ln(1/q) for the exp route), filled
+# lazily.  They are keyed by the node pair (u, 1 - u): at eval precision
+# the deep u_plus values round to exactly 1, so u alone would collide.
 _AT_NODES: dict[tuple[object, int], dict[tuple[mp.mpf, mp.mpf], mp.mpf]] = {}
 
 
@@ -246,17 +251,16 @@ def at_nodes(fn, eval_dps: int):
 
 def clear_node_caches() -> None:
     """Drop memoized node tables (they are pure functions of precision,
-    depth and level), the per-node values and the memoized moments."""
+    depth and level) and the per-node values."""
     _ts_level_nodes.cache_clear()
     _AT_NODES.clear()
-    _IN_CACHE.clear()
 
 
-def _tail_sum(terms, eps) -> tuple[mp.mpf, int]:
+def _tail_sum(terms, eps) -> tuple[mp.mpf, int, mp.mpf]:
     """Sum a lazy sequence of terms ordered outward from the centre,
     stopping once _TAIL_RUN consecutive terms are <= eps after some term
-    has exceeded eps.  Returns (sum, terms consumed)."""
-    total = mp.mpf(0)
+    has exceeded eps.  Returns (sum, terms consumed, last term summed)."""
+    total = term = mp.mpf(0)
     peaked = False
     quiet = 0
     used = 0
@@ -270,19 +274,21 @@ def _tail_sum(terms, eps) -> tuple[mp.mpf, int]:
             quiet += 1
             if quiet >= _TAIL_RUN:
                 break
-    return total, used
+    return total, used, term
 
 
 def _error_estimate(sums, eval_dps: int) -> mp.mpf:
     """Extrapolated error of the last of the level sums ``sums`` (two or
-    three of them, oldest first); see the module docstring."""
+    three of them, oldest first) relative to 1 + |T_k|, taken on the sums
+    divided by that scale; see the module docstring."""
+    scale = 1 + abs(sums[-1])
     floor = mp.mpf(10) ** -eval_dps
-    d1 = abs(sums[-1] - sums[-2])
+    d1 = abs(sums[-1] - sums[-2]) / scale
     if d1 == 0:
         return floor
     if len(sums) < 3:
         return d1
-    d2 = abs(sums[-1] - sums[-3])
+    d2 = abs(sums[-1] - sums[-3]) / scale
     if d2 == 0:
         return floor
     if d2 >= 1:
@@ -313,7 +319,7 @@ def integrate_01_singular(f, cfg: PrecisionConfig = DEFAULT_PRECISION) -> Quadra
         for level in range(_MAX_LEVELS):
             scale = 1 + abs(sums[-1]) if sums else mp.mpf(1)
             nodes = _ts_level_nodes(eval_dps, depth, level)
-            new, count = _tail_sum(
+            new, count, outermost = _tail_sum(
                 (w * (f(lo, hi) + f(hi, lo)) for lo, hi, w in nodes), base_eps * scale
             )
             used += 2 * count
@@ -324,8 +330,9 @@ def integrate_01_singular(f, cfg: PrecisionConfig = DEFAULT_PRECISION) -> Quadra
                 continue
             current = sums[-1] / 2 + h * new
             sums = sums[-2:] + [current]
-            err = _error_estimate(sums, eval_dps)
-            if err <= tol * (1 + abs(current)):
+            relative = _error_estimate(sums, eval_dps)
+            err = relative * (1 + abs(current)) + h * abs(outermost)
+            if relative <= tol:
                 return QuadratureResult(current, err, used, level + 1)
         raise NonConvergenceError(
             f"tanh-sinh on (0,1): no convergence to {cfg.target_digits} digits "
@@ -337,30 +344,22 @@ def integrate_01_singular(f, cfg: PrecisionConfig = DEFAULT_PRECISION) -> Quadra
 
 # -- the inverse-asech moment integrals ----------------------------------
 
-_IN_CACHE: dict[tuple[int, PrecisionConfig], QuadratureResult] = {}
-
-
 def integral_In(n: int, cfg: PrecisionConfig = DEFAULT_PRECISION) -> QuadratureResult:
-    """I_n = integral of u^(2n-1) / asech(u) over (0, 1), memoized.
+    """I_n = integral of u^(2n-1) / asech(u) over (0, 1).
 
     The integrand vanishes at u = 0 (for n >= 1) and blows up like
     (2 (1-u))^(-1/2) at u = 1, the exact singularity class the
     tanh-sinh integrator is tuned for.  asech comes from the per-node
     table shared by all moments at the same eval precision
     (:func:`at_nodes`); the values are the ones asech_stable returns,
-    so results do not depend on which moments ran first.
+    so results do not depend on which moments ran first.  Moments are
+    not memoized: every call integrates, and the zeta routes take none.
     """
     if n < 1:
         raise ValueError(f"moment index n must be >= 1, got {n}")
-    key = (n, cfg)
-    hit = _IN_CACHE.get(key)
-    if hit is not None:
-        return hit
     e = 2 * n - 1
     asech = at_nodes(asech_stable, cfg.eval_digits)
-    result = integrate_01_singular(lambda u, d: u**e / asech(u, d), cfg)
-    _IN_CACHE[key] = result
-    return result
+    return integrate_01_singular(lambda u, d: u**e / asech(u, d), cfg)
 
 
 def integral_In_crosscheck(n: int, dps: int = 40) -> tuple[mp.mpf, mp.mpf]:

@@ -9,11 +9,14 @@ Routes to zeta(m):
 * :func:`zeta_via_exp_kernel` collapses the degree-m weight system
   into a single integrand on (0, infinity), whose numerator is one
   exact integer polynomial per degree (:func:`exp_kernel_polynomial`),
-  and integrates it in q = e^-u on the moments' tanh-sinh nodes.
+  and integrates it in q = e^-u on the tanh-sinh nodes of (0, 1).
 * :func:`zeta_via_asech_kernel` (odd m only) pairs the exact tau
   coefficients with the singular moment integrals I_n on (0, 1):
 
-      zeta(m) = pi^(m-1) * sum_j tau(j, m) I_{j-1}.
+      zeta(m) = pi^(m-1) * sum_j tau(j, m) I_{j-1},
+
+  summed under the integral sign into one integer polynomial per
+  degree (:func:`asech_kernel_polynomial`).
 
 The exact side of the same pairing is :func:`linear_form`: for each n
 it back-solves the triangular tau array so that a rational combination
@@ -37,6 +40,7 @@ from .hyperbolic import tau, tau_row, tau_top
 from .quadrature import (
     DEFAULT_PRECISION,
     PrecisionConfig,
+    asech_stable,
     at_nodes,
     integral_In,
     integrate_01_singular,
@@ -48,6 +52,7 @@ __all__ = [
     "zeta_reference",
     "zeta3_exp_integral",
     "exp_kernel_polynomial",
+    "asech_kernel_polynomial",
     "zeta_via_exp_kernel",
     "zeta_via_asech_kernel",
     "ZetaReport",
@@ -148,50 +153,73 @@ def exp_kernel_polynomial(m: int) -> tuple[int, ...]:
     return tuple(coeffs)
 
 
+def asech_kernel_polynomial(m: int) -> tuple[tuple[int, ...], int]:
+    """(a_0..a_k, D): the asech kernel's numerator
+    T_m(x) = sum_j tau(j, m) x^(j-2) cleared by the tau row's common
+    denominator D, so that D T_m(x) = A_m(x) = sum_i a_i x^i and
+    zeta(m) = pi^(m-1) / D times the integral over (0, 1) of
+    u A_m(u^2) / asech(u)."""
+    taus = tau_row(m).values()
+    denom = math.lcm(*(t.denominator for t in taus))
+    return tuple(t.numerator * (denom // t.denominator) for t in taus), denom
+
+
 def _digits(n: int) -> int:
     return len(str(abs(n)))
+
+
+def _horner_fixed(coeffs, x) -> mp.mpf:
+    """sum_k c_k x^k for integer ``coeffs`` (highest first) and
+    0 <= x <= 1, by Horner's rule in fixed point on x truncated to
+    p = mp.mp.prec fractional bits.  Truncating x costs at most
+    |P'(x)| 2^-p and every later step at most 2^-p."""
+    prec = mp.mp.prec
+    x = int(mp.ldexp(x, prec))
+    acc = 0
+    for c in coeffs:
+        acc = (acc * x >> prec) + (c << prec)
+    return mp.ldexp(acc, -prec)
 
 
 def _exp_kernel(q, d, log_recip, coeffs) -> mp.mpf:
     """-(d / L) D_m(q) / (1 + q)^m at the node q with complement d and
     L = ln(1/q).  ``coeffs`` are the integer coefficients of
-    D_m = C_m / q, highest first; D_m is evaluated by Horner's rule in
-    fixed point, on q truncated to mp.mp.prec fractional bits."""
-    prec = mp.mp.prec
-    x = int(mp.ldexp(q, prec))
-    acc = 0
-    for c in coeffs:
-        acc = (acc * x >> prec) + (c << prec)
-    return -(d / log_recip) * mp.ldexp(acc, -prec) / (1 + q) ** (len(coeffs) + 1)
+    D_m = C_m / q, highest first."""
+    return -(d / log_recip) * _horner_fixed(coeffs, q) / (1 + q) ** (len(coeffs) + 1)
 
 
-def _exp_route_setup(m: int, cfg: PrecisionConfig) -> tuple[PrecisionConfig, tuple]:
-    """The exp route's precision and kernel coefficients at degree m.
+def _degree_setup(m: int, cfg: PrecisionConfig) -> tuple[PrecisionConfig, tuple, tuple, int]:
+    """The one precision both integral routes run at for degree m, and
+    their kernels: cfg with a guard g(m) added to working_digits only,
+    so the target and node depth stay the caller's and both routes
+    share every node table.  g(m) is the larger of two guards:
 
-    The guard added to working_digits is
+    * exp: digits(sum_k |c_k|) - digits(|C_m(1)|) + digits(m) + 5, the
+      cancellation of C_m at q = 1 (u = 0, where the kernel peaks),
+      digits(m) for the error's growth with the degree and 5 to spare
+      (6, 8, 13, 17 at m = 3, 13, 41, 61).  Fixed-point D_m = C_m / q
+      errs by at most (m + sum_k (k-1) |c_k| q^(k-2)) 2^-p at q; weighted
+      by (1 - q)/(L (1 + q)^m) over the integral that is 2.6, 8.3, 12.3
+      and 20.3 digits at m = 13, 41, 61, 101.
+    * asech: 1 + ceil(log10(pi^(m-1) (sum_i (2i + 1) |a_i| + k) / D))
+      for A_m of degree k.  The integral is zeta(m) D / pi^(m-1) with
+      zeta(m) > 1 and every I_n < 1, so pi^(m-1) sum_i |a_i| / D bounds
+      the cancellation, and pi^(m-1) (k + 2 sum_i i |a_i|) / D the
+      fixed-point error of A_m at x = u^2 (rounded, then truncated);
+      one digit covers the other roundings.  2, 5, 13, 18, 28 digits at
+      m = 3, 13, 41, 61, 101: above the exp guard at m = 53, 57, >= 61.
 
-        digits(sum_k |c_k|) - digits(|C_m(1)|) + digits(m) + 5,
-
-    the cancellation of C_m(q) = sum_k c_k q^k at q = 1 (u = 0, where
-    the kernel is largest), plus digits(m) for the error's growth with
-    the degree and 5 to spare: 6, 8, 13 and 17 digits at m = 3, 13, 41
-    and 61.
-
-    D_m = C_m / q is evaluated by Horner's rule in fixed point with
-    p = mp.mp.prec fractional bits.  Truncating q costs at most
-    |D_m'(q)| 2^-p and every later step at most 2^-p, so the absolute
-    error at q is at most (m + sum_k (k-1) |c_k| q^(k-2)) 2^-p.  Weighted
-    by the kernel's (1 - q)/(L (1 + q)^m) and divided by the integral,
-    that is 2.6, 8.3, 12.3 and 20.3 digits at m = 13, 41, 61 and 101,
-    inside the guard for every odd m <= 101 (tests/test_zeta.py); the
-    unweighted bound (m + sum_k (k-1) |c_k|) 2^-p is not.
-
-    Returns cfg with the guard added to working_digits, and the
-    coefficients c_(m-1)..c_1 of D_m, highest first.
+    tests/test_zeta.py checks both for every odd m <= 101.  Returns the
+    precision, D_m's and A_m's coefficients highest first, and D.
     """
-    coeffs = exp_kernel_polynomial(m)
-    guard = _digits(sum(abs(c) for c in coeffs)) - _digits(sum(coeffs)) + _digits(m) + 5
-    return replace(cfg, working_digits=cfg.working_digits + guard), coeffs[:0:-1]
+    exp_coeffs = exp_kernel_polynomial(m)
+    exp_guard = _digits(sum(map(abs, exp_coeffs))) - _digits(sum(exp_coeffs)) + _digits(m) + 5
+    asech_coeffs, denom = asech_kernel_polynomial(m)
+    envelope = sum((2 * i + 1) * abs(a) for i, a in enumerate(asech_coeffs))
+    envelope += len(asech_coeffs) - 1
+    asech_guard = 1 + math.ceil(math.log10(math.pi ** (m - 1) * (envelope / denom)))
+    cfg = replace(cfg, working_digits=cfg.working_digits + max(exp_guard, asech_guard))
+    return cfg, exp_coeffs[:0:-1], asech_coeffs[::-1], denom
 
 
 def zeta_via_exp_kernel(m: int, cfg: PrecisionConfig = DEFAULT_PRECISION) -> mp.mpf:
@@ -203,12 +231,11 @@ def zeta_via_exp_kernel(m: int, cfg: PrecisionConfig = DEFAULT_PRECISION) -> mp.
     integer polynomial C_m of :func:`exp_kernel_polynomial`.  With
     q = e^-u it becomes the integral over (0, 1) of
     -(d / L) D_m(q) / (1 + q)^m, with d = 1 - q, L = ln(1/q) and
-    D_m = C_m / q (exact, since c_0 = 0), taken on the moments' nodes
-    with L from a per-node table: no exponential per node.  The
-    designed-in vanishing of sum_l w_l happens exactly, in C_m's integer
-    coefficients; what is left is Horner's own cancellation, which
-    :func:`_exp_route_setup` adds to the working precision up front
-    (13 digits at m = 41).
+    D_m = C_m / q (exact, since c_0 = 0), with L from a per-node table:
+    no exponential per node.  The designed-in vanishing of sum_l w_l
+    happens exactly, in C_m's integer coefficients; what is left is
+    Horner's own cancellation, which the degree's guard
+    (:func:`_degree_setup`) covers.
 
     Odd m only: for even m the weighted kernel vanishes identically
     (the same cancellation that makes the odd case converge kills the
@@ -216,7 +243,7 @@ def zeta_via_exp_kernel(m: int, cfg: PrecisionConfig = DEFAULT_PRECISION) -> mp.
     """
     if m < 3 or m % 2 == 0:
         raise ValueError(f"degree m must be odd and >= 3, got {m}")
-    cfg, coeffs = _exp_route_setup(m, cfg)
+    cfg, coeffs, _, _ = _degree_setup(m, cfg)
     log_recip = at_nodes(neglog_stable, cfg.eval_digits)
     res = integrate_01_singular(
         lambda q, d: _exp_kernel(q, d, log_recip(q, d), coeffs), cfg
@@ -226,48 +253,21 @@ def zeta_via_exp_kernel(m: int, cfg: PrecisionConfig = DEFAULT_PRECISION) -> mp.
         return front * res.value
 
 
-def _asech_guard(m: int, taus) -> int:
-    """Guard digits for the cancellation in pi^(m-1) sum_j tau_j I_(j-1).
-
-    The sum is zeta(m) > 1, and every I_n lies in (0, 1), so it cancels
-    at most log10(pi^(m-1) sum_j |tau_j|) digits: 0.15, 2.6, 9.6, 14.7
-    and 24.7 at m = 3, 13, 41, 61 and 101.  A loss under one digit
-    counts as none; the rest is rounded up to a multiple of 10, so that
-    nearby degrees share one precision and one set of memoized moments.
-    """
-    total = sum(abs(t) for t in taus)
-    lost = (
-        (m - 1) * math.log10(math.pi)
-        + math.log10(total.numerator)
-        - math.log10(total.denominator)
-    )
-    return 10 * math.ceil(lost / 10) if lost >= 1 else 0
-
-
 def zeta_via_asech_kernel(m: int, cfg: PrecisionConfig = DEFAULT_PRECISION) -> mp.mpf:
-    """zeta(m) from the tau coefficients and the singular moments I_n.
-
-    The sum cancels; the moments are computed to target + g digits and
-    summed at working + g, with g from :func:`_asech_guard`.
-    """
+    """zeta(m) as one integral of pi^(m-1) u T_m(u^2) / asech(u) over
+    (0, 1), the pairing pi^(m-1) sum_j tau(j, m) I_(j-1) summed under the
+    integral sign.  Same nodes, per-node asech table and precision as
+    the exp route; A_m = D T_m by fixed-point Horner, and pi^(m-1) / D
+    applied once, to the result."""
     if m < 3 or m % 2 == 0:
         raise ValueError(f"degree m must be odd and >= 3, got {m}")
-    taus = tau_row(m)
-    guard = _asech_guard(m, taus.values())
-    cfg = replace(
-        cfg,
-        target_digits=cfg.target_digits + guard,
-        working_digits=cfg.working_digits + guard,
+    cfg, _, coeffs, denom = _degree_setup(m, cfg)
+    asech = at_nodes(asech_stable, cfg.eval_digits)
+    res = integrate_01_singular(
+        lambda u, d: u * _horner_fixed(coeffs, u * u) / asech(u, d), cfg
     )
     with mp.workdps(cfg.eval_digits):
-        acc = mp.mpf(0)
-        for j in sorted(taus):
-            t = taus[j]
-            if t == 0:
-                continue
-            moment = integral_In(j - 1, cfg).value
-            acc += mp.mpf(t.numerator) / t.denominator * moment
-        return mp.pi ** (m - 1) * acc
+        return mp.pi ** (m - 1) * res.value / denom
 
 
 @dataclass(frozen=True)

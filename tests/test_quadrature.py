@@ -122,7 +122,7 @@ def _levels_until_two_agree(f, cfg):
         for level in range(quadrature._MAX_LEVELS):
             scale = 1 + abs(sums[-1]) if sums else mp.mpf(1)
             nodes = _ts_level_nodes(eval_dps, depth, level)
-            new, _ = _tail_sum(
+            new, _, _ = _tail_sum(
                 (w * (f(lo, hi) + f(hi, lo)) for lo, hi, w in nodes), eps * scale
             )
             h = mp.mpf(1) / 2**level
@@ -141,7 +141,7 @@ def _moment_one(cfg):
 
 
 def _exp_route_m3(cfg):
-    cfg, coeffs = zeta_mod._exp_route_setup(3, cfg)
+    cfg, coeffs, _, _ = zeta_mod._degree_setup(3, cfg)
     log_recip = at_nodes(neglog_stable, cfg.eval_digits)
     return lambda q, d: zeta_mod._exp_kernel(q, d, log_recip(q, d), coeffs), cfg
 
@@ -197,6 +197,17 @@ class TestStoppingRule:
             err = abs(res.value - mp.mpf(exact.numerator) / exact.denominator)
             bound = res.error_estimate + missing(min(gaps)) + mp.mpf(10) ** -cfg.eval_digits
             assert err <= bound
+
+    def test_stop_does_not_depend_on_scale(self):
+        # the estimate works on the level sums divided by 1 + |T_k|, so a
+        # constant factor on the integrand moves neither the level nor
+        # the node count it stops at
+        cfg = PrecisionConfig(30, 50)
+        stops = set()
+        for scale in (1, 10**10, 10**30):
+            res = integrate_01_singular(lambda u, d: scale * u / asech_stable(u, d), cfg)
+            stops.add((res.levels, res.nodes_used))
+        assert len(stops) == 1
 
     def test_headroom_is_needed(self, monkeypatch):
         # without the headroom the exp route at 15 digits misses the
@@ -317,10 +328,21 @@ class TestMomentIntegrals:
         res = integral_In(1, DEFAULT_PRECISION)
         assert _close(res.value, mp.mpf(I1_REFERENCE), "1e-29")
 
-    def test_memoized(self):
+    def test_repeat_call_is_bit_identical(self):
         a = integral_In(2, DEFAULT_PRECISION)
         b = integral_In(2, DEFAULT_PRECISION)
-        assert a is b
+        assert a == b
+
+    @pytest.mark.parametrize("digits", [30, 100])
+    @pytest.mark.parametrize("n", [1, 5])
+    def test_error_estimate_covers_error(self, n, digits):
+        # the reported estimate adds the outermost summed term times the
+        # step, which covers the mass beyond the outermost node
+        res = integral_In(n, PrecisionConfig(digits, digits + 20))
+        cross, cross_err = integral_In_crosscheck(n, dps=digits + 40)
+        with mp.workdps(digits + 40):
+            assert cross_err < mp.mpf(10) ** -(digits + 20)
+            assert res.error_estimate >= abs(res.value - cross)
 
     def test_two_schemes_agree(self):
         for n in (1, 2, 3):
@@ -339,7 +361,8 @@ class TestMomentIntegrals:
         cfg = PrecisionConfig(target_digits=30, working_digits=50)
         first = integral_In(4, cfg)
         again = integral_In(4, PrecisionConfig(target_digits=30, working_digits=50))
-        assert again is first  # equal configs share the memo slot
+        # equal configs give the same bits, value and diagnostics alike
+        assert again == first
 
     def test_asech_table_matches_direct_integrand(self):
         # integral_In reads asech from a shared per-node table; the plain
@@ -457,15 +480,17 @@ class TestTailRule:
         eps = mp.mpf("1e-10")
         rising = [mp.mpf(10) ** -k for k in range(40, 0, -1)]
         falling = [mp.mpf(10) ** -k for k in range(1, 20)]
-        total, used = _tail_sum(iter(rising + falling), eps)
+        total, used, last = _tail_sum(iter(rising + falling), eps)
         # every rising term is summed; the fall stops 3 terms below eps
         assert used == len(rising) + 12
         assert abs(total - sum(rising + falling[:12])) < mp.mpf("1e-45")
+        assert last == falling[11]
 
     def test_never_peaking_sequence_is_summed_whole(self):
         terms = [mp.mpf(10) ** -30] * 50
-        total, used = _tail_sum(iter(terms), mp.mpf("1e-10"))
+        total, used, last = _tail_sum(iter(terms), mp.mpf("1e-10"))
         assert used == 50
+        assert last == terms[-1]
 
 
 def _half_line_nodes_by_sinh(eval_dps: int, depth: int, level: int):

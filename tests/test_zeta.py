@@ -3,10 +3,20 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import zetaodd.zeta as zeta_mod
 from zetaodd.hyperbolic import tau_row, tau_top
-from zetaodd.quadrature import DEFAULT_PRECISION, PrecisionConfig, integral_In, neglog_stable
+from zetaodd.quadrature import (
+    DEFAULT_PRECISION,
+    PrecisionConfig,
+    _ts_level_nodes,
+    clear_node_caches,
+    integral_In,
+    integral_In_crosscheck,
+    neglog_stable,
+)
 from zetaodd.weights import solve_weights
 from zetaodd.zeta import (
     LinearForm,
@@ -95,6 +105,29 @@ def _fixed_point_error_digits(m, coeffs, n=2000):
     return math.log10(total / n) - log_kernel
 
 
+def _guard(m):
+    cfg, _, _, _ = zeta_mod._degree_setup(m, DEFAULT_PRECISION)
+    return cfg.working_digits - DEFAULT_PRECISION.working_digits
+
+
+def _asech_error_digits(m, moments):
+    """log10 of the asech kernel's error envelope over its integral
+    zeta(m) D / pi^(m-1), with A_m = sum_i a_i x^i and I_n = moments[n]:
+    sum_i |a_i| I_(i+1), the integral of |u A_m(u^2)| / asech(u) that
+    every rounding of the kernel and of the sum scales with, plus the
+    fixed-point Horner error at x = u^2, at most
+    (k + 2 sum_i i |a_i| x^(i-1)) 2^-p for degree k, weighted by
+    u / asech(u) into k I_1 + 2 sum_i i |a_i| I_i."""
+    coeffs, denom = zeta_mod.asech_kernel_polynomial(m)
+    with mp.workdps(20):
+        envelope = sum(abs(a) * moments[i + 1] for i, a in enumerate(coeffs))
+        fixed = (len(coeffs) - 1) * moments[1] + 2 * sum(
+            i * abs(a) * moments[i] for i, a in enumerate(coeffs) if i
+        )
+        integral = mp.zeta(m) * denom / mp.pi ** (m - 1)
+        return float(mp.log10((envelope + fixed) / integral))
+
+
 class TestReference:
     @pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 7, 8, 13, 41])
     def test_matches_library(self, m):
@@ -163,7 +196,7 @@ class TestIntegralRoutes:
         # Horner's rounding envelope sum |c_k| q^(k-1) plus the
         # fixed-point bound (m + sum (k-1) |c_k|) 2^-prec, both times
         # (d/L)/(1+q)^m.
-        cfg, coeffs = zeta_mod._exp_route_setup(m, DEFAULT_PRECISION)
+        cfg, coeffs, _, _ = zeta_mod._degree_setup(m, DEFAULT_PRECISION)
         eval_dps = cfg.eval_digits
         c = zeta_mod.exp_kernel_polynomial(m)
         abs_coeffs = [abs(x) for x in reversed(c[1:])]
@@ -194,8 +227,7 @@ class TestIntegralRoutes:
         # kernel's weight and divided by the integral itself it must stay
         # below the guard, for every admitted degree
         for m in range(3, 102, 2):
-            cfg, _ = zeta_mod._exp_route_setup(m, DEFAULT_PRECISION)
-            guard = cfg.working_digits - DEFAULT_PRECISION.working_digits
+            guard = _guard(m)
             coeffs = zeta_mod.exp_kernel_polynomial(m)
             assert guard >= _fixed_point_error_digits(m, coeffs), m
 
@@ -204,8 +236,7 @@ class TestIntegralRoutes:
         # sum |c_k| q^k / |C_m(q)| is unbounded; the guard must cover the
         # envelope's rise over the kernel's own peak
         for m in range(3, 62, 2):
-            cfg, _ = zeta_mod._exp_route_setup(m, DEFAULT_PRECISION)
-            guard = cfg.working_digits - DEFAULT_PRECISION.working_digits
+            guard = _guard(m)
             coeffs = zeta_mod.exp_kernel_polynomial(m)
             assert guard >= _envelope_condition_digits(m, coeffs), m
 
@@ -219,14 +250,49 @@ class TestIntegralRoutes:
             want = mp.zeta(m)
             assert abs(got - want) <= mp.mpf(10) ** -digits * want
 
-    def test_asech_guard_rounds_loss_up_to_tens(self):
-        # pi^(m-1) sum |tau_j| is 0.15, 0.62, 1.1, 2.6, 9.6, 10.1, 14.7
-        # and 24.7 digits at these degrees
-        got = {
-            m: zeta_mod._asech_guard(m, tau_row(m).values())
-            for m in (3, 5, 7, 13, 41, 43, 61, 101)
-        }
-        assert got == {3: 0, 5: 0, 7: 10, 13: 10, 41: 10, 43: 20, 61: 20, 101: 30}
+    def test_guard_covers_asech_kernel(self):
+        # the one guard per degree must cover the asech kernel's
+        # cancellation and fixed-point Horner error, with the moments
+        # taken from the second scheme
+        moments = {n: integral_In_crosscheck(n, dps=15)[0] for n in range(1, 52)}
+        for m in range(3, 102, 2):
+            assert _guard(m) >= _asech_error_digits(m, moments), m
+
+    def test_asech_kernel_polynomial(self):
+        # tau(2, 3) = 1/7; tau(2, 5) = -1/93 and tau(3, 5) = 1/31
+        assert zeta_mod.asech_kernel_polynomial(3) == ((1,), 7)
+        assert zeta_mod.asech_kernel_polynomial(5) == ((-1, 3), 93)
+        for m in (3, 13, 41):
+            coeffs, denom = zeta_mod.asech_kernel_polynomial(m)
+            taus = tau_row(m)
+            assert [Fraction(a, denom) for a in coeffs] == [taus[j] for j in sorted(taus)]
+            assert math.gcd(denom, *coeffs) == 1
+
+    @pytest.mark.parametrize("m, digits", [(3, 100), (13, 100), (41, 30), (101, 30)])
+    def test_asech_kernel_matches_moment_sum(self, m, digits):
+        # the collapsed kernel against the paper's pairing, summed moment
+        # by moment, each moment 30 digits past the target to absorb the
+        # pairing's cancellation (24.7 digits at m = 101).  The route
+        # keeps the caller's node depth, so it misses the mass beyond the
+        # outermost node, about 0.4 m sqrt(2) 10^-(target + 3.5) relative
+        got = zeta_via_asech_kernel(m, PrecisionConfig(digits, digits + 20))
+        oracle_cfg = PrecisionConfig(digits + 30, digits + 50)
+        with mp.workdps(oracle_cfg.eval_digits):
+            want = mp.pi ** (m - 1) * sum(
+                mp.mpf(t.numerator) / t.denominator * integral_In(j - 1, oracle_cfg).value
+                for j, t in tau_row(m).items()
+            )
+            assert abs(got - want) <= m * mp.mpf(10) ** -(digits + 3) * want
+
+    @settings(max_examples=12, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(digits=st.integers(15, 80), m=st.integers(1, 30).map(lambda k: 2 * k + 1))
+    def test_precision_contract(self, digits, m):
+        cfg = PrecisionConfig(target_digits=digits, working_digits=digits + 20)
+        for route in (zeta_via_exp_kernel, zeta_via_asech_kernel):
+            got = route(m, cfg)
+            with mp.workdps(digits + 30):
+                want = mp.zeta(m)
+                assert abs(got - want) <= mp.mpf(10) ** -digits * want, route.__name__
 
     @pytest.mark.parametrize("m", [2, 4, 1, 0])
     def test_exp_kernel_domain(self, m):
@@ -258,6 +324,15 @@ class TestZetaReport:
         rep = zeta_report(m, PrecisionConfig(target_digits=30, working_digits=50))
         assert rep.passed
         assert rep.max_abs_diff < mp.mpf(10) ** -30
+
+    @pytest.mark.parametrize("m, digits", [(3, 100), (13, 100), (41, 30)])
+    def test_routes_share_one_node_build(self, m, digits):
+        # both routes run at the degree's one precision and the caller's
+        # depth, so each node level (7 of them here) is built once
+        clear_node_caches()
+        before = _ts_level_nodes.cache_info().misses
+        zeta_report(m, PrecisionConfig(target_digits=digits, working_digits=digits + 20))
+        assert _ts_level_nodes.cache_info().misses - before == 7
 
     def test_impossible_tolerance_fails_cleanly(self):
         rep = zeta_report(3, DEFAULT_PRECISION, tolerance=mp.mpf("1e-80"))
