@@ -34,7 +34,7 @@ from .bernoulli import gen_bernoulli
 from .exact import format_rational
 from .hyperbolic import tau_row
 from .quadrature import NonConvergenceError, PrecisionConfig, integral_In
-from .verify import CHECKS, format_result, run_checks
+from .verify import format_result, run_checks
 from .weights import solve_weights
 from .zeta import (
     dimension_scan,
@@ -107,7 +107,7 @@ def _require_odd(m: int, command: str) -> None:
 # -- command handlers ------------------------------------------------------
 
 def _cmd_weights(args: argparse.Namespace) -> int:
-    _require(args.m is not None and args.m >= 1, "weights requires --m >= 1")
+    _require(args.m >= 1, "weights requires --m >= 1")
     _require_at_most("weights", "--m", args.m, MAX_WEIGHTS_M)
     wv = solve_weights(args.m)
     if args.format == "json":
@@ -184,7 +184,7 @@ def _cmd_bernoulli(args: argparse.Namespace) -> int:
 
 
 def _cmd_tau(args: argparse.Namespace) -> int:
-    _require(args.m is not None and args.m >= 3, "tau requires --m >= 3")
+    _require(args.m >= 3, "tau requires --m >= 3")
     _require_at_most("tau", "--m", args.m, MAX_WEIGHTS_M)
     _require_odd(args.m, "tau")
     items = sorted(tau_row(args.m).items())
@@ -202,7 +202,7 @@ def _cmd_tau(args: argparse.Namespace) -> int:
 
 
 def _cmd_integral(args: argparse.Namespace) -> int:
-    _require(args.n is not None and args.n >= 1, "integral requires --n >= 1")
+    _require(args.n >= 1, "integral requires --n >= 1")
     _require_at_most("integral", "--n", args.n, MAX_INTEGRAL_N)
     result = integral_In(args.n, _precision(args.digits))
     value = _decimal(result.value, args.digits)
@@ -231,7 +231,7 @@ def _cmd_integral(args: argparse.Namespace) -> int:
 
 
 def _cmd_zeta(args: argparse.Namespace) -> int:
-    _require(args.m is not None and args.m >= 3, "zeta requires --m >= 3")
+    _require(args.m >= 3, "zeta requires --m >= 3")
     _require_at_most("zeta", "--m", args.m, MAX_ZETA_M)
     _require_odd(args.m, "zeta")
     precision = _precision(args.digits)
@@ -276,7 +276,7 @@ def _cmd_zeta(args: argparse.Namespace) -> int:
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:
-    _require(args.n_max is not None and args.n_max >= 1, "scan requires --to >= 1")
+    _require(args.n_max >= 1, "scan requires --to >= 1")
     _require_at_most("scan", "--to", args.n_max, MAX_SCAN_N)
     report = dimension_scan(args.n_max)
     if args.format == "json":
@@ -313,7 +313,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
 
 
 def _cmd_linform(args: argparse.Namespace) -> int:
-    _require(args.n is not None and args.n >= 1, "linform requires --n >= 1")
+    _require(args.n >= 1, "linform requires --n >= 1")
     _require_at_most("linform", "--n", args.n, MAX_FORM_N)
     form = linear_form(args.n)
     if args.format == "json":
@@ -346,10 +346,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             raise UsageError(
                 f"--suite must be 'all' or comma-separated check ids, got {args.suite!r}"
             ) from None
-        known = {c[0] for c in CHECKS}
-        bad = sorted(set(ids) - known)
-        if bad:
-            raise UsageError(f"unknown check ids: {bad}")
 
     def report(result):
         if args.format == "text":
@@ -357,7 +353,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         else:
             print(format_result(result), file=sys.stderr)
 
-    results = run_checks(ids, reporter=report)
+    try:
+        results = run_checks(ids, reporter=report)
+    except ValueError as exc:  # unknown ids, raised before any check runs
+        raise UsageError(str(exc)) from None
     all_ok = all(r.ok for r in results)
     if args.format == "json":
         _emit_json(

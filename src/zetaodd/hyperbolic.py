@@ -88,21 +88,30 @@ def partial_fraction_residual(l: int, u) -> mp.mpf:
     return abs(direct - expanded)
 
 
+def _tau_coefficients(m: int) -> list[ExactRational]:
+    """[tau(1, m), ..., tau((m+1)/2, m)], the one tau formula: one weight
+    solve, its integer weights mixed against q in integer arithmetic."""
+    if m < 3 or m % 2 == 0:
+        raise ValueError(f"degree m must be odd and >= 3, got {m}")
+    weights = solve_weights(m).weights
+    if any(w.denominator != 1 for w in weights):
+        raise ArithmeticError(f"a weight of degree {m} is not an integer")
+    w = [x.numerator for x in weights]
+    front = -Fraction(2 ** (m - 1), factorial(m - 1) * (2**m - 1))
+    return [
+        front / 4 ** (j - 1) * sum(w[l - 1] * q_coeff(j, l) for l in range(2 * j - 1, m + 1))
+        for j in range(1, _ceil_half(m) + 1)
+    ]
+
+
 def tau(j: int, m: int) -> ExactRational:
-    """Rational coefficient tau(j, m) for odd m >= 3 and 1 <= j <= (m+1)/2."""
+    """Rational coefficient tau(j, m) for odd m >= 3 and 1 <= j <= (m+1)/2,
+    one entry of a whole row (one weight solve per call)."""
     if m < 3 or m % 2 == 0:
         raise ValueError(f"degree m must be odd and >= 3, got {m}")
     if not 1 <= j <= _ceil_half(m):
-        raise ValueError(
-            f"index j must be in 1..{_ceil_half(m)} for m={m}, got {j}"
-        )
-    wv = solve_weights(m)
-    mix = sum(
-        (wv.weight(l) * q_coeff(j, l) for l in range(2 * j - 1, m + 1)),
-        Fraction(0),
-    )
-    front = -Fraction(2 ** (m - 1), factorial(m - 1) * (2**m - 1))
-    return front * mix / Fraction(4 ** (j - 1))
+        raise ValueError(f"index j must be in 1..{_ceil_half(m)} for m={m}, got {j}")
+    return _tau_coefficients(m)[j - 1]
 
 
 def tau_top(n: int) -> ExactRational:
@@ -139,7 +148,6 @@ def tau_top(n: int) -> ExactRational:
 
 
 def tau_row(m: int) -> dict[int, ExactRational]:
-    """{j: tau(j, m)} for the quadrature-relevant range 2 <= j <= (m+1)/2."""
-    if m < 3 or m % 2 == 0:
-        raise ValueError(f"degree m must be odd and >= 3, got {m}")
-    return {j: tau(j, m) for j in range(2, _ceil_half(m) + 1)}
+    """{j: tau(j, m)} for the quadrature-relevant range 2 <= j <= (m+1)/2,
+    from one weight solve."""
+    return dict(enumerate(_tau_coefficients(m)[1:], start=2))

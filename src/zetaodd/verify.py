@@ -9,8 +9,8 @@ a single home.
 
 The checks deliberately re-derive their expected values through routes
 that are as independent as the package allows: frozen integer tables,
-integer closed forms and the paper's own q recursion for the exact
-layer, the Dirichlet-series
+integer closed forms, and the paper's q recursion and weight solve
+where a closed form is on the production path, the Dirichlet-series
 oracle for anything touching quadrature, ``mpmath.quad`` for the
 zeta(3) kernel (check 5), and a second quadrature scheme for the
 singular moments.
@@ -263,11 +263,12 @@ def _check_dimension_scan() -> tuple[bool, str]:
 
 # -- 11 --------------------------------------------------------------------
 #
-# The weights and C_m are checked against integer recurrences: no
-# Bernoulli number or triangular solve goes into the expected values.
-# q_coeff and tau_top return closed forms, so for them the direction
-# flips: the expected values are the paper's q recursion and the general
-# tau(n+1, 2n+1) through the weight solve.
+# The weights are checked against the Stirling recurrence: no Bernoulli
+# number or triangular solve goes into the expected values.  q_coeff,
+# tau_top and exp_kernel_polynomial return closed forms, so for them the
+# direction flips: the expected values are the paper's q recursion, the
+# general tau(n+1, 2n+1) and C_m by a Horner pass over the weights, all
+# three through the weight solve.
 
 def _stirling2_rows(m_max: int) -> list[list[int]]:
     """rows[m][l] = S(m, l), Stirling numbers of the second kind."""
@@ -278,13 +279,14 @@ def _stirling2_rows(m_max: int) -> list[list[int]]:
     return rows
 
 
-def _eulerian_rows(n_max: int) -> list[list[int]]:
-    """rows[n][k] = A(n, k), Eulerian numbers: A_n(t) = sum_k A(n, k) t^k."""
-    rows = [[1]]
-    for n in range(1, n_max + 1):
-        prev = rows[-1] + [0]  # prev[-1] is this padding 0 when k = 0
-        rows.append([(k + 1) * prev[k] + (n - k) * prev[k - 1] for k in range(n)])
-    return rows
+def _kernel_by_weights(weights) -> tuple:
+    """C_m(q) = sum_l w_l (1 + q + ... + q^(l-1)) (1 + q)^(m-l) by a Horner
+    pass in (1 + q): step l multiplies the running polynomial by (1 + q)
+    and adds w_l (1 + q + ... + q^(l-1))."""
+    coeffs: list = []
+    for w in weights:
+        coeffs = [a + b + w for a, b in zip(coeffs + [0], [0] + coeffs)]
+    return tuple(coeffs)
 
 
 def _q_recursion_row(l: int) -> list[int]:
@@ -301,12 +303,13 @@ def _q_recursion_row(l: int) -> list[int]:
 
 def _check_integer_closed_forms() -> tuple[bool, str]:
     stirling = _stirling2_rows(61)
+    weights = {m: solve_weights(m).weights for m in range(1, 62)}
     for m in range(1, 62):
         expected = tuple(
             Fraction((-1) ** (m // 2 + l) * factorial(l - 1) * stirling[m][l])
             for l in range(1, m + 1)
         )
-        if solve_weights(m).weights != expected:
+        if weights[m] != expected:
             return False, f"weights differ from (-1)^(m//2+l) (l-1)! S(m,l) at m={m}"
     for l in range(1, 120):
         for j, expected in enumerate(_q_recursion_row(l), start=1):
@@ -315,23 +318,16 @@ def _check_integer_closed_forms() -> tuple[bool, str]:
     for n in range(1, 21):
         if tau_top(n) != tau(n + 1, 2 * n + 1):
             return False, f"tau_top({n}) != tau({n + 1},{2 * n + 1}) by the weight solve"
-    eulerian = _eulerian_rows(60)
     for m in range(3, 62, 2):
-        c = exp_kernel_polynomial(m)
-        lhs = [a - b for a, b in zip(c + (0,), (0,) + c)]  # (1 - q) C_m(q)
-        sign = (-1) ** ((m - 1) // 2)
-        rhs = [0] + [sign * 2 * (-1) ** k * a for k, a in enumerate(eulerian[m - 1])]
-        rhs += [0] * (len(lhs) - len(rhs))
-        for k, (got, want) in enumerate(zip(lhs, rhs)):
-            if got != want:
-                return False, (
-                    f"(1-q) C_m(q) != (-1)^((m-1)/2) 2q A_(m-1)(-q) at m={m}, q^{k}"
-                )
+        want = _kernel_by_weights(weights[m])
+        for k, (got, c) in enumerate(zip(exp_kernel_polynomial(m), want, strict=True)):
+            if got != c:
+                return False, f"Eulerian C_m != Horner over the weights at m={m}, q^{k}"
     return True, (
         "w = (-1)^(m//2+l) (l-1)! S(m,l) for m<=61; "
         "q(j,l) = (-1)^(j-1) C(l-j,j-1) == recursion for l<=119; "
         "tau_top(n) = 1/(2^(2n+1)-1) == general tau for n<=20; "
-        "(1-q) C_m(q) = (-1)^((m-1)/2) 2q A_(m-1)(-q) for odd m<=61"
+        "Eulerian C_m == Horner over the weights for odd m<=61"
     )
 
 

@@ -8,8 +8,8 @@ Routes to zeta(m):
   can serve as an independent oracle for the other two routes.
 * :func:`zeta_via_exp_kernel` collapses the degree-m weight system
   into a single integrand on (0, infinity), whose numerator is one
-  exact integer polynomial per degree (:func:`exp_kernel_polynomial`),
-  and integrates it in q = e^-u on the tanh-sinh nodes of (0, 1).
+  integer polynomial per degree, built from Eulerian numbers
+  (:func:`exp_kernel_polynomial`), and integrates it in q = e^-u.
 * :func:`zeta_via_asech_kernel` (odd m only) pairs the exact tau
   coefficients with the singular moment integrals I_n on (0, 1):
 
@@ -29,14 +29,16 @@ those equal 1/(2^(2n+1) - 1) for every n (proof in
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import lru_cache
 
 import mpmath as mp
 
 from .exact import ExactRational, factorial
-from .hyperbolic import tau, tau_row, tau_top
+from .hyperbolic import tau_row, tau_top
 from .quadrature import (
     DEFAULT_PRECISION,
     PrecisionConfig,
@@ -46,7 +48,6 @@ from .quadrature import (
     integrate_01_singular,
     neglog_stable,
 )
-from .weights import solve_weights
 
 __all__ = [
     "zeta_reference",
@@ -134,23 +135,21 @@ def zeta3_exp_integral(cfg: PrecisionConfig = DEFAULT_PRECISION) -> mp.mpf:
 def exp_kernel_polynomial(m: int) -> tuple[int, ...]:
     """Integer coefficients c_0..c_(m-1) of the exp kernel's numerator
 
-        C_m(q) = sum_l w_l (1 + q + ... + q^(l-1)) (1 + q)^(m-l),
+        C_m(q) = sum_l w_l (1 + q + ... + q^(l-1)) (1 + q)^(m-l)
 
-    built by a Horner pass in (1 + q) over the weights of
-    :func:`~zetaodd.weights.solve_weights`: step l multiplies the
-    running polynomial by (1 + q) and adds w_l (1 + q + ... + q^(l-1)).
-    The weights are integers ((-1)^(m//2+l) (l-1)! S(m, l), verify
-    check 11), so every step is exact.  c_0 = c_(m-1) = sum_l w_l = 0
-    for m >= 2.  For odd m, (1 - q) C_m(q) = (-1)^((m-1)/2) 2q A_(m-1)(-q)
-    with A_n the Eulerian polynomial; check 11 compares the two.
+    for odd m >= 3, from the Eulerian numbers A(m-1, k)
+    (https://oeis.org/A008292): (1 - q) C_m(q) = (-1)^((m-1)/2) 2q
+    A_(m-1)(-q), so C_m is a running sum, exact since A_(m-1)(-1) = 0.
+    No weight goes in; verify check 11 and the tests compare C_m with
+    the Horner pass in (1 + q) over the weights.  c_0 = c_(m-1) = 0.
     """
-    coeffs: list[int] = []
-    for w in solve_weights(m).weights:
-        if w.denominator != 1:
-            raise ArithmeticError(f"weight {w} of degree {m} is not an integer")
-        w = w.numerator
-        coeffs = [a + b + w for a, b in zip(coeffs + [0], [0] + coeffs)]
-    return tuple(coeffs)
+    if m < 3 or m % 2 == 0:
+        raise ValueError(f"degree m must be odd and >= 3, got {m}")
+    row = [1]  # A(n, k) = (k+1) A(n-1, k) + (n-k) A(n-1, k-1), from A_1
+    for n in range(2, m):
+        row = [(k + 1) * a + (n - k) * b for k, (a, b) in enumerate(zip(row + [0], [0] + row))]
+    sign = 2 * (-1) ** ((m - 1) // 2)
+    return tuple(itertools.accumulate([0] + [sign * (-1) ** k * a for k, a in enumerate(row)]))
 
 
 def asech_kernel_polynomial(m: int) -> tuple[tuple[int, ...], int]:
@@ -211,15 +210,25 @@ def _degree_setup(m: int, cfg: PrecisionConfig) -> tuple[PrecisionConfig, tuple,
 
     tests/test_zeta.py checks both for every odd m <= 101.  Returns the
     precision, D_m's and A_m's coefficients highest first, and D.
+
+    Guard and kernels depend on m alone: a one-entry memo builds them
+    once per degree in a :func:`zeta_report`.  ``--method exp`` builds
+    the tau row too, since the shared guard keeps one set of node tables.
     """
+    guard, exp_coeffs, asech_coeffs, denom = _degree_kernels(m)
+    cfg = replace(cfg, working_digits=cfg.working_digits + guard)
+    return cfg, exp_coeffs, asech_coeffs, denom
+
+
+@lru_cache(maxsize=1)
+def _degree_kernels(m: int) -> tuple[int, tuple, tuple, int]:
     exp_coeffs = exp_kernel_polynomial(m)
     exp_guard = _digits(sum(map(abs, exp_coeffs))) - _digits(sum(exp_coeffs)) + _digits(m) + 5
     asech_coeffs, denom = asech_kernel_polynomial(m)
     envelope = sum((2 * i + 1) * abs(a) for i, a in enumerate(asech_coeffs))
     envelope += len(asech_coeffs) - 1
     asech_guard = 1 + math.ceil(math.log10(math.pi ** (m - 1) * (envelope / denom)))
-    cfg = replace(cfg, working_digits=cfg.working_digits + max(exp_guard, asech_guard))
-    return cfg, exp_coeffs[:0:-1], asech_coeffs[::-1], denom
+    return max(exp_guard, asech_guard), exp_coeffs[:0:-1], asech_coeffs[::-1], denom
 
 
 def zeta_via_exp_kernel(m: int, cfg: PrecisionConfig = DEFAULT_PRECISION) -> mp.mpf:
@@ -380,9 +389,7 @@ def linear_form(n: int) -> LinearForm:
     """Exact telescoping combination ending at the single moment I_n."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    t_rows = [
-        [tau(j + 1, 2 * k + 1) for j in range(1, k + 1)] for k in range(1, n + 1)
-    ]
+    t_rows = [list(tau_row(2 * k + 1).values()) for k in range(1, n + 1)]
     thetas, theta_next = _solve_telescoping(t_rows)
     return LinearForm(n, tuple(thetas), theta_next)
 

@@ -259,9 +259,11 @@ class TestVerify:
         assert "over budget; exact match at m = 3, 5, 7" in out
 
     def test_unknown_id(self, capsys):
-        rc, _, err = run(capsys, "verify", "--suite", "99")
+        # rejected before any check runs, so nothing reaches stdout
+        rc, out, err = run(capsys, "verify", "--suite", "1,99,0")
         assert rc == 2
-        assert "unknown check ids" in err
+        assert out == ""
+        assert err == "usage error: unknown check ids: [0, 99]\n"
 
     def test_malformed_suite(self, capsys):
         rc, _, err = run(capsys, "verify", "--suite", "1;2")

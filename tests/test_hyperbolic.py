@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import mpmath as mp
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import zetaodd.hyperbolic as hyperbolic
 from zetaodd.hyperbolic import (
     partial_fraction_residual,
     q_coeff,
@@ -118,3 +120,16 @@ class TestTau:
         row = tau_row(11)
         assert sorted(row) == [2, 3, 4, 5, 6]
         assert row[6] == tau(6, 11)
+
+    def test_non_integer_weight_is_rejected(self, monkeypatch):
+        real = hyperbolic.solve_weights
+
+        def fractional(m):
+            wv = real(m)
+            return replace(wv, weights=(wv.weights[0] + Fraction(1, 2),) + wv.weights[1:])
+
+        monkeypatch.setattr(hyperbolic, "solve_weights", fractional)
+        with pytest.raises(ArithmeticError, match="not an integer"):
+            tau_row(5)
+        with pytest.raises(ArithmeticError, match="not an integer"):
+            tau(1, 5)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import zetaodd.cli
 import zetaodd.zeta as zeta_mod
 from zetaodd.hyperbolic import tau_row, tau_top
 from zetaodd.quadrature import (
@@ -17,6 +18,7 @@ from zetaodd.quadrature import (
     integral_In_crosscheck,
     neglog_stable,
 )
+from zetaodd.verify import _kernel_by_weights
 from zetaodd.weights import solve_weights
 from zetaodd.zeta import (
     LinearForm,
@@ -294,6 +296,20 @@ class TestIntegralRoutes:
                 want = mp.zeta(m)
                 assert abs(got - want) <= mp.mpf(10) ** -digits * want, route.__name__
 
+    @pytest.mark.parametrize("m", [2, 4, 100, 1, 0, -3])
+    def test_exp_kernel_polynomial_domain(self, m):
+        with pytest.raises(ValueError):
+            zeta_mod.exp_kernel_polynomial(m)
+
+    @pytest.mark.slow
+    def test_eulerian_kernel_matches_weights_beyond_check_11(self):
+        # verify check 11 covers odd m <= 61; the Eulerian C_m must equal
+        # the Horner pass over the triangular solve's weights up to the
+        # largest degree the CLI admits
+        for m in range(63, 102, 2):
+            want = _kernel_by_weights(solve_weights(m).weights)
+            assert zeta_mod.exp_kernel_polynomial(m) == want, m
+
     @pytest.mark.parametrize("m", [2, 4, 1, 0])
     def test_exp_kernel_domain(self, m):
         with pytest.raises(ValueError):
@@ -447,3 +463,50 @@ class TestMomentSequence:
     def test_domain(self):
         with pytest.raises(ValueError):
             in_sequence_report(0)
+
+
+class TestOneSolvePerDegree:
+    """Each degree's weights are solved once per call that needs them:
+    one tau row reads one solve, and a zeta_report builds both kernels
+    once.  Every zetaodd module that holds solve_weights is wrapped."""
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        real = zetaodd.weights.solve_weights
+        calls = []
+
+        def counted(m):
+            calls.append(m)
+            return real(m)
+
+        for module in (zetaodd, zetaodd.weights, zetaodd.hyperbolic, zetaodd.zeta,
+                       zetaodd.verify, zetaodd.cli):
+            if getattr(module, "solve_weights", None) is real:
+                monkeypatch.setattr(module, "solve_weights", counted)
+        zeta_mod._degree_kernels.cache_clear()
+        return calls
+
+    @pytest.mark.parametrize(
+        "route", [zeta_report, zeta_via_exp_kernel, zeta_via_asech_kernel],
+        ids=lambda f: f.__name__,
+    )
+    def test_zeta_routes(self, solves, route):
+        route(13, DEFAULT_PRECISION)
+        assert solves == [13]
+
+    def test_report_after_route_reuses_the_degree(self, solves):
+        zeta_via_exp_kernel(7, DEFAULT_PRECISION)
+        zeta_report(7, DEFAULT_PRECISION)
+        assert solves == [7]
+
+    def test_tau_row(self, solves):
+        tau_row(41)
+        assert solves == [41]
+
+    def test_linear_form(self, solves):
+        linear_form(8)
+        assert sorted(solves) == [3, 5, 7, 9, 11, 13, 15, 17]
+
+    def test_degree_memo_holds_one_degree(self):
+        assert zeta_mod._degree_kernels.cache_info().maxsize == 1
+        assert not hasattr(solve_weights, "cache_info")
