@@ -35,6 +35,8 @@ __all__ = [
     "series_oracle",
 ]
 
+_MEMO_ENTRIES = 101 * 102 // 2  # every B(n, l) solve_weights(101) reads, the CLI's largest
+
 
 def _validate_indices(n: int, l: int) -> None:
     if n < 0:
@@ -43,7 +45,7 @@ def _validate_indices(n: int, l: int) -> None:
         raise ValueError(f"order l must be >= 1, got {l}")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_MEMO_ENTRIES)
 def gen_bernoulli(n: int, l: int) -> ExactRational:
     """B(n, l) by closed-form double sum.
 

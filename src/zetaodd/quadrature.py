@@ -4,9 +4,10 @@
 tanh-sinh change of variable by halving the step, and stops once an
 extrapolated error estimate clears the target (see Stopping rule).  It
 is built for integrands with an inverse-square-root blowup at u = 1
-and anything milder at u = 0 (a logarithm, an inverse square root).  Integrals over (0, infinity) come here too, through
-q = e^-u: the exp-kernel route of :mod:`zetaodd.zeta` integrates in q,
-reading ln(1/q) from a per-node table (:func:`neglog_stable`).
+and anything milder at u = 0 (a logarithm, an inverse square root).
+Integrals over (0, infinity) come here too, through q = e^-u: the
+exp-kernel route of :mod:`zetaodd.zeta` integrates in q, reading
+ln(1/q) from the node table.
 
 It is not a general-purpose integrator: the tail rule assumes the
 transformed terms rise to a peak and then fall monotonically, which
@@ -36,12 +37,16 @@ adds, to the estimate times 1 + |T_k|, the outermost summed term times
 the step: the mass beyond the outermost node, which no level difference
 sees and the node depth, not refinement, sets.
 
-Complement-aware integrands.  Nodes come in pairs (u_minus, u_plus)
-with u_minus + u_plus = 1, both computed from q = exp(-2 sinh-scale)
-without any 1 - x subtraction.  The integrand is called as f(u, 1 - u)
-with the complement taken from the other member of the pair, so it never
-re-derives 1 - u, and deep nodes whose u_plus rounds to exactly 1 still
-carry their exact, nonzero complement.
+Integrand contract.  Nodes come in pairs (u_minus, u_plus) with
+u_minus + u_plus = 1, both computed from 2s = pi sinh t and
+q = exp(-2s) without any 1 - x subtraction.  The integrand is called as
+f(u, 1 - u, ln(1/u), asech(u)), with the complement taken from the
+other member of the pair, so it never re-derives 1 - u, and deep nodes
+whose u_plus rounds to exactly 1 still carry their exact, nonzero
+complement.  ln(1/u) (the exp route's ln(1/q)) and asech(u) are
+computed once per node from q and 2s (:func:`_ts_level_nodes`);
+:func:`neglog_stable` and :func:`asech_stable` are the tests' oracles
+for them.
 
 One precision, separate depth.  Arithmetic runs at
 PrecisionConfig.eval_digits: working_digits rounded up to a multiple of
@@ -49,7 +54,9 @@ PrecisionConfig.eval_digits: working_digits rounded up to a multiple of
 set apart from it: the outermost nodes reach 1 - u ~ 10^-(2 target + 7),
 because the truncated mass of a 1/sqrt(1 - u) singularity is the square
 root of the gap (about 10^-(target + 3.5) there) and deep mpf exponents
-cost nothing.  Node tables are keyed by (eval precision, depth, level).
+cost nothing.  Node tables are keyed by (eval precision, depth, level),
+and at most _NODE_TABLES_KEPT levels are held at once, so a session
+that sweeps precisions keeps bounded state.
 
 Tail rule.  Each level sums its terms outward from the centre and stops
 after _TAIL_RUN consecutive terms at or below 10^-(eval_digits + 5)
@@ -73,17 +80,16 @@ __all__ = [
     "NonConvergenceError",
     "asech_stable",
     "neglog_stable",
-    "at_nodes",
     "integrate_01_singular",
     "integral_In",
     "integral_In_crosscheck",
-    "clear_node_caches",
 ]
 
 _TAIL_EPS_SHIFT = 5   # tail cutoff sits 10^-5 below eval precision
 _TAIL_RUN = 3         # consecutive negligible terms before truncating
 _STOP_HEADROOM = 10   # the error estimate must clear the target by 10^-10
 _MAX_LEVELS = 12      # step-halving refinements before NonConvergenceError
+_NODE_TABLES_KEPT = 32  # node levels memoized; a zeta_report sweep of m <= 41 builds 13
 
 
 @dataclass(frozen=True)
@@ -162,6 +168,8 @@ def asech_stable(u, d=None) -> mp.mpf:
     Identical to the textbook ln((1 + sqrt(1-u^2))/u) in exact
     arithmetic.  Pass the exact complement ``d`` when it is known (the
     integrator's node pairs carry it); otherwise it is formed as 1 - u.
+    Off the production path: the node tables carry asech(u) for the
+    integrands, and this is the tests' oracle for them.
     """
     u = mp.mpf(u)
     d = 1 - u if d is None else mp.mpf(d)
@@ -175,7 +183,8 @@ def neglog_stable(q, d=None) -> mp.mpf:
     """ln(1/q) on (0, 1], accurate at both ends: -log1p(-d) with
     d = 1 - q when d < 1/2, -log(q) otherwise.  This is the half-line
     abscissa u of the node q = e^-u.  As for :func:`asech_stable`, pass
-    the exact complement ``d`` when it is known."""
+    the exact complement ``d`` when it is known; and as it, this is the
+    tests' oracle for the ln(1/u) the node tables carry."""
     q = mp.mpf(q)
     d = 1 - q if d is None else mp.mpf(d)
     if not (0 < q <= 1 and d >= 0):
@@ -188,20 +197,26 @@ def neglog_stable(q, d=None) -> mp.mpf:
 # Keyed by (eval_dps, depth, level).  Level 0 holds t = 1 .. t_max step 1
 # (the t = 0 centre node is handled by the caller); level k >= 1 holds the
 # odd multiples of 2^-k in (0, t_max].  All node data is derived from
-# q = exp(-2s) so no subtraction ever forms the boundary gap.
+# q = exp(-2s) and 2s itself, so no subtraction ever forms the boundary gap.
 
 def _node_depth(cfg: PrecisionConfig) -> int:
     """Digits of the smallest boundary gap 1 - u the nodes reach."""
     return 2 * cfg.target_digits + 7
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_NODE_TABLES_KEPT)
 def _ts_level_nodes(eval_dps: int, depth: int, level: int):
-    """Tanh-sinh nodes new at this level: tuples (u_minus, u_plus, w),
-    with u_minus = q/(1+q) ~ 10^-depth at the outermost node.  With
-    s = (pi/2) sinh t and q = exp(-2s): u_plus = 1/(1+q),
+    """Tanh-sinh nodes new at this level: tuples (minus, plus, w), each
+    member of the pair the integrand's arguments (u, 1 - u, ln(1/u),
+    asech(u)), with u_minus = q/(1+q) ~ 10^-depth at the outermost node.
+
+    With 2s = pi sinh t and q = exp(-2s): u_plus = 1/(1+q),
     u_minus = q u_plus and w = pi cosh(t) q u_plus^2; sinh t and cosh t
-    both come from one exp(t)."""
+    both come from one exp(t).  The transcendentals follow from q and 2s
+    without a cancelling subtraction: ln(1/u_plus) = log1p(q),
+    ln(1/u_minus) = 2s + log1p(q), asech(u_plus) = log1p(q + sqrt(q (2+q)))
+    and asech(u_minus) = 2s + ln(1 + q + sqrt(1 + 2q)).
+    """
     with mp.workdps(eval_dps):
         t_max = mp.asinh(depth * mp.log(10) / mp.pi)  # where q = 10^-depth
         h = mp.mpf(1) / 2**level
@@ -213,47 +228,19 @@ def _ts_level_nodes(eval_dps: int, depth: int, level: int):
         while t <= t_max:
             e_t = mp.exp(t)
             e_neg = 1 / e_t
-            q = mp.exp(-half_pi * (e_t - e_neg))
+            two_s = half_pi * (e_t - e_neg)
+            q = mp.exp(-two_s)
             u_plus = 1 / (1 + q)
             u_minus = q * u_plus
             w = half_pi * (e_t + e_neg) * u_minus * u_plus
-            out.append((u_minus, u_plus, w))
+            log_plus = mp.log1p(q)
+            minus = (u_minus, u_plus, two_s + log_plus,
+                     two_s + mp.log(1 + q + mp.sqrt(1 + 2 * q)))
+            plus = (u_plus, u_minus, log_plus, mp.log1p(q + mp.sqrt(q * (2 + q))))
+            out.append((minus, plus, w))
             k += step
             t = k * h
         return tuple(out)
-
-
-# Per-node values shared by every integrand at one eval precision (asech
-# for the moments and the asech route, ln(1/q) for the exp route), filled
-# lazily.  They are keyed by the node pair (u, 1 - u): at eval precision
-# the deep u_plus values round to exactly 1, so u alone would collide.
-_AT_NODES: dict[tuple[object, int], dict[tuple[mp.mpf, mp.mpf], mp.mpf]] = {}
-
-
-def at_nodes(fn, eval_dps: int):
-    """fn(u, d), memoized per node pair in a table for this precision.
-
-    ``fn`` must be a pure function of (u, d) at the given precision, such
-    as :func:`asech_stable`; every caller at that precision shares the
-    table, so each value is computed once per node.
-    """
-    table = _AT_NODES.setdefault((fn, eval_dps), {})
-
-    def cached(u, d):
-        key = (u, d)
-        value = table.get(key)
-        if value is None:
-            value = table[key] = fn(u, d)
-        return value
-
-    return cached
-
-
-def clear_node_caches() -> None:
-    """Drop memoized node tables (they are pure functions of precision,
-    depth and level) and the per-node values."""
-    _ts_level_nodes.cache_clear()
-    _AT_NODES.clear()
 
 
 def _tail_sum(terms, eps) -> tuple[mp.mpf, int, mp.mpf]:
@@ -299,13 +286,15 @@ def _error_estimate(sums, eval_dps: int) -> mp.mpf:
 
 
 def integrate_01_singular(f, cfg: PrecisionConfig = DEFAULT_PRECISION) -> QuadratureResult:
-    """Tanh-sinh integral over (0, 1) of the integrand f(u, 1 - u).
+    """Tanh-sinh integral over (0, 1) of the integrand f(u, 1 - u, ...).
 
-    f is called at strictly interior nodes only, as f(u, d) with d the
-    exact complement 1 - u taken from the node pair, never re-derived;
-    u may round to 1 at the deepest nodes, d never rounds to 0.  Runs
-    at ``cfg.eval_digits``; see the module docstring for the accuracy
-    model.
+    f is called at strictly interior nodes only, as
+    f(u, d, log_recip, asech) with d the exact complement 1 - u taken
+    from the node pair, never re-derived, log_recip = ln(1/u) and
+    asech = asech(u), both carried by the node table; an integrand reads
+    the arguments it needs.  u may round to 1 at the deepest nodes, d
+    never rounds to 0.  Runs at ``cfg.eval_digits``; see the module
+    docstring for the accuracy model.
     """
     eval_dps = cfg.eval_digits
     depth = _node_depth(cfg)
@@ -313,6 +302,7 @@ def integrate_01_singular(f, cfg: PrecisionConfig = DEFAULT_PRECISION) -> Quadra
         tol = mp.mpf(10) ** (-(cfg.target_digits + _STOP_HEADROOM))
         base_eps = mp.mpf(10) ** (-(eval_dps + _TAIL_EPS_SHIFT))
         half = mp.mpf(1) / 2
+        centre = (half, half, mp.log(2), mp.log(2 + mp.sqrt(3)))
         sums = []  # the last three level sums, oldest first
         err = mp.inf
         used = 0
@@ -320,12 +310,12 @@ def integrate_01_singular(f, cfg: PrecisionConfig = DEFAULT_PRECISION) -> Quadra
             scale = 1 + abs(sums[-1]) if sums else mp.mpf(1)
             nodes = _ts_level_nodes(eval_dps, depth, level)
             new, count, outermost = _tail_sum(
-                (w * (f(lo, hi) + f(hi, lo)) for lo, hi, w in nodes), base_eps * scale
+                (w * (f(*lo) + f(*hi)) for lo, hi, w in nodes), base_eps * scale
             )
             used += 2 * count
             h = mp.mpf(1) / 2**level
             if level == 0:
-                sums.append(h * (mp.pi / 4 * f(half, half) + new))
+                sums.append(h * (mp.pi / 4 * f(*centre) + new))
                 used += 1
                 continue
             current = sums[-1] / 2 + h * new
@@ -349,17 +339,15 @@ def integral_In(n: int, cfg: PrecisionConfig = DEFAULT_PRECISION) -> QuadratureR
 
     The integrand vanishes at u = 0 (for n >= 1) and blows up like
     (2 (1-u))^(-1/2) at u = 1, the exact singularity class the
-    tanh-sinh integrator is tuned for.  asech comes from the per-node
-    table shared by all moments at the same eval precision
-    (:func:`at_nodes`); the values are the ones asech_stable returns,
-    so results do not depend on which moments ran first.  Moments are
-    not memoized: every call integrates, and the zeta routes take none.
+    tanh-sinh integrator is tuned for.  asech(u) is the one the node
+    table carries, so every moment at one precision divides by the same
+    values.  Moments are not memoized: every call integrates, and the
+    zeta routes take none.
     """
     if n < 1:
         raise ValueError(f"moment index n must be >= 1, got {n}")
     e = 2 * n - 1
-    asech = at_nodes(asech_stable, cfg.eval_digits)
-    return integrate_01_singular(lambda u, d: u**e / asech(u, d), cfg)
+    return integrate_01_singular(lambda u, d, _, asech: u**e / asech, cfg)
 
 
 def integral_In_crosscheck(n: int, dps: int = 40) -> tuple[mp.mpf, mp.mpf]:

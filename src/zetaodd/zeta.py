@@ -18,6 +18,16 @@ Routes to zeta(m):
   summed under the integral sign into one integer polynomial per
   degree (:func:`asech_kernel_polynomial`).
 
+What agreement between routes 2 and 3 tests (verify check 6, and the
+2-vs-3 difference in :func:`zeta_report`): two exact pipelines, C_m
+from Eulerian numbers against the tau row from Bernoulli numbers and
+the weight solve, and two node sets, the same tanh-sinh nodes read as
+q and as u, whose transcendentals ln(1/q) and asech(u) come from one
+node generator.  It does not test two analytic representations: with
+u = sech(v) and q = e^(-2v) the two integrands, constants included,
+are one integrand in v (checked numerically at m = 3, 5, 13, 41, not
+proved here).  Only route 1 is independent of the quadrature.
+
 The exact side of the same pairing is :func:`linear_form`: for each n
 it back-solves the triangular tau array so that a rational combination
 of zeta(3)/pi^2, zeta(5)/pi^4, ..., zeta(2n+1)/pi^2n telescopes to
@@ -42,11 +52,8 @@ from .hyperbolic import tau_row, tau_top
 from .quadrature import (
     DEFAULT_PRECISION,
     PrecisionConfig,
-    asech_stable,
-    at_nodes,
     integral_In,
     integrate_01_singular,
-    neglog_stable,
 )
 
 __all__ = [
@@ -240,8 +247,8 @@ def zeta_via_exp_kernel(m: int, cfg: PrecisionConfig = DEFAULT_PRECISION) -> mp.
     integer polynomial C_m of :func:`exp_kernel_polynomial`.  With
     q = e^-u it becomes the integral over (0, 1) of
     -(d / L) D_m(q) / (1 + q)^m, with d = 1 - q, L = ln(1/q) and
-    D_m = C_m / q (exact, since c_0 = 0), with L from a per-node table:
-    no exponential per node.  The designed-in vanishing of sum_l w_l
+    D_m = C_m / q (exact, since c_0 = 0), with L carried by the node
+    table: no exponential or logarithm per integrand call.  The designed-in vanishing of sum_l w_l
     happens exactly, in C_m's integer coefficients; what is left is
     Horner's own cancellation, which the degree's guard
     (:func:`_degree_setup`) covers.
@@ -253,9 +260,8 @@ def zeta_via_exp_kernel(m: int, cfg: PrecisionConfig = DEFAULT_PRECISION) -> mp.
     if m < 3 or m % 2 == 0:
         raise ValueError(f"degree m must be odd and >= 3, got {m}")
     cfg, coeffs, _, _ = _degree_setup(m, cfg)
-    log_recip = at_nodes(neglog_stable, cfg.eval_digits)
     res = integrate_01_singular(
-        lambda q, d: _exp_kernel(q, d, log_recip(q, d), coeffs), cfg
+        lambda q, d, log_recip, _: _exp_kernel(q, d, log_recip, coeffs), cfg
     )
     with mp.workdps(cfg.eval_digits):
         front = (2 * mp.pi) ** (m - 1) / ((2**m - 1) * factorial(m - 1))
@@ -265,15 +271,14 @@ def zeta_via_exp_kernel(m: int, cfg: PrecisionConfig = DEFAULT_PRECISION) -> mp.
 def zeta_via_asech_kernel(m: int, cfg: PrecisionConfig = DEFAULT_PRECISION) -> mp.mpf:
     """zeta(m) as one integral of pi^(m-1) u T_m(u^2) / asech(u) over
     (0, 1), the pairing pi^(m-1) sum_j tau(j, m) I_(j-1) summed under the
-    integral sign.  Same nodes, per-node asech table and precision as
-    the exp route; A_m = D T_m by fixed-point Horner, and pi^(m-1) / D
-    applied once, to the result."""
+    integral sign.  Same nodes and precision as the exp route, with
+    asech(u) carried by the node table; A_m = D T_m by fixed-point
+    Horner, and pi^(m-1) / D applied once, to the result."""
     if m < 3 or m % 2 == 0:
         raise ValueError(f"degree m must be odd and >= 3, got {m}")
     cfg, _, coeffs, denom = _degree_setup(m, cfg)
-    asech = at_nodes(asech_stable, cfg.eval_digits)
     res = integrate_01_singular(
-        lambda u, d: u * _horner_fixed(coeffs, u * u) / asech(u, d), cfg
+        lambda u, d, _, asech: u * _horner_fixed(coeffs, u * u) / asech, cfg
     )
     with mp.workdps(cfg.eval_digits):
         return mp.pi ** (m - 1) * res.value / denom

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zetaodd.bernoulli import gen_bernoulli, gen_bernoulli_poly, series_oracle
+from zetaodd.cli import MAX_WEIGHTS_M
 
 # classical Bernoulli numbers, the l = 1 column
 CLASSICAL = [
@@ -41,6 +42,13 @@ class TestClosedForm:
             gen_bernoulli(-1, 1)
         with pytest.raises(ValueError):
             gen_bernoulli(0, 0)
+
+    def test_memo_is_bounded_above_the_largest_weight_solve(self):
+        # the memo is bounded, yet holds all m (m + 1) / 2 entries that
+        # solve_weights(m) reads at the CLI's largest degree (5151 at 101)
+        maxsize = gen_bernoulli.cache_info().maxsize
+        assert maxsize is not None
+        assert maxsize >= MAX_WEIGHTS_M * (MAX_WEIGHTS_M + 1) // 2
 
 
 class TestSeriesOracle:

@@ -14,8 +14,6 @@ from zetaodd.quadrature import (
     _tail_sum,
     _ts_level_nodes,
     asech_stable,
-    at_nodes,
-    clear_node_caches,
     integral_In,
     integral_In_crosscheck,
     integrate_01_singular,
@@ -42,8 +40,9 @@ def _close(a, b, eps):
 
 def _half_line(g, cfg):
     """The integral of g over (0, infinity), as the exp route takes it:
-    substitute q = e^-u and integrate g(ln(1/q)) / q over (0, 1)."""
-    return integrate_01_singular(lambda q, d: g(neglog_stable(q, d)) / q, cfg)
+    substitute q = e^-u and integrate g(ln(1/q)) / q over (0, 1), with
+    ln(1/q) from the node table."""
+    return integrate_01_singular(lambda q, d, log_recip, _: g(log_recip) / q, cfg)
 
 
 class TestPrecisionConfig:
@@ -73,36 +72,36 @@ class TestPrecisionConfig:
 
 class TestUnitInterval:
     def test_polynomial(self):
-        res = integrate_01_singular(lambda u, d: u, QUICK)
+        res = integrate_01_singular(lambda u, d, *_: u, QUICK)
         assert _close(res.value, mp.mpf(1) / 2, "1e-20")
         assert res.nodes_used > 0
         assert res.levels >= 2
 
     def test_inverse_sqrt_right_endpoint(self):
-        res = integrate_01_singular(lambda u, d: 1 / mp.sqrt(d), QUICK)
+        res = integrate_01_singular(lambda u, d, *_: 1 / mp.sqrt(d), QUICK)
         assert _close(res.value, 2, "1e-19")
 
     def test_inverse_sqrt_left_endpoint(self):
-        res = integrate_01_singular(lambda u, d: 1 / mp.sqrt(u), QUICK)
+        res = integrate_01_singular(lambda u, d, *_: 1 / mp.sqrt(u), QUICK)
         assert _close(res.value, 2, "1e-19")
 
     def test_beta_both_endpoints(self):
-        res = integrate_01_singular(lambda u, d: mp.sqrt(u / d), QUICK)
+        res = integrate_01_singular(lambda u, d, *_: mp.sqrt(u / d), QUICK)
         assert _close(res.value, mp.pi / 2, "1e-19")
 
     def test_log_singularity(self):
-        res = integrate_01_singular(lambda u, d: mp.log(u), QUICK)
+        res = integrate_01_singular(lambda u, d, *_: mp.log(u), QUICK)
         assert _close(res.value, -1, "1e-19")
 
     def test_divergent_integrand_raises(self, monkeypatch):
         monkeypatch.setattr(quadrature, "_MAX_LEVELS", 4)
         small = PrecisionConfig(target_digits=15, working_digits=30)
         with pytest.raises(NonConvergenceError) as exc:
-            integrate_01_singular(lambda u, d: 1 / d, small)
+            integrate_01_singular(lambda u, d, *_: 1 / d, small)
         assert exc.value.best_value is not None
 
     def test_error_estimate_is_honest(self):
-        res = integrate_01_singular(lambda u, d: 1 / mp.sqrt(d), DEFAULT_PRECISION)
+        res = integrate_01_singular(lambda u, d, *_: 1 / mp.sqrt(d), DEFAULT_PRECISION)
         assert _close(res.value, 2, res.error_estimate + mp.mpf("1e-30"))
 
 
@@ -118,16 +117,17 @@ def _levels_until_two_agree(f, cfg):
         tol = mp.mpf(10) ** (-cfg.target_digits)
         eps = mp.mpf(10) ** (-(eval_dps + _TAIL_EPS_SHIFT))
         half = mp.mpf(1) / 2
+        centre = (half, half, mp.log(2), mp.log(2 + mp.sqrt(3)))
         sums = []
         for level in range(quadrature._MAX_LEVELS):
             scale = 1 + abs(sums[-1]) if sums else mp.mpf(1)
             nodes = _ts_level_nodes(eval_dps, depth, level)
             new, _, _ = _tail_sum(
-                (w * (f(lo, hi) + f(hi, lo)) for lo, hi, w in nodes), eps * scale
+                (w * (f(*lo) + f(*hi)) for lo, hi, w in nodes), eps * scale
             )
             h = mp.mpf(1) / 2**level
             if level == 0:
-                sums.append(h * (mp.pi / 4 * f(half, half) + new))
+                sums.append(h * (mp.pi / 4 * f(*centre) + new))
                 continue
             sums.append(sums[-1] / 2 + h * new)
             if abs(sums[-1] - sums[-2]) <= tol * (1 + abs(sums[-1])):
@@ -136,14 +136,12 @@ def _levels_until_two_agree(f, cfg):
 
 
 def _moment_one(cfg):
-    asech = at_nodes(asech_stable, cfg.eval_digits)
-    return lambda u, d: u / asech(u, d), cfg
+    return lambda u, d, _, asech: u / asech, cfg
 
 
 def _exp_route_m3(cfg):
     cfg, coeffs, _, _ = zeta_mod._degree_setup(3, cfg)
-    log_recip = at_nodes(neglog_stable, cfg.eval_digits)
-    return lambda q, d: zeta_mod._exp_kernel(q, d, log_recip(q, d), coeffs), cfg
+    return lambda q, d, log_recip, _: zeta_mod._exp_kernel(q, d, log_recip, coeffs), cfg
 
 
 class TestStoppingRule:
@@ -188,7 +186,7 @@ class TestStoppingRule:
         cfg = PrecisionConfig(target, target + 20)
         gaps = []
 
-        def seen(u, d):
+        def seen(u, d, *_):
             gaps.append(d)
             return f(u, d)
 
@@ -205,7 +203,7 @@ class TestStoppingRule:
         cfg = PrecisionConfig(30, 50)
         stops = set()
         for scale in (1, 10**10, 10**30):
-            res = integrate_01_singular(lambda u, d: scale * u / asech_stable(u, d), cfg)
+            res = integrate_01_singular(lambda u, d, _, asech: scale * u / asech, cfg)
             stops.add((res.levels, res.nodes_used))
         assert len(stops) == 1
 
@@ -245,7 +243,7 @@ class TestHalfLine:
 
     def test_runs_at_eval_digits(self):
         cfg = PrecisionConfig(target_digits=20, working_digits=33)
-        clear_node_caches()
+        _ts_level_nodes.cache_clear()
         _half_line(lambda u: mp.exp(-u), cfg)
         built = _ts_level_nodes.cache_info().currsize
         assert built >= 2
@@ -365,24 +363,29 @@ class TestMomentIntegrals:
         assert again == first
 
     def test_asech_table_matches_direct_integrand(self):
-        # integral_In reads asech from a shared per-node table; the plain
-        # integrand f(u, 1 - u) must give the same bits, with warm and
-        # with cold tables, and two precisions in one session must not
-        # share values
+        # integral_In divides by the asech(u) the node table carries: an
+        # integrand reading that column gives the same bits, and the
+        # column agrees with asech_stable at every node, within
+        # 10^(2 - dps) relative.  Warm and cold tables, and two
+        # precisions in one session, so a table shared across
+        # precisions fails.
         configs = [PrecisionConfig(d, d + 20) for d in (30, 100)]
         for _ in range(2):
             for cfg in configs:
                 for n in range(1, 7):
-                    e = 2 * n - 1
-                    got = integral_In(n, cfg)
-                    want = integrate_01_singular(
-                        lambda u, d, e=e: u**e / asech_stable(u, d), cfg
-                    )
-                    assert got.value == want.value
-                    assert got.error_estimate == want.error_estimate
-                    assert got.nodes_used == want.nodes_used
-                    assert got.levels == want.levels
-            clear_node_caches()
+                    seen = []
+
+                    def f(u, d, _, asech, e=2 * n - 1):
+                        seen.append((u, d, asech))
+                        return u**e / asech
+
+                    assert integral_In(n, cfg) == integrate_01_singular(f, cfg)
+                    with mp.workdps(cfg.eval_digits):
+                        tol = mp.mpf(10) ** (2 - cfg.eval_digits)
+                        for u, d, asech in seen:
+                            want = asech_stable(u, d)
+                            assert abs(asech - want) <= tol * want
+            _ts_level_nodes.cache_clear()
 
     @pytest.mark.parametrize("digits", [15, 30, 100])
     @pytest.mark.parametrize("n", [140, 180, 400])
@@ -402,7 +405,7 @@ class TestMomentIntegrals:
 
     def test_cache_reset_reproduces_bit_identical_value(self):
         first = integral_In(1, QUICK)
-        clear_node_caches()
+        _ts_level_nodes.cache_clear()
         second = integral_In(1, QUICK)
         assert second is not first
         assert second.value == first.value
@@ -413,15 +416,17 @@ class TestNodeTables:
     # depth 87 reaches past 45 digits, so the deepest u_plus round to 1
     def test_unit_interval_nodes_strictly_interior(self):
         for level in (0, 1, 3):
-            for u_minus, u_plus, w in _ts_level_nodes(45, 87, level):
-                assert 0 < u_minus < u_plus <= 1
+            for minus, plus, w in _ts_level_nodes(45, 87, level):
+                assert 0 < minus[0] < plus[0] <= 1
                 assert w > 0
 
     def test_unit_interval_nodes_are_mirror_pairs(self):
+        # each member's complement is the other member
         with mp.workdps(45):
             eps = mp.mpf("1e-43")
-            for u_minus, u_plus, _ in _ts_level_nodes(45, 87, 1):
-                assert abs((u_minus + u_plus) - 1) < eps
+            for minus, plus, _ in _ts_level_nodes(45, 87, 1):
+                assert minus[:2] == plus[1::-1]
+                assert abs((minus[0] + plus[0]) - 1) < eps
 
     def test_depth_only_extends_the_range(self):
         # a deeper table holds the shallower one as its prefix, and no
@@ -432,47 +437,57 @@ class TestNodeTables:
             assert deep[: len(shallow)] == shallow
             assert len(deep) > len(shallow)
             for depth, nodes in ((47, shallow), (87, deep)):
-                assert min(um for um, _, _ in nodes) >= mp.mpf(10) ** -depth
+                assert min(minus[0] for minus, _, _ in nodes) >= mp.mpf(10) ** -depth
 
     def test_half_line_nodes_positive_and_split(self):
         # read as half-line nodes u = ln(1/q), the minus side lies beyond
         # ln 2 and the plus side below it, all positive
         with mp.workdps(45):
-            for u_minus, u_plus, _ in _ts_level_nodes(45, 87, 0):
-                assert neglog_stable(u_minus, u_plus) > mp.ln2
-                assert 0 < neglog_stable(u_plus, u_minus) < mp.ln2
+            for minus, plus, _ in _ts_level_nodes(45, 87, 0):
+                assert minus[2] > mp.ln2
+                assert 0 < plus[2] < mp.ln2
 
     def test_refinement_levels_are_disjoint(self):
         level0 = _ts_level_nodes(45, 87, 0)
         level1 = _ts_level_nodes(45, 87, 1)
-        coarse = {(um, up) for um, up, _ in level0}
-        fine = {(um, up) for um, up, _ in level1}
+        coarse = {(minus[0], plus[0]) for minus, plus, _ in level0}
+        fine = {(minus[0], plus[0]) for minus, plus, _ in level1}
         assert coarse and fine
         assert not coarse & fine
 
     def test_deep_nodes_pass_exact_complements(self):
         # at 70 digits and depth 127 the deepest u_plus round to exactly 1;
         # the integrand must still see distinct nonzero 1 - u, and the
-        # per-node tables must keep one entry per node pair
+        # carried ln(1/u) and asech(u) must match the oracles built from
+        # that complement, within 10^(2 - dps) relative, at every node
         cfg = PrecisionConfig(60, 70)
         seen = []
 
-        def f(u, d):
-            seen.append((u, d))
+        def f(u, d, log_recip, asech):
+            seen.append((u, d, log_recip, asech))
             return 1 / mp.sqrt(d)
 
-        clear_node_caches()
         integrate_01_singular(f, cfg)
-        deep = [(u, d) for u, d in seen if u == 1]
+        deep = [node for node in seen if node[0] == 1]
         assert len(deep) >= 10
-        assert all(d > 0 for _, d in deep)
-        assert len({d for _, d in deep}) == len(deep)
-        for fn in (asech_stable, neglog_stable):
-            table = at_nodes(fn, cfg.eval_digits)
-            with mp.workdps(cfg.eval_digits):
-                values = [table(u, d) for u, d in deep]
-                assert values == [fn(u, d) for u, d in deep]
-            assert len(set(values)) == len(deep)
+        assert all(node[1] > 0 for node in deep)
+        for column in (1, 2, 3):
+            assert len({node[column] for node in deep}) == len(deep)
+        with mp.workdps(cfg.eval_digits):
+            tol = mp.mpf(10) ** (2 - cfg.eval_digits)
+            for u, d, log_recip, asech in seen:
+                for got, want in ((log_recip, neglog_stable(u, d)), (asech, asech_stable(u, d))):
+                    assert abs(got - want) <= tol * want
+
+    def test_node_state_is_bounded(self):
+        # a session that sweeps precisions (hypothesis, zeta_sweep) must
+        # not keep every node table it ever built
+        maxsize = _ts_level_nodes.cache_info().maxsize
+        assert maxsize is not None
+        for target in range(1, maxsize + 2):
+            cfg = PrecisionConfig(target, target + 10)
+            integrate_01_singular(lambda u, d, *_: u, cfg)
+        assert _ts_level_nodes.cache_info().currsize <= maxsize
 
 
 class TestTailRule:
@@ -496,8 +511,11 @@ class TestTailRule:
 def _half_line_nodes_by_sinh(eval_dps: int, depth: int, level: int):
     """The nodes from textbook formulas, each quantity on its own, with
     s = (pi/2) sinh t: u_minus = e^-s / (2 cosh s),
-    w = pi cosh(t) / (4 cosh(s)^2), and the half-line abscissae
-    ln(1/u_minus) = 2s + log1p(e^-2s), ln(1/u_plus) = log1p(e^-2s)."""
+    w = pi cosh(t) / (4 cosh(s)^2), the half-line abscissae
+    ln(1/u_minus) = 2s + log1p(e^-2s), ln(1/u_plus) = log1p(e^-2s), and
+    asech(u) = acosh(1/u) with 1/u_minus = 1 + e^2s and
+    1/u_plus = 1 + e^-2s, taken at depth more digits so that 1 + e^-2s
+    does not round to 1."""
     with mp.workdps(eval_dps):
         t_max = mp.asinh(depth * mp.log(10) / mp.pi)
         h = mp.mpf(1) / 2**level
@@ -508,11 +526,17 @@ def _half_line_nodes_by_sinh(eval_dps: int, depth: int, level: int):
         while t <= t_max:
             s = mp.pi * mp.sinh(t) / 2
             tail = mp.log1p(mp.exp(-2 * s))
+            with mp.workdps(eval_dps + depth):
+                s_wide = mp.pi * mp.sinh(t) / 2
+                asech_minus = mp.acosh(1 + mp.exp(2 * s_wide))
+                asech_plus = mp.acosh(1 + mp.exp(-2 * s_wide))
             out.append((
                 mp.exp(-s) / (2 * mp.cosh(s)),
                 mp.pi * mp.cosh(t) / (4 * mp.cosh(s) ** 2),
                 2 * s + tail,
                 tail,
+                +asech_minus,
+                +asech_plus,
             ))
             k += step
             t = k * h
@@ -520,10 +544,11 @@ def _half_line_nodes_by_sinh(eval_dps: int, depth: int, level: int):
 
 
 class TestHalfLineNodes:
-    """The (0, 1) nodes read as half-line nodes u = ln(1/q): the
-    abscissae the exp route evaluates its kernel at."""
+    """The (0, 1) nodes read as half-line nodes u = ln(1/q), the
+    abscissae the exp route evaluates its kernel at, and the asech(u)
+    the moments and the asech route divide by."""
 
-    @pytest.mark.parametrize("dps", [45, 212])
+    @pytest.mark.parametrize("dps", [45, 212, 330])
     @pytest.mark.parametrize("level", [0, 1, 2, 3])
     def test_match_sinh_cosh_formulas(self, dps, level):
         depth = 2 * dps
@@ -532,18 +557,19 @@ class TestHalfLineNodes:
         assert len(got) == len(want)
         with mp.workdps(dps):
             tol = mp.mpf(10) ** (3 - dps)
-            for (um, up, w), (um_ref, w_ref, x_minus, x_plus) in zip(got, want):
-                assert abs(um - um_ref) <= tol * um_ref
+            for (minus, plus, w), ref in zip(got, want):
+                um_ref, w_ref, x_minus, x_plus, a_minus, a_plus = ref
+                assert abs(minus[0] - um_ref) <= tol * um_ref
                 assert abs(w - w_ref) <= tol * w_ref
-                assert abs(neglog_stable(um, up) - x_minus) <= tol * x_minus
-                assert abs(neglog_stable(up, um) - x_plus) <= tol * x_plus
+                assert abs(minus[2] - x_minus) <= tol * x_minus
+                assert abs(plus[2] - x_plus) <= tol * x_plus
+                assert abs(minus[3] - a_minus) <= tol * a_minus
+                assert abs(plus[3] - a_plus) <= tol * a_plus
 
     @pytest.mark.parametrize("dps", [45, 212])
     def test_sides_are_complements_at_shared_t(self, dps):
         # e^-x on the two sides of one t adds up to 1
         with mp.workdps(dps):
             tol = mp.mpf(10) ** (1 - dps)
-            for um, up, _ in _ts_level_nodes(dps, dps, 2):
-                x_minus = neglog_stable(um, up)
-                x_plus = neglog_stable(up, um)
-                assert abs(mp.exp(-x_minus) + mp.exp(-x_plus) - 1) <= tol
+            for minus, plus, _ in _ts_level_nodes(dps, dps, 2):
+                assert abs(mp.exp(-minus[2]) + mp.exp(-plus[2]) - 1) <= tol

@@ -13,7 +13,6 @@ from zetaodd.quadrature import (
     DEFAULT_PRECISION,
     PrecisionConfig,
     _ts_level_nodes,
-    clear_node_caches,
     integral_In,
     integral_In_crosscheck,
     neglog_stable,
@@ -345,7 +344,7 @@ class TestZetaReport:
     def test_routes_share_one_node_build(self, m, digits):
         # both routes run at the degree's one precision and the caller's
         # depth, so each node level (7 of them here) is built once
-        clear_node_caches()
+        _ts_level_nodes.cache_clear()
         before = _ts_level_nodes.cache_info().misses
         zeta_report(m, PrecisionConfig(target_digits=digits, working_digits=digits + 20))
         assert _ts_level_nodes.cache_info().misses - before == 7
