@@ -2,15 +2,16 @@
 representations of the Riemann zeta function at odd integers.
 
 The exact layer (generalized Bernoulli numbers, weight vectors, tau
-coefficients, telescoping linear forms) runs entirely in rational
-arithmetic; the numeric layer evaluates the associated singular
-integrals with double-exponential quadrature and cross-checks every
-route against an independent series oracle.
+coefficients, telescoping linear forms) runs entirely in integer and
+:class:`fractions.Fraction` arithmetic: nothing rounds until a value is
+explicitly handed to mpmath for evaluation.  The numeric layer
+evaluates the associated singular integrals with double-exponential
+quadrature and cross-checks every route against an independent series
+oracle.
 """
 
 from .bernoulli import gen_bernoulli, gen_bernoulli_poly, series_oracle
-from .exact import ExactRational, binomial, factorial, format_rational
-from .hyperbolic import partial_fraction_residual, q_coeff, tau, tau_row, tau_top
+from .hyperbolic import partial_fraction_residual, q_coeff, tau_row, tau_top
 from .quadrature import (
     DEFAULT_PRECISION,
     NonConvergenceError,
@@ -51,11 +52,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    # exact scalars
-    "ExactRational",
-    "binomial",
-    "factorial",
-    "format_rational",
     # generalized Bernoulli numbers
     "gen_bernoulli",
     "gen_bernoulli_poly",
@@ -70,7 +66,6 @@ __all__ = [
     # hyperbolic partial fractions
     "q_coeff",
     "partial_fraction_residual",
-    "tau",
     "tau_top",
     "tau_row",
     # quadrature

@@ -24,10 +24,9 @@ there.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
-
-from .exact import ExactRational, binomial, factorial
 
 __all__ = [
     "gen_bernoulli",
@@ -46,7 +45,7 @@ def _validate_indices(n: int, l: int) -> None:
 
 
 @lru_cache(maxsize=_MEMO_ENTRIES)
-def gen_bernoulli(n: int, l: int) -> ExactRational:
+def gen_bernoulli(n: int, l: int) -> Fraction:
     """B(n, l) by closed-form double sum.
 
     The sum is accumulated as a single integer over the common
@@ -54,28 +53,28 @@ def gen_bernoulli(n: int, l: int) -> ExactRational:
     every k <= n, and it avoids one Fraction normalization per term.
     """
     _validate_indices(n, l)
-    common = factorial(2 * n)
+    common = math.factorial(2 * n)
     acc = 0
     for k in range(n + 1):
         # inner alternating power sum; 0**0 == 1 covers the k = 0 term
         inner = sum(
-            (-1) ** j * binomial(k, j) * j ** (n + k) for j in range(k + 1)
+            (-1) ** j * math.comb(k, j) * j ** (n + k) for j in range(k + 1)
         )
         acc += (
-            binomial(l + n, n - k)
-            * binomial(l + k - 1, k)
-            * (common // factorial(n + k))
+            math.comb(l + n, n - k)
+            * math.comb(l + k - 1, k)
+            * (common // math.factorial(n + k))
             * inner
         )
-    return Fraction(acc * factorial(n), common)
+    return Fraction(acc * math.factorial(n), common)
 
 
-def gen_bernoulli_poly(n: int, l: int, x: ExactRational | int) -> ExactRational:
+def gen_bernoulli_poly(n: int, l: int, x: Fraction | int) -> Fraction:
     """Generalized Bernoulli polynomial sum_k C(n, k) B(k, l) x^(n-k)."""
     _validate_indices(n, l)
     xf = Fraction(x)
     return sum(
-        (binomial(n, k) * gen_bernoulli(k, l) * xf ** (n - k) for k in range(n + 1)),
+        (math.comb(n, k) * gen_bernoulli(k, l) * xf ** (n - k) for k in range(n + 1)),
         Fraction(0),
     )
 
@@ -121,7 +120,7 @@ def _series_pow(c: list[Fraction], e: int, n_max: int) -> list[Fraction]:
     return result
 
 
-def series_oracle(l: int, max_n: int) -> list[ExactRational]:
+def series_oracle(l: int, max_n: int) -> list[Fraction]:
     """[B(0, l), ..., B(max_n, l)] straight from the defining series.
 
     Builds (e^z - 1)/z to order max_n, inverts it, raises the inverse to
@@ -129,7 +128,7 @@ def series_oracle(l: int, max_n: int) -> list[ExactRational]:
     Independent of :func:`gen_bernoulli` in every intermediate step.
     """
     _validate_indices(max_n, l)
-    c = [Fraction(1, factorial(i + 1)) for i in range(max_n + 1)]
+    c = [Fraction(1, math.factorial(i + 1)) for i in range(max_n + 1)]
     g = _series_inv(c, max_n)
     h = _series_pow(g, l, max_n)
-    return [h[i] * factorial(i) for i in range(max_n + 1)]
+    return [h[i] * math.factorial(i) for i in range(max_n + 1)]

@@ -31,7 +31,6 @@ import sys
 import mpmath as mp
 
 from .bernoulli import gen_bernoulli
-from .exact import format_rational
 from .hyperbolic import tau_row
 from .quadrature import NonConvergenceError, PrecisionConfig, integral_In
 from .verify import format_result, run_checks
@@ -114,20 +113,20 @@ def _cmd_weights(args: argparse.Namespace) -> int:
         _emit_json(
             {
                 "m": wv.m,
-                "s_m": format_rational(wv.s_m),
-                "weights": [format_rational(w) for w in wv.weights],
+                "s_m": str(wv.s_m),
+                "weights": [str(w) for w in wv.weights],
             }
         )
     elif args.format == "csv":
         _emit_csv(
             ["l", "weight"],
-            [[l, format_rational(w)] for l, w in enumerate(wv.weights, start=1)],
+            [[l, str(w)] for l, w in enumerate(wv.weights, start=1)],
         )
     else:
         _emit(f"m = {wv.m}")
-        _emit(f"s_m = {format_rational(wv.s_m)}")
+        _emit(f"s_m = {wv.s_m}")
         for l, w in enumerate(wv.weights, start=1):
-            _emit(f"w_{l} = {format_rational(w)}")
+            _emit(f"w_{l} = {w}")
     return 0
 
 
@@ -146,11 +145,11 @@ def _cmd_bernoulli(args: argparse.Namespace) -> int:
         _require_at_most("bernoulli", "--l", args.l, MAX_BERNOULLI_N)
         value = gen_bernoulli(args.n, args.l)
         if args.format == "json":
-            _emit_json({"n": args.n, "l": args.l, "value": format_rational(value)})
+            _emit_json({"n": args.n, "l": args.l, "value": str(value)})
         elif args.format == "csv":
-            _emit_csv(["n", "l", "value"], [[args.n, args.l, format_rational(value)]])
+            _emit_csv(["n", "l", "value"], [[args.n, args.l, str(value)]])
         else:
-            _emit(f"B({args.n}, {args.l}) = {format_rational(value)}")
+            _emit(f"B({args.n}, {args.l}) = {value}")
         return 0
     _require(args.max_n >= 0, "--max-n must be >= 0")
     _require(args.max_l >= 1, "--max-l must be >= 1")
@@ -167,7 +166,7 @@ def _cmd_bernoulli(args: argparse.Namespace) -> int:
                 "max_n": args.max_n,
                 "max_l": args.max_l,
                 "entries": [
-                    {"n": n, "l": l, "value": format_rational(v)}
+                    {"n": n, "l": l, "value": str(v)}
                     for n, l, v in entries
                 ],
             }
@@ -175,11 +174,11 @@ def _cmd_bernoulli(args: argparse.Namespace) -> int:
     elif args.format == "csv":
         _emit_csv(
             ["n", "l", "value"],
-            [[n, l, format_rational(v)] for n, l, v in entries],
+            [[n, l, str(v)] for n, l, v in entries],
         )
     else:
         for n, l, v in entries:
-            _emit(f"B({n}, {l}) = {format_rational(v)}")
+            _emit(f"B({n}, {l}) = {v}")
     return 0
 
 
@@ -190,14 +189,14 @@ def _cmd_tau(args: argparse.Namespace) -> int:
     items = sorted(tau_row(args.m).items())
     if args.format == "json":
         _emit_json(
-            {"m": args.m, "taus": {str(j): format_rational(t) for j, t in items}}
+            {"m": args.m, "taus": {str(j): str(t) for j, t in items}}
         )
     elif args.format == "csv":
-        _emit_csv(["j", "tau"], [[j, format_rational(t)] for j, t in items])
+        _emit_csv(["j", "tau"], [[j, str(t)] for j, t in items])
     else:
         _emit(f"m = {args.m}")
         for j, t in items:
-            _emit(f"tau_{j} = {format_rational(t)}")
+            _emit(f"tau_{j} = {t}")
     return 0
 
 
@@ -287,7 +286,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
                     {
                         "n": r.n,
                         "m": r.m,
-                        "tau_top": format_rational(r.tau_value),
+                        "tau_top": str(r.tau_value),
                         "is_zero": r.is_zero,
                     }
                     for r in report.rows
@@ -307,7 +306,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         )
     else:
         for r in report.rows:
-            _emit(f"n = {r.n:2d}  tau_top = {format_rational(r.tau_value)}")
+            _emit(f"n = {r.n:2d}  tau_top = {r.tau_value}")
         _emit(report.summary())
     return 0
 
@@ -320,19 +319,19 @@ def _cmd_linform(args: argparse.Namespace) -> int:
         _emit_json(
             {
                 "n": form.n,
-                "thetas": [format_rational(t) for t in form.thetas],
-                "theta_next": format_rational(form.theta_next),
+                "thetas": [str(t) for t in form.thetas],
+                "theta_next": str(form.theta_next),
             }
         )
     elif args.format == "csv":
-        rows = [[k, format_rational(t)] for k, t in enumerate(form.thetas, start=1)]
-        rows.append(["next", format_rational(form.theta_next)])
+        rows = [[k, str(t)] for k, t in enumerate(form.thetas, start=1)]
+        rows.append(["next", str(form.theta_next)])
         _emit_csv(["k", "theta"], rows)
     else:
         _emit(f"n = {form.n}")
         for k, t in enumerate(form.thetas, start=1):
-            _emit(f"theta_{k} = {format_rational(t)}")
-        _emit(f"theta_next = {format_rational(form.theta_next)}")
+            _emit(f"theta_{k} = {t}")
+        _emit(f"theta_next = {form.theta_next}")
     return 0
 
 

@@ -22,6 +22,7 @@ The tau coefficients then mix a weight system into these integers:
     tau(j, m) = -(2^(m-1) / ((m-1)! (2^m - 1)))
                 * sum_{l=2j-1}^{m} w_l q(j, l) / 4^(j-1),
 
+which :func:`tau_row` returns for 2 <= j <= (m+1)/2 (tau(1, m) is 0),
 and for odd m = 2n+1 the top coefficient is tau(n+1, 2n+1) =
 1/(2^(2n+1) - 1), which :func:`tau_top` returns directly; the verify
 suite checks it against the general formula.
@@ -29,17 +30,16 @@ suite checks it against the general formula.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import mpmath as mp
 
-from .exact import ExactRational, binomial, factorial
 from .weights import solve_weights
 
 __all__ = [
     "q_coeff",
     "partial_fraction_residual",
-    "tau",
     "tau_top",
     "tau_row",
 ]
@@ -59,7 +59,7 @@ def q_coeff(j: int, l: int) -> int:
             f"index j must be in 1..ceil(l/2) = 1..{_ceil_half(l)}, got {j}"
         )
     sign = -1 if (j - 1) & 1 else 1
-    return sign * binomial(l - j, j - 1)
+    return sign * math.comb(l - j, j - 1)
 
 
 def partial_fraction_residual(l: int, u) -> mp.mpf:
@@ -88,33 +88,7 @@ def partial_fraction_residual(l: int, u) -> mp.mpf:
     return abs(direct - expanded)
 
 
-def _tau_coefficients(m: int) -> list[ExactRational]:
-    """[tau(1, m), ..., tau((m+1)/2, m)], the one tau formula: one weight
-    solve, its integer weights mixed against q in integer arithmetic."""
-    if m < 3 or m % 2 == 0:
-        raise ValueError(f"degree m must be odd and >= 3, got {m}")
-    weights = solve_weights(m).weights
-    if any(w.denominator != 1 for w in weights):
-        raise ArithmeticError(f"a weight of degree {m} is not an integer")
-    w = [x.numerator for x in weights]
-    front = -Fraction(2 ** (m - 1), factorial(m - 1) * (2**m - 1))
-    return [
-        front / 4 ** (j - 1) * sum(w[l - 1] * q_coeff(j, l) for l in range(2 * j - 1, m + 1))
-        for j in range(1, _ceil_half(m) + 1)
-    ]
-
-
-def tau(j: int, m: int) -> ExactRational:
-    """Rational coefficient tau(j, m) for odd m >= 3 and 1 <= j <= (m+1)/2,
-    one entry of a whole row (one weight solve per call)."""
-    if m < 3 or m % 2 == 0:
-        raise ValueError(f"degree m must be odd and >= 3, got {m}")
-    if not 1 <= j <= _ceil_half(m):
-        raise ValueError(f"index j must be in 1..{_ceil_half(m)} for m={m}, got {j}")
-    return _tau_coefficients(m)[j - 1]
-
-
-def tau_top(n: int) -> ExactRational:
+def tau_top(n: int) -> Fraction:
     """tau(n+1, 2n+1) = 1/(2^(2n+1) - 1), by its closed form.
 
     Proof: with y = e^u + e^-u = 2 cosh u, the symmetric sum is
@@ -139,15 +113,32 @@ def tau_top(n: int) -> ExactRational:
         -(-1)^(n+1) (2n)! (-1)^n / ((2n)! (2^m - 1)) = 1 / (2^m - 1).
 
     Check 11 of the verify suite compares :func:`q_coeff` with the
-    paper's recursion for l <= 119 and this function with the general
-    :func:`tau` for n <= 20.
+    paper's recursion for l <= 119 and this function with the top entry
+    of :func:`tau_row` for n <= 20.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     return Fraction(1, 2 ** (2 * n + 1) - 1)
 
 
-def tau_row(m: int) -> dict[int, ExactRational]:
-    """{j: tau(j, m)} for the quadrature-relevant range 2 <= j <= (m+1)/2,
-    from one weight solve."""
-    return dict(enumerate(_tau_coefficients(m)[1:], start=2))
+def tau_row(m: int) -> dict[int, Fraction]:
+    """{j: tau(j, m)} for odd m >= 3 and 2 <= j <= (m+1)/2, from one weight
+    solve mixed against q in integer arithmetic.
+
+    j = 1 is left out because tau(1, m) = front * sum_l w_l q(1, l) =
+    front * sum_l w_l = 0: the weights sum to zero (verify check 4 tests
+    it for m <= 41; with the Stirling form of check 11 the sum is the
+    z^m coefficient of log(1 + (e^z - 1)) = z).  Were it nonzero, the
+    pairing with the moments would need I_0, which diverges at u = 0.
+    """
+    if m < 3 or m % 2 == 0:
+        raise ValueError(f"degree m must be odd and >= 3, got {m}")
+    weights = solve_weights(m).weights
+    if any(w.denominator != 1 for w in weights):
+        raise ArithmeticError(f"a weight of degree {m} is not an integer")
+    w = [x.numerator for x in weights]
+    front = -Fraction(2 ** (m - 1), math.factorial(m - 1) * (2**m - 1))
+    return {
+        j: front / 4 ** (j - 1) * sum(w[l - 1] * q_coeff(j, l) for l in range(2 * j - 1, m + 1))
+        for j in range(2, _ceil_half(m) + 1)
+    }

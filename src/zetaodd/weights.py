@@ -18,11 +18,11 @@ Fraction arithmetic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .bernoulli import gen_bernoulli
-from .exact import ExactRational, factorial
 
 __all__ = [
     "coeff_b",
@@ -34,16 +34,16 @@ __all__ = [
 ]
 
 
-def coeff_b(j: int, l: int) -> ExactRational:
+def coeff_b(j: int, l: int) -> Fraction:
     """Matrix entry b(j, l); defined for 1 <= j <= l."""
     if not 1 <= j <= l:
         raise ValueError(f"coeff_b requires 1 <= j <= l, got j={j}, l={l}")
     k = l - j
     sign = -1 if k & 1 else 1
-    return sign * gen_bernoulli(k, l) / factorial(k)
+    return sign * gen_bernoulli(k, l) / math.factorial(k)
 
 
-def d_coefficients(l: int) -> list[ExactRational]:
+def d_coefficients(l: int) -> list[Fraction]:
     """Descending-power coefficient row [b(l, l), b(l-1, l), ..., b(1, l)].
 
     First and last entries are always 1; for l <= 7 the row times
@@ -54,7 +54,7 @@ def d_coefficients(l: int) -> list[ExactRational]:
     return [coeff_b(j, l) for j in range(l, 0, -1)]
 
 
-def s_constant(m: int) -> ExactRational:
+def s_constant(m: int) -> Fraction:
     """Alternating factorial constant on the right-hand side."""
     if m < 1:
         raise ValueError(f"degree m must be >= 1, got {m}")
@@ -62,10 +62,10 @@ def s_constant(m: int) -> ExactRational:
         sign = -1 if ((m - 1) // 2) & 1 else 1
     else:
         sign = -1 if ((m + 2) // 2) & 1 else 1
-    return Fraction(sign * factorial(m - 1))
+    return Fraction(sign * math.factorial(m - 1))
 
 
-def triangular_system(m: int) -> dict[tuple[int, int], ExactRational]:
+def triangular_system(m: int) -> dict[tuple[int, int], Fraction]:
     """Upper-triangular system matrix for degree m: {(j, l): b(j, l)}."""
     if m < 1:
         raise ValueError(f"degree m must be >= 1, got {m}")
@@ -77,10 +77,10 @@ class WeightVector:
     """Solved weights for degree m; ``weights[i]`` is w_{i+1}."""
 
     m: int
-    s_m: ExactRational
-    weights: tuple[ExactRational, ...]
+    s_m: Fraction
+    weights: tuple[Fraction, ...]
 
-    def weight(self, l: int) -> ExactRational:
+    def weight(self, l: int) -> Fraction:
         if not 1 <= l <= self.m:
             raise ValueError(f"weight index must be in 1..{self.m}, got {l}")
         return self.weights[l - 1]
@@ -96,7 +96,7 @@ def solve_weights(m: int) -> WeightVector:
     """
     system = triangular_system(m)
     s_m = s_constant(m)
-    w: list[ExactRational] = [Fraction(0)] * (m + 1)  # 1-based
+    w: list[Fraction] = [Fraction(0)] * (m + 1)  # 1-based
     w[m] = -s_m
     for j in range(m - 1, 0, -1):
         tail = sum(

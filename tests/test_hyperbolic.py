@@ -10,11 +10,11 @@ import zetaodd.hyperbolic as hyperbolic
 from zetaodd.hyperbolic import (
     partial_fraction_residual,
     q_coeff,
-    tau,
     tau_row,
     tau_top,
 )
 from zetaodd.verify import _q_recursion_row
+from zetaodd.weights import solve_weights
 
 
 class TestQCoefficients:
@@ -74,7 +74,7 @@ class TestPartialFractions:
 
 class TestTau:
     def test_first_coefficient(self):
-        assert tau(2, 3) == Fraction(1, 7)
+        assert tau_row(3) == {2: Fraction(1, 7)}
 
     @pytest.mark.parametrize(
         "m,expected",
@@ -97,29 +97,25 @@ class TestTau:
 
     def test_top_matches_general_route(self):
         for n in range(1, 11):
-            assert tau_top(n) == tau(n + 1, 2 * n + 1)
+            assert tau_top(n) == tau_row(2 * n + 1)[n + 1]
 
     def test_top_values(self):
         # the general formula, through the weight solve, meets the closed form
         for n in range(1, 41):
-            assert tau(n + 1, 2 * n + 1) == Fraction(1, 2 ** (2 * n + 1) - 1)
+            assert tau_row(2 * n + 1)[n + 1] == Fraction(1, 2 ** (2 * n + 1) - 1)
 
     def test_domain(self):
-        with pytest.raises(ValueError):
-            tau(2, 4)
-        with pytest.raises(ValueError):
-            tau(2, 1)
-        with pytest.raises(ValueError):
-            tau(6, 9)  # ceil(9/2) = 5
-        with pytest.raises(ValueError):
-            tau_row(6)
+        for m in (6, 4, 2, 1, 0, -3):
+            with pytest.raises(ValueError):
+                tau_row(m)
         with pytest.raises(ValueError):
             tau_top(0)
 
     def test_row_covers_quadrature_range(self):
+        # j = 1 is left out: tau(1, m) = front * sum_l w_l = 0
         row = tau_row(11)
         assert sorted(row) == [2, 3, 4, 5, 6]
-        assert row[6] == tau(6, 11)
+        assert sum(solve_weights(11).weights) == 0
 
     def test_non_integer_weight_is_rejected(self, monkeypatch):
         real = hyperbolic.solve_weights
@@ -131,5 +127,3 @@ class TestTau:
         monkeypatch.setattr(hyperbolic, "solve_weights", fractional)
         with pytest.raises(ArithmeticError, match="not an integer"):
             tau_row(5)
-        with pytest.raises(ArithmeticError, match="not an integer"):
-            tau(1, 5)

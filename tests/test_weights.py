@@ -1,8 +1,8 @@
+import math
 from fractions import Fraction
 
 import pytest
 
-from zetaodd.exact import factorial
 from zetaodd.weights import (
     coeff_b,
     d_coefficients,
@@ -48,7 +48,7 @@ class TestMatrixEntries:
 
     @pytest.mark.parametrize("l", sorted(KNOWN_ROWS))
     def test_scaled_rows(self, l):
-        scaled = tuple(factorial(l - 1) * c for c in d_coefficients(l))
+        scaled = tuple(math.factorial(l - 1) * c for c in d_coefficients(l))
         assert scaled == KNOWN_ROWS[l]
 
     def test_rows_are_palindromic_at_ends(self):
@@ -71,7 +71,7 @@ class TestSConstant:
 
     def test_odd_sign_alternates(self):
         for m in range(3, 30, 2):
-            assert s_constant(m) == (-1) ** ((m - 1) // 2) * factorial(m - 1)
+            assert s_constant(m) == (-1) ** ((m - 1) // 2) * math.factorial(m - 1)
 
     def test_domain(self):
         with pytest.raises(ValueError):
