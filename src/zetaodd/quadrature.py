@@ -46,7 +46,32 @@ whose u_plus rounds to exactly 1 still carry their exact, nonzero
 complement.  ln(1/u) (the exp route's ln(1/q)) and asech(u) are
 computed once per node from q and 2s (:func:`_ts_level_nodes`);
 :func:`neglog_stable` and :func:`asech_stable` are the tests' oracles
-for them.
+for them.  Nothing tells one integrand from another: the integrator
+calls f and reads no type or attribute of it.
+
+Integer level sums.  :func:`integrate_01_fixed` runs the same loop,
+nodes, tail rule, stopping rule and error estimate, but takes each
+level's sum in Python integers, for the zeta routes' polynomial
+kernels, where mpf overhead (a power, a division, conversions, the
+adds of the sum) costs more than the polynomial itself.  Each node
+member also carries integer columns in units of 2^-P, with
+P = mp.prec + _FIXED_GUARD_BITS: u, 1/(1+u), w (1-u)/ln(1/u), u^2 and
+w u/asech(u), w the node weight, all in [0, 1]; they sit in the same
+memo entry as the mpf nodes.  The kernel turns one member's columns
+into one integer term by integer products and right shifts, and the
+level's terms go through the same _tail_sum against the cutoff in the
+same units, so the tail rule sees the same terms; the level total and
+the outermost term become mpf once per level.  Each right shift
+truncates by less than one unit and each column is within three units
+of its exact value, so a term errs by at most 2^-P times the kernel's
+count of truncations, each scaled by how much the rest of the term
+can magnify it (:func:`zetaodd.zeta._degree_setup` bounds this for the
+routes), on top of the mpf rounding the columns inherit.  The guard
+puts a unit at or below 10^-(eval_digits + _TAIL_EPS_SHIFT + 1), so
+the tail cutoff is at least ten units, and 2^20 units make one unit in
+the last place of a term near 1 at the working precision.  Fixed point
+has no relative precision, so generic integrands, singular ones
+included, stay on :func:`integrate_01_singular`.
 
 One precision, separate depth.  Arithmetic runs at
 PrecisionConfig.eval_digits: working_digits rounded up to a multiple of
@@ -68,10 +93,12 @@ integrand such as u^(2n-1) is negligible long before its mass near
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import mpmath as mp
+from mpmath.libmp import dps_to_prec, to_fixed
 
 __all__ = [
     "PrecisionConfig",
@@ -81,6 +108,7 @@ __all__ = [
     "asech_stable",
     "neglog_stable",
     "integrate_01_singular",
+    "integrate_01_fixed",
     "integral_In",
     "integral_In_crosscheck",
 ]
@@ -90,6 +118,9 @@ _TAIL_RUN = 3         # consecutive negligible terms before truncating
 _STOP_HEADROOM = 10   # the error estimate must clear the target by 10^-10
 _MAX_LEVELS = 12      # step-halving refinements before NonConvergenceError
 _NODE_TABLES_KEPT = 32  # node levels memoized; a zeta_report sweep of m <= 41 builds 13
+# integer columns carry this many bits past the working precision: one
+# digit more than the tail cutoff sits below it, so the cutoff is >= 10 units
+_FIXED_GUARD_BITS = math.ceil((_TAIL_EPS_SHIFT + 1) * math.log2(10))
 
 
 @dataclass(frozen=True)
@@ -204,11 +235,50 @@ def _node_depth(cfg: PrecisionConfig) -> int:
     return 2 * cfg.target_digits + 7
 
 
+def _fixed_bits(eval_dps: int) -> int:
+    """P, the fractional bits of the integer columns at eval_dps: the
+    working precision plus _FIXED_GUARD_BITS."""
+    return dps_to_prec(eval_dps) + _FIXED_GUARD_BITS
+
+
+def _fixed_columns(u, d, log_recip, asech, w, prec: int) -> tuple[int, ...]:
+    """One node member's integer columns at ``prec`` fractional bits,
+    all in [0, 1]: u, 1/(1+u), w (1-u)/ln(1/u), u^2 and w u/asech(u).
+    The weighted columns are formed in mpf, keeping relative accuracy,
+    and then truncated; 1/(1+u) >= 1/2 and u^2 come from the integer u,
+    within two and three units."""
+    fixed_u = to_fixed(u._mpf_, prec)
+    one = 1 << prec
+    return (
+        fixed_u,
+        (one << prec) // (one + fixed_u),
+        to_fixed((w * d / log_recip)._mpf_, prec),
+        fixed_u * fixed_u >> prec,
+        to_fixed((w * u / asech)._mpf_, prec),
+    )
+
+
+def _log1p(x) -> mp.mpf:
+    """ln(1 + x) for x >= 0: x - x^2/2 below 2^-prec, else the log of
+    1 + x formed exactly, which works at only as many extra bits as the
+    sum cancels (mp.log1p doubles the precision)."""
+    if mp.mag(x) < -mp.mp.prec:
+        return x - x * x / 2
+    return mp.log(mp.fadd(1, x, exact=True))
+
+
+class _Level(tuple):
+    """One level's node pairs (minus, plus, w), plus ``fixed``: each
+    pair's two members as :func:`_fixed_columns` at
+    :func:`_fixed_bits` (eval_dps), with w folded in."""
+
+
 @lru_cache(maxsize=_NODE_TABLES_KEPT)
-def _ts_level_nodes(eval_dps: int, depth: int, level: int):
+def _ts_level_nodes(eval_dps: int, depth: int, level: int) -> _Level:
     """Tanh-sinh nodes new at this level: tuples (minus, plus, w), each
     member of the pair the integrand's arguments (u, 1 - u, ln(1/u),
-    asech(u)), with u_minus = q/(1+q) ~ 10^-depth at the outermost node.
+    asech(u)), with u_minus = q/(1+q) ~ 10^-depth at the outermost node;
+    the same members' integer columns ride along as ``.fixed``.
 
     With 2s = pi sinh t and q = exp(-2s): u_plus = 1/(1+q),
     u_minus = q u_plus and w = pi cosh(t) q u_plus^2; sinh t and cosh t
@@ -217,12 +287,14 @@ def _ts_level_nodes(eval_dps: int, depth: int, level: int):
     ln(1/u_minus) = 2s + log1p(q), asech(u_plus) = log1p(q + sqrt(q (2+q)))
     and asech(u_minus) = 2s + ln(1 + q + sqrt(1 + 2q)).
     """
+    prec = _fixed_bits(eval_dps)
     with mp.workdps(eval_dps):
         t_max = mp.asinh(depth * mp.log(10) / mp.pi)  # where q = 10^-depth
         h = mp.mpf(1) / 2**level
         step = 1 if level == 0 else 2
         half_pi = mp.pi / 2
         out = []
+        fixed = []
         k = 1
         t = k * h
         while t <= t_max:
@@ -233,21 +305,25 @@ def _ts_level_nodes(eval_dps: int, depth: int, level: int):
             u_plus = 1 / (1 + q)
             u_minus = q * u_plus
             w = half_pi * (e_t + e_neg) * u_minus * u_plus
-            log_plus = mp.log1p(q)
+            log_plus = _log1p(q)
             minus = (u_minus, u_plus, two_s + log_plus,
                      two_s + mp.log(1 + q + mp.sqrt(1 + 2 * q)))
-            plus = (u_plus, u_minus, log_plus, mp.log1p(q + mp.sqrt(q * (2 + q))))
+            plus = (u_plus, u_minus, log_plus, _log1p(q + mp.sqrt(q * (2 + q))))
             out.append((minus, plus, w))
+            fixed.append((_fixed_columns(*minus, w, prec), _fixed_columns(*plus, w, prec)))
             k += step
             t = k * h
-        return tuple(out)
+        level_nodes = _Level(out)
+        level_nodes.fixed = tuple(fixed)
+        return level_nodes
 
 
-def _tail_sum(terms, eps) -> tuple[mp.mpf, int, mp.mpf]:
+def _tail_sum(terms, eps):
     """Sum a lazy sequence of terms ordered outward from the centre,
     stopping once _TAIL_RUN consecutive terms are <= eps after some term
-    has exceeded eps.  Returns (sum, terms consumed, last term summed)."""
-    total = term = mp.mpf(0)
+    has exceeded eps.  Returns (sum, terms consumed, last term summed).
+    Terms and eps are all mpf or all integers."""
+    total = term = 0
     peaked = False
     quiet = 0
     used = 0
@@ -285,37 +361,33 @@ def _error_estimate(sums, eval_dps: int) -> mp.mpf:
     return mp.mpf(10) ** max(D1 * D1 / D2, 2 * D1, -eval_dps)
 
 
-def integrate_01_singular(f, cfg: PrecisionConfig = DEFAULT_PRECISION) -> QuadratureResult:
-    """Tanh-sinh integral over (0, 1) of the integrand f(u, 1 - u, ...).
+def _centre() -> tuple:
+    """The integrand's arguments at the centre node u = 1/2."""
+    half = mp.mpf(1) / 2
+    return half, half, mp.log(2), mp.log(2 + mp.sqrt(3))
 
-    f is called at strictly interior nodes only, as
-    f(u, d, log_recip, asech) with d the exact complement 1 - u taken
-    from the node pair, never re-derived, log_recip = ln(1/u) and
-    asech = asech(u), both carried by the node table; an integrand reads
-    the arguments it needs.  u may round to 1 at the deepest nodes, d
-    never rounds to 0.  Runs at ``cfg.eval_digits``; see the module
-    docstring for the accuracy model.
-    """
+
+def _refine(centre, level_sum, cfg: PrecisionConfig) -> QuadratureResult:
+    """The level loop: halve the step until the stopping rule holds.
+    ``centre()`` is pi/4 times the integrand at u = 1/2, and
+    ``level_sum(nodes, eps)`` the :func:`_tail_sum` of one level's pair
+    terms at cutoff eps, as mpf; both run at eval_digits."""
     eval_dps = cfg.eval_digits
     depth = _node_depth(cfg)
     with mp.workdps(eval_dps):
         tol = mp.mpf(10) ** (-(cfg.target_digits + _STOP_HEADROOM))
         base_eps = mp.mpf(10) ** (-(eval_dps + _TAIL_EPS_SHIFT))
-        half = mp.mpf(1) / 2
-        centre = (half, half, mp.log(2), mp.log(2 + mp.sqrt(3)))
         sums = []  # the last three level sums, oldest first
         err = mp.inf
         used = 0
         for level in range(_MAX_LEVELS):
             scale = 1 + abs(sums[-1]) if sums else mp.mpf(1)
             nodes = _ts_level_nodes(eval_dps, depth, level)
-            new, count, outermost = _tail_sum(
-                (w * (f(*lo) + f(*hi)) for lo, hi, w in nodes), base_eps * scale
-            )
+            new, count, outermost = level_sum(nodes, base_eps * scale)
             used += 2 * count
             h = mp.mpf(1) / 2**level
             if level == 0:
-                sums.append(h * (mp.pi / 4 * f(*centre) + new))
+                sums.append(h * (centre() + new))
                 used += 1
                 continue
             current = sums[-1] / 2 + h * new
@@ -330,6 +402,50 @@ def integrate_01_singular(f, cfg: PrecisionConfig = DEFAULT_PRECISION) -> Quadra
             best_value=sums[-1],
             error_estimate=err,
         )
+
+
+def integrate_01_singular(f, cfg: PrecisionConfig = DEFAULT_PRECISION) -> QuadratureResult:
+    """Tanh-sinh integral over (0, 1) of the integrand f(u, 1 - u, ...).
+
+    f is called at strictly interior nodes only, as
+    f(u, d, log_recip, asech) with d the exact complement 1 - u taken
+    from the node pair, never re-derived, log_recip = ln(1/u) and
+    asech = asech(u), both carried by the node table; an integrand reads
+    the arguments it needs.  u may round to 1 at the deepest nodes, d
+    never rounds to 0.  Runs at ``cfg.eval_digits``; see the module
+    docstring for the accuracy model.
+    """
+
+    def level_sum(nodes, eps):
+        return _tail_sum((w * (f(*lo) + f(*hi)) for lo, hi, w in nodes), eps)
+
+    return _refine(lambda: mp.pi / 4 * f(*_centre()), level_sum, cfg)
+
+
+def integrate_01_fixed(kernel, cfg: PrecisionConfig = DEFAULT_PRECISION) -> QuadratureResult:
+    """:func:`integrate_01_singular` with the level sums taken in
+    integers ("Integer level sums" in the module docstring).
+
+    ``kernel(prec)`` returns ``term(columns)``: w times the integrand at
+    one node member, as an integer in units of 2^-prec, from that
+    member's integer columns (u, 1/(1+u), w (1-u)/ln(1/u), u^2,
+    w u/asech(u)) at prec fractional bits.  Same nodes, tail rule,
+    stopping rule, error estimate and node count as the mpf path.
+    """
+    prec = _fixed_bits(cfg.eval_digits)
+    term = kernel(prec)
+
+    def centre():
+        columns = _fixed_columns(*_centre(), mp.pi / 4, prec)
+        return mp.ldexp(term(columns), -prec)
+
+    def level_sum(nodes, eps):
+        total, count, outermost = _tail_sum(
+            (term(lo) + term(hi) for lo, hi in nodes.fixed), to_fixed(eps._mpf_, prec)
+        )
+        return mp.ldexp(total, -prec), count, mp.ldexp(outermost, -prec)
+
+    return _refine(centre, level_sum, cfg)
 
 
 # -- the inverse-asech moment integrals ----------------------------------

@@ -45,7 +45,7 @@ import itertools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import mpmath as mp
 
@@ -54,7 +54,7 @@ from .quadrature import (
     DEFAULT_PRECISION,
     PrecisionConfig,
     integral_In,
-    integrate_01_singular,
+    integrate_01_fixed,
 )
 
 __all__ = [
@@ -191,8 +191,61 @@ def _horner_fixed(coeffs, x) -> mp.mpf:
 def _exp_kernel(q, d, log_recip, coeffs) -> mp.mpf:
     """-(d / L) D_m(q) / (1 + q)^m at the node q with complement d and
     L = ln(1/q).  ``coeffs`` are the integer coefficients of
-    D_m = C_m / q, highest first."""
+    D_m = C_m / q, highest first.  Off the production path, which sums
+    :func:`_exp_term`'s integers: this mpf form is the tests' oracle for
+    them."""
     return -(d / log_recip) * _horner_fixed(coeffs, q) / (1 + q) ** (len(coeffs) + 1)
+
+
+def _horner_int(shifted, x: int, prec: int) -> int:
+    """Horner's rule on integers at ``prec`` fractional bits: x and the
+    result in units of 2^-prec, ``shifted`` the coefficients highest
+    first, each already shifted left by prec."""
+    acc = 0
+    for c in shifted:
+        acc = (acc * x >> prec) + c
+    return acc
+
+
+def _exp_term(coeffs, prec: int):
+    """The exp route's term for
+    :func:`~zetaodd.quadrature.integrate_01_fixed`:
+    -(Fe D_m(U) G^m) from the columns U = q, G = 1/(1+q) and
+    Fe = w (1-q)/ln(1/q), all integers at ``prec`` fractional bits.
+    G^m is taken as (2G)^m 2^-m, since 2G >= 1 keeps every truncation of
+    the power relative; one shift rounds the product back to prec bits."""
+    m = len(coeffs) + 1
+    shifted = [c << prec for c in coeffs]
+    shift = 2 * prec + m
+    one = 1 << prec
+
+    def term(columns):
+        u, g, fe, _, _ = columns
+        g <<= 1
+        power, n = one, m
+        while True:
+            if n & 1:
+                power = power * g >> prec
+            n >>= 1
+            if not n:
+                break
+            g = g * g >> prec
+        return -(fe * _horner_int(shifted, u, prec) * power >> shift)
+
+    return term
+
+
+def _asech_term(coeffs, prec: int):
+    """The asech route's term Fa A_m(X) for
+    :func:`~zetaodd.quadrature.integrate_01_fixed`, from the columns
+    X = u^2 and Fa = w u/asech(u) at ``prec`` fractional bits."""
+    shifted = [c << prec for c in coeffs]
+
+    def term(columns):
+        _, _, _, x, fa = columns
+        return fa * _horner_int(shifted, x, prec) >> prec
+
+    return term
 
 
 def _degree_setup(m: int, cfg: PrecisionConfig) -> tuple[PrecisionConfig, tuple, tuple, int]:
@@ -218,6 +271,20 @@ def _degree_setup(m: int, cfg: PrecisionConfig) -> tuple[PrecisionConfig, tuple,
 
     tests/test_zeta.py checks both for every odd m <= 101.  Returns the
     precision, D_m's and A_m's coefficients highest first, and D.
+
+    The routes sum integer terms (:func:`_exp_term`, :func:`_asech_term`;
+    "Integer level sums" in :mod:`zetaodd.quadrature`) at
+    P = p + 20 bits, so every 2^-p above becomes 2^-P.  Of the columns,
+    U, G and X are within one, two and three units and Fe, Fa within
+    one, each times the term's slope in it: the Horner bounds above for
+    U and X, and the unweighted kernels |D_m G^m| and |A_m|, under the
+    same envelopes, for Fe and Fa.  G^m is formed as (2G)^m 2^-m: 2G
+    lies in [1, 2], so each of the power's at most 2 log2(m) truncations
+    costs at most 2^-P relative, and G^m errs by at most
+    (4m + 2 log2 m) 2^-P relative, which digits(m) covers.  Truncating
+    G^m itself to P bits would cost up to m log10(2) digits at q = 1,
+    where G = 1/2 and the kernel peaks.  The tests compare both routes
+    with their mpf kernels on the precision grid.
 
     Guard and kernels depend on m alone: a one-entry memo builds them
     once per degree in a :func:`zeta_report`.  ``--method exp`` builds
@@ -249,8 +316,9 @@ def zeta_via_exp_kernel(m: int, cfg: PrecisionConfig = DEFAULT_PRECISION) -> mp.
     q = e^-u it becomes the integral over (0, 1) of
     -(d / L) D_m(q) / (1 + q)^m, with d = 1 - q, L = ln(1/q) and
     D_m = C_m / q (exact, since c_0 = 0), with L carried by the node
-    table: no exponential or logarithm per integrand call.  The designed-in vanishing of sum_l w_l
-    happens exactly, in C_m's integer coefficients; what is left is
+    table: no exponential or logarithm per integrand call, and the level
+    sums taken in integers (:func:`_exp_term`).  The designed-in
+    vanishing of sum_l w_l happens exactly, in C_m's integer coefficients; what is left is
     Horner's own cancellation, which the degree's guard
     (:func:`_degree_setup`) covers.
 
@@ -261,9 +329,7 @@ def zeta_via_exp_kernel(m: int, cfg: PrecisionConfig = DEFAULT_PRECISION) -> mp.
     if m < 3 or m % 2 == 0:
         raise ValueError(f"degree m must be odd and >= 3, got {m}")
     cfg, coeffs, _, _ = _degree_setup(m, cfg)
-    res = integrate_01_singular(
-        lambda q, d, log_recip, _: _exp_kernel(q, d, log_recip, coeffs), cfg
-    )
+    res = integrate_01_fixed(partial(_exp_term, coeffs), cfg)
     with mp.workdps(cfg.eval_digits):
         front = (2 * mp.pi) ** (m - 1) / ((2**m - 1) * math.factorial(m - 1))
         return front * res.value
@@ -274,13 +340,12 @@ def zeta_via_asech_kernel(m: int, cfg: PrecisionConfig = DEFAULT_PRECISION) -> m
     (0, 1), the pairing pi^(m-1) sum_j tau(j, m) I_(j-1) summed under the
     integral sign.  Same nodes and precision as the exp route, with
     asech(u) carried by the node table; A_m = D T_m by fixed-point
-    Horner, and pi^(m-1) / D applied once, to the result."""
+    Horner, the level sums in integers (:func:`_asech_term`), and
+    pi^(m-1) / D applied once, to the result."""
     if m < 3 or m % 2 == 0:
         raise ValueError(f"degree m must be odd and >= 3, got {m}")
     cfg, _, coeffs, denom = _degree_setup(m, cfg)
-    res = integrate_01_singular(
-        lambda u, d, _, asech: u * _horner_fixed(coeffs, u * u) / asech, cfg
-    )
+    res = integrate_01_fixed(partial(_asech_term, coeffs), cfg)
     with mp.workdps(cfg.eval_digits):
         return mp.pi ** (m - 1) * res.value / denom
 

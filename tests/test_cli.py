@@ -189,6 +189,68 @@ class TestZeta:
         assert "odd" in err
 
 
+_ZETA3_100 = (
+    "1.20205690315959428539973816151144999076498629234049888179227155534183820578631"
+    "3090186455873609335258"
+)
+_ZETA5_150 = (
+    "1.03692775514336992633136548645703416805708091950191281197419267790380358978628"
+    "148456004310655713333637962034146655660904280096177915597084183511072180"
+)
+_I5_100 = (
+    "0.39308841630677500524602726986164908783554440883522734582532339628723771726422"
+    "64358744046284987619351"
+)
+
+
+class TestNumericGoldens:
+    """Byte-for-byte output of the quadrature commands, so a change to
+    how the level sums are formed cannot move a printed digit, an error
+    estimate or a node count unnoticed."""
+
+    @pytest.mark.parametrize(
+        "argv, want",
+        [
+            (
+                ["zeta", "--m", "3", "--digits", "100", "--format", "json"],
+                '{\n  "m": 3,\n'
+                f'  "reference": "{_ZETA3_100}",\n'
+                f'  "via_exp_kernel": "{_ZETA3_100}",\n'
+                f'  "via_asech_kernel": "{_ZETA3_100}",\n'
+                '  "max_abs_diff": "1.03e-103",\n  "pass": true\n}\n',
+            ),
+            (
+                ["zeta", "--m", "41", "--format", "json"],
+                '{\n  "m": 41,\n'
+                '  "reference": "1.00000000000045474737830421540",\n'
+                '  "via_exp_kernel": "1.00000000000045474737830421540",\n'
+                '  "via_asech_kernel": "1.00000000000045474737830421540",\n'
+                '  "max_abs_diff": "1.19e-32",\n  "pass": true\n}\n',
+            ),
+            (
+                ["zeta", "--m", "61", "--digits", "15", "--method", "exp"],
+                "zeta(61) [exp] = 1.00000000000000\n",
+            ),
+            (
+                ["zeta", "--m", "5", "--digits", "150", "--method", "asech", "--format", "csv"],
+                f"m,method,value\n5,asech,{_ZETA5_150}\n",
+            ),
+            (
+                ["integral", "--n", "5", "--digits", "100", "--format", "json"],
+                '{\n  "n": 5,\n  "digits": 100,\n'
+                f'  "value": "{_I5_100}",\n'
+                '  "error_estimate": "2.86e-102",\n  "nodes": 731,\n  "levels": 7\n}\n',
+            ),
+        ],
+        ids=["zeta3-100-json", "zeta41-json", "zeta61-exp-15", "zeta5-asech-150-csv",
+             "I5-100-json"],
+    )
+    def test_output(self, capsys, argv, want):
+        rc, out, _ = run(capsys, *argv)
+        assert rc == 0
+        assert out == want
+
+
 class TestScan:
     def test_csv_golden(self, capsys):
         rc, out, _ = run(capsys, "scan", "--to", "3", "--format", "csv")

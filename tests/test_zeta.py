@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from functools import partial
 
 import mpmath as mp
 import pytest
@@ -7,14 +8,18 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import zetaodd.cli
+import zetaodd.quadrature as quadrature
 import zetaodd.zeta as zeta_mod
 from zetaodd.hyperbolic import tau_row, tau_top
 from zetaodd.quadrature import (
     DEFAULT_PRECISION,
     PrecisionConfig,
+    _node_depth,
     _ts_level_nodes,
     integral_In,
     integral_In_crosscheck,
+    integrate_01_fixed,
+    integrate_01_singular,
     neglog_stable,
 )
 from zetaodd.verify import _kernel_by_weights
@@ -355,6 +360,55 @@ class TestZetaReport:
     def test_domain(self):
         with pytest.raises(ValueError):
             zeta_report(4)
+
+
+def _route_pair(route, m, cfg):
+    """The route's degree precision, its integer kernel and the mpf
+    integrand that kernel stands for: _exp_kernel, or u A_m(u^2)/asech(u)
+    as the asech route summed it in mpf."""
+    cfg, exp_coeffs, asech_coeffs, _ = zeta_mod._degree_setup(m, cfg)
+    if route == "exp":
+        return cfg, partial(zeta_mod._exp_term, exp_coeffs), (
+            lambda q, d, log_recip, _: zeta_mod._exp_kernel(q, d, log_recip, exp_coeffs)
+        )
+    return cfg, partial(zeta_mod._asech_term, asech_coeffs), (
+        lambda u, d, _, asech: u * zeta_mod._horner_fixed(asech_coeffs, u * u) / asech
+    )
+
+
+class TestIntegerLevelSums:
+    """The routes sum their levels in integers (integrate_01_fixed); the
+    mpf kernels on integrate_01_singular are the oracle."""
+
+    @pytest.mark.parametrize("route", ["exp", "asech"])
+    @pytest.mark.parametrize("digits, m", _PRECISION_GRID)
+    def test_matches_mpf_path(self, route, digits, m):
+        # same levels and node count, and the value within
+        # 10^-(eval_digits - 5) relative
+        cfg, kernel, f = _route_pair(route, m, PrecisionConfig(digits, digits + 20))
+        got = integrate_01_fixed(kernel, cfg)
+        want = integrate_01_singular(f, cfg)
+        assert (got.levels, got.nodes_used) == (want.levels, want.nodes_used)
+        with mp.workdps(cfg.eval_digits + 10):
+            tol = mp.mpf(10) ** (5 - cfg.eval_digits)
+            assert abs(got.value - want.value) <= tol * abs(want.value)
+
+    def test_node_memo_holds_the_integer_columns(self):
+        # after zeta_report at three precisions the one node memo is
+        # within its bound, and each entry carries its integer columns
+        _ts_level_nodes.cache_clear()
+        configs = [PrecisionConfig(d, d + 20) for d in (15, 30, 100)]
+        for cfg in configs:
+            zeta_report(13, cfg)
+        info = _ts_level_nodes.cache_info()
+        assert info.currsize <= quadrature._NODE_TABLES_KEPT
+        assert info.currsize == info.misses
+        cfg, _, _, _ = zeta_mod._degree_setup(13, configs[-1])
+        for level in range(3):
+            nodes = _ts_level_nodes(cfg.eval_digits, _node_depth(cfg), level)
+            assert len(nodes.fixed) == len(nodes)
+            assert all(len(c) == 5 for pair in nodes.fixed for c in pair)
+        assert _ts_level_nodes.cache_info().misses == info.misses
 
 
 class TestLinearForm:
