@@ -35,6 +35,7 @@ __all__ = [
 ]
 
 _MEMO_ENTRIES = 101 * 102 // 2  # every B(n, l) solve_weights(101) reads, the CLI's largest
+_ROW_MEMO_ROWS = 101  # the rows n = 0..100 those entries come from, about 0.67 MB
 
 
 def _validate_indices(n: int, l: int) -> None:
@@ -44,29 +45,42 @@ def _validate_indices(n: int, l: int) -> None:
         raise ValueError(f"order l must be >= 1, got {l}")
 
 
-@lru_cache(maxsize=_MEMO_ENTRIES)
-def gen_bernoulli(n: int, l: int) -> Fraction:
-    """B(n, l) by closed-form double sum.
+@lru_cache(maxsize=_ROW_MEMO_ROWS)
+def _row_terms(n: int) -> tuple[int, ...]:
+    """The l-independent integers of row n, for k = 0..n:
 
-    The sum is accumulated as a single integer over the common
-    denominator (2n)!; this is exact because (n+k)! divides (2n)! for
-    every k <= n, and it avoids one Fraction normalization per term.
+        a(n, k) = (2n)!/(n+k)! * sum_j (-1)^j C(k, j) j^(n+k).
+
+    (n+k)! divides (2n)! for every k <= n, so each one is exact.
     """
-    _validate_indices(n, l)
     common = math.factorial(2 * n)
-    acc = 0
+    terms = []
     for k in range(n + 1):
         # inner alternating power sum; 0**0 == 1 covers the k = 0 term
         inner = sum(
             (-1) ** j * math.comb(k, j) * j ** (n + k) for j in range(k + 1)
         )
-        acc += (
-            math.comb(l + n, n - k)
-            * math.comb(l + k - 1, k)
-            * (common // math.factorial(n + k))
-            * inner
-        )
-    return Fraction(acc * math.factorial(n), common)
+        terms.append(common // math.factorial(n + k) * inner)
+    return tuple(terms)
+
+
+@lru_cache(maxsize=_MEMO_ENTRIES)
+def gen_bernoulli(n: int, l: int) -> Fraction:
+    """B(n, l) by closed-form double sum,
+
+        B(n, l) = n!/(2n)! * sum_{k=0}^{n} C(l+n, n-k) C(l+k-1, k) a(n, k),
+
+    with a(n, k) the l-independent integers of :func:`_row_terms`, so a
+    row is built once for every order that reads it.  The sum is one
+    integer over the common denominator (2n)!, with one Fraction
+    normalization.
+    """
+    _validate_indices(n, l)
+    acc = sum(
+        math.comb(l + n, n - k) * math.comb(l + k - 1, k) * a
+        for k, a in enumerate(_row_terms(n))
+    )
+    return Fraction(acc * math.factorial(n), math.factorial(2 * n))
 
 
 def gen_bernoulli_poly(n: int, l: int, x: Fraction | int) -> Fraction:

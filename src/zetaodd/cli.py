@@ -9,12 +9,12 @@ lie in 15..300, ``zeta --m``, ``weights --m`` and ``tau --m`` must be at
 most 101, ``scan --to`` at most 500, ``linform --n`` at most 50
 (degree 101), ``integral --n`` at most 400, ``bernoulli --n`` and
 ``--l`` at most 300, and ``bernoulli --max-n`` and ``--max-l`` at most
-60.  On a 2.1 GHz core ``zeta --m 101 --digits 15`` takes about 8.5 s
-cold, 7.7 s of it in ``solve_weights(101)``; ``weights --m 101``,
-``tau --m 101`` and ``linform --n 50`` take 8 to 9.5 s for the same
-reason, ``scan --to 500`` (a closed form, no weight solve) about 0.2 s,
-the 60 x 60 ``bernoulli`` grid about 3 s (101 x 101 takes 33 s) and one
-``B(300, 300)`` 0.7 s.  Results go to stdout,
+101.  On a 2.1 GHz core ``zeta --m 101 --digits 15`` takes 0.7 to 1.1 s
+cold, 0.4 to 0.7 s of it in ``solve_weights(101)``; ``weights --m 101``
+and ``tau --m 101`` take 0.65 to 1 s, ``linform --n 50`` 1.5 to 2.4 s,
+``scan --to 500`` (a closed form, no weight solve) 0.2 to 0.3 s, the
+60 x 60 ``bernoulli`` grid 0.3 to 0.45 s, the 101 x 101 grid 1.1 to
+1.7 s and one ``B(300, 300)`` about 0.7 s.  Results go to stdout,
 diagnostics to stderr.  JSON output is deterministic for a given
 invocation: fixed key order, rationals as exact ``num/den`` strings,
 decimals with exactly ``--digits`` significant digits.
@@ -54,7 +54,7 @@ MAX_SCAN_N = 500         # scan --to
 MAX_FORM_N = 50          # linform --n: degree 2n + 1 <= 101
 MAX_INTEGRAL_N = 400
 MAX_BERNOULLI_N = 300    # bernoulli --n and --l
-MAX_BERNOULLI_GRID = 60  # bernoulli --max-n and --max-l
+MAX_BERNOULLI_GRID = 101  # bernoulli --max-n and --max-l
 
 
 def _precision(digits: int) -> PrecisionConfig:
@@ -155,8 +155,15 @@ def _cmd_bernoulli(args: argparse.Namespace) -> int:
     _require(args.max_l >= 1, "--max-l must be >= 1")
     _require_at_most("bernoulli", "--max-n", args.max_n, MAX_BERNOULLI_GRID)
     _require_at_most("bernoulli", "--max-l", args.max_l, MAX_BERNOULLI_GRID)
+    # computed row by row, so each degree's l-independent terms are
+    # built once whatever the size of their memo; printed column by column
+    values = {
+        (n, l): gen_bernoulli(n, l)
+        for n in range(args.max_n + 1)
+        for l in range(1, args.max_l + 1)
+    }
     entries = [
-        (n, l, gen_bernoulli(n, l))
+        (n, l, values[n, l])
         for l in range(1, args.max_l + 1)
         for n in range(args.max_n + 1)
     ]

@@ -1,10 +1,11 @@
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zetaodd.bernoulli import gen_bernoulli, gen_bernoulli_poly, series_oracle
+from zetaodd.bernoulli import _row_terms, gen_bernoulli, gen_bernoulli_poly, series_oracle
 from zetaodd.cli import MAX_WEIGHTS_M
 
 # classical Bernoulli numbers, the l = 1 column
@@ -44,11 +45,62 @@ class TestClosedForm:
             gen_bernoulli(0, 0)
 
     def test_memo_is_bounded_above_the_largest_weight_solve(self):
-        # the memo is bounded, yet holds all m (m + 1) / 2 entries that
+        # both memos are bounded, yet hold all m (m + 1) / 2 entries that
         # solve_weights(m) reads at the CLI's largest degree (5151 at 101)
+        # and the m rows n = 0..m-1 they come from
         maxsize = gen_bernoulli.cache_info().maxsize
         assert maxsize is not None
         assert maxsize >= MAX_WEIGHTS_M * (MAX_WEIGHTS_M + 1) // 2
+        rows = _row_terms.cache_info().maxsize
+        assert rows is not None
+        assert rows >= MAX_WEIGHTS_M
+
+
+def _double_sum(n, l):
+    # the closed-form double sum written out in full for every (n, l),
+    # with no state shared between calls: the oracle for the row memo
+    common = math.factorial(2 * n)
+    acc = 0
+    for k in range(n + 1):
+        inner = sum(
+            (-1) ** j * math.comb(k, j) * j ** (n + k) for j in range(k + 1)
+        )
+        acc += (
+            math.comb(l + n, n - k)
+            * math.comb(l + k - 1, k)
+            * (common // math.factorial(n + k))
+            * inner
+        )
+    return Fraction(acc * math.factorial(n), common)
+
+
+def _clear_memos():
+    _row_terms.cache_clear()
+    gen_bernoulli.cache_clear()
+
+
+class TestRowMemo:
+    def _check(self, entries, cold_orders):
+        expected = {(n, l): _double_sum(n, l) for n, l in entries}
+        # entries from a cold start, their row not in the memo yet
+        for n, l in entries:
+            if l in cold_orders:
+                _clear_memos()
+                assert gen_bernoulli(n, l) == expected[n, l]
+        # every entry with its row already in the memo
+        _clear_memos()
+        for n in {n for n, _ in entries}:
+            _row_terms(n)
+        assert {key: gen_bernoulli(*key) for key in entries} == expected
+        _clear_memos()
+
+    def test_bit_identical_on_the_grid(self):
+        grid = [(n, l) for n in range(61) for l in range(1, 62)]
+        self._check(grid, cold_orders={1, 2, 31, 61})
+
+    def test_bit_identical_on_the_deepest_row(self):
+        orders = (1, 2, 50, 101, 300)
+        self._check([(100, l) for l in orders], cold_orders=set(orders))
 
 
 class TestSeriesOracle:

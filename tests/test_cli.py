@@ -9,6 +9,7 @@ import pytest
 import zetaodd
 import zetaodd.cli as cli
 import zetaodd.verify as verify
+from zetaodd.bernoulli import _row_terms, gen_bernoulli
 from zetaodd.cli import (
     MAX_BERNOULLI_GRID,
     MAX_BERNOULLI_N,
@@ -93,6 +94,18 @@ class TestBernoulli:
             "1,2,-1\n"
             "2,2,5/6\n"
         )
+
+    def test_grid_at_the_limit_builds_each_row_once(self, capsys):
+        # the grid at its limit has more degrees than the row memo holds,
+        # yet each degree's l-independent terms are built once, not once
+        # per order
+        _row_terms.cache_clear()
+        gen_bernoulli.cache_clear()
+        rc, _, _ = run(
+            capsys, "bernoulli", "--max-n", str(MAX_BERNOULLI_GRID), "--max-l", "2"
+        )
+        assert rc == 0
+        assert _row_terms.cache_info().misses == MAX_BERNOULLI_GRID + 1
 
     def test_mode_flags_are_exclusive(self, capsys):
         rc, _, err = run(capsys, "bernoulli", "--n", "2")
