@@ -1,10 +1,12 @@
 """Tanh-sinh quadrature on (0, 1), the one integrator of this package.
 
-:func:`integrate_01_singular` refines a trapezoid sum over the
-tanh-sinh change of variable by halving the step, and stops once an
-extrapolated error estimate clears the target (see Stopping rule).  It
-is built for integrands with an inverse-square-root blowup at u = 1
-and anything milder at u = 0 (a logarithm, an inverse square root).
+The integrator refines a trapezoid sum over the tanh-sinh change of
+variable by halving the step, and stops once an extrapolated error
+estimate clears the target (see Stopping rule), summing mpf integrands
+(:func:`integrate_01_singular`) or integer kernels
+(:func:`integrate_01_fixed`) in one level loop.  It is built for
+integrands with an inverse-square-root blowup at u = 1 and anything
+milder at u = 0 (a logarithm, an inverse square root).
 Integrals over (0, infinity) come here too, through q = e^-u: the
 exp-kernel route of :mod:`zetaodd.zeta` integrates in q, reading
 ln(1/q) from the node table.
@@ -51,27 +53,32 @@ calls f and reads no type or attribute of it.
 
 Integer level sums.  :func:`integrate_01_fixed` runs the same loop,
 nodes, tail rule, stopping rule and error estimate, but takes each
-level's sum in Python integers, for the zeta routes' polynomial
-kernels, where mpf overhead (a power, a division, conversions, the
-adds of the sum) costs more than the polynomial itself.  Each node
-member also carries integer columns in units of 2^-P, with
-P = mp.prec + _FIXED_GUARD_BITS: u, 1/(1+u), w (1-u)/ln(1/u), u^2 and
-w u/asech(u), w the node weight, all in [0, 1]; they sit in the same
-memo entry as the mpf nodes.  The kernel turns one member's columns
-into one integer term by integer products and right shifts, and the
-level's terms go through the same _tail_sum against the cutoff in the
-same units, so the tail rule sees the same terms; the level total and
-the outermost term become mpf once per level.  Each right shift
-truncates by less than one unit and each column is within three units
-of its exact value, so a term errs by at most 2^-P times the kernel's
-count of truncations, each scaled by how much the rest of the term
-can magnify it (:func:`zetaodd.zeta._degree_setup` bounds this for the
-routes), on top of the mpf rounding the columns inherit.  The guard
-puts a unit at or below 10^-(eval_digits + _TAIL_EPS_SHIFT + 1), so
-the tail cutoff is at least ten units, and 2^20 units make one unit in
-the last place of a term near 1 at the working precision.  Fixed point
-has no relative precision, so generic integrands, singular ones
-included, stay on :func:`integrate_01_singular`.
+level's sum in Python integers.  Every production integral goes
+through it: the zeta routes' polynomial kernels and the moments I_n
+(:func:`integral_In`), where mpf overhead (a power, a division,
+conversions, the adds of the sum) costs more than the polynomial
+itself.  Each node member also carries integer columns in units of
+2^-P, with P = mp.prec + _FIXED_GUARD_BITS: u, 1/(1+u),
+w (1-u)/ln(1/u), u^2 and w u/asech(u), w the node weight, all in
+[0, 1]; they sit in the same memo entry as the mpf nodes.  The kernel
+turns one member's columns into one integer term by integer products
+and right shifts, and the level's terms go through the same _tail_sum
+against the cutoff in the same units, so the tail rule sees the same
+terms; the level total and the outermost term become mpf once per
+level.  Each right shift truncates by less than one unit and each
+column is within three units of its exact value, so a term errs by at
+most 2^-P times the kernel's count of truncations, each scaled by how
+much the rest of the term can magnify it
+(:func:`zetaodd.zeta._degree_setup` bounds this for the routes,
+:func:`integral_In` for the moments), on top of the mpf rounding the
+columns inherit.  The guard puts a unit at or below
+10^-(eval_digits + _TAIL_EPS_SHIFT + 1), so the tail cutoff is at
+least ten units, and 2^20 units make one unit in the last place of a
+term near 1 at the working precision.  :func:`integrate_01_singular`
+is the general mpf integrator, for integrands that are no integer
+kernel on these columns (fixed point has no relative precision), and
+the tests' reference for the integer sums; nothing on the production
+path calls it.
 
 One precision, separate depth.  Arithmetic runs at
 PrecisionConfig.eval_digits: working_digits rounded up to a multiple of
@@ -256,6 +263,20 @@ def _fixed_columns(u, d, log_recip, asech, w, prec: int) -> tuple[int, ...]:
         fixed_u * fixed_u >> prec,
         to_fixed((w * u / asech)._mpf_, prec),
     )
+
+
+def _power_fixed(x: int, n: int, prec: int) -> int:
+    """x^n for n >= 0, x and the result integers in units of 2^-prec, by
+    binary powering: each of its at most 2 log2(n) products is truncated
+    back to prec bits by one right shift."""
+    power = 1 << prec
+    while True:
+        if n & 1:
+            power = power * x >> prec
+        n >>= 1
+        if not n:
+            return power
+        x = x * x >> prec
 
 
 def _log1p(x) -> mp.mpf:
@@ -455,15 +476,28 @@ def integral_In(n: int, cfg: PrecisionConfig = DEFAULT_PRECISION) -> QuadratureR
 
     The integrand vanishes at u = 0 (for n >= 1) and blows up like
     (2 (1-u))^(-1/2) at u = 1, the exact singularity class the
-    tanh-sinh integrator is tuned for.  asech(u) is the one the node
-    table carries, so every moment at one precision divides by the same
-    values.  Moments are not memoized: every call integrates, and the
-    zeta routes take none.
+    tanh-sinh integrator is tuned for.  It is the asech route's integral
+    with the polynomial x^(n-1), so the level sums are taken in integers
+    (:func:`integrate_01_fixed`) from the node table's columns X = u^2
+    and Fa = w u/asech(u): each term is Fa X^(n-1), the power by
+    :func:`_power_fixed`.  X is within three units of 2^-P and the power
+    magnifies that by at most n - 1; with the power's and the product's
+    truncations the sum errs by about n units, against
+    I_n ~ sqrt(pi/(4n)), at least 0.044 for n <= 400, so well inside
+    the 20 guard bits.  Moments are not memoized: every call
+    integrates, and the zeta routes take none.
     """
     if n < 1:
         raise ValueError(f"moment index n must be >= 1, got {n}")
-    e = 2 * n - 1
-    return integrate_01_singular(lambda u, d, _, asech: u**e / asech, cfg)
+
+    def kernel(prec):
+        def term(columns):
+            _, _, _, x, fa = columns
+            return fa * _power_fixed(x, n - 1, prec) >> prec
+
+        return term
+
+    return integrate_01_fixed(kernel, cfg)
 
 
 def integral_In_crosscheck(n: int, dps: int = 40) -> tuple[mp.mpf, mp.mpf]:

@@ -66,10 +66,15 @@ def s_constant(m: int) -> Fraction:
 
 
 def triangular_system(m: int) -> dict[tuple[int, int], Fraction]:
-    """Upper-triangular system matrix for degree m: {(j, l): b(j, l)}."""
+    """Upper-triangular system matrix for degree m: {(j, l): b(j, l)}.
+
+    Built diagonal by diagonal: every entry with l - j = k reads the
+    Bernoulli row B(k, .), so each row is built once per call at any
+    degree, also past the row memo's 101 rows.
+    """
     if m < 1:
         raise ValueError(f"degree m must be >= 1, got {m}")
-    return {(j, l): coeff_b(j, l) for l in range(1, m + 1) for j in range(1, l + 1)}
+    return {(l - k, l): coeff_b(l - k, l) for k in range(m) for l in range(k + 1, m + 1)}
 
 
 @dataclass(frozen=True)

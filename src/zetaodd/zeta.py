@@ -53,6 +53,7 @@ from .hyperbolic import tau_row, tau_top
 from .quadrature import (
     DEFAULT_PRECISION,
     PrecisionConfig,
+    _power_fixed,
     integral_In,
     integrate_01_fixed,
 )
@@ -212,24 +213,16 @@ def _exp_term(coeffs, prec: int):
     :func:`~zetaodd.quadrature.integrate_01_fixed`:
     -(Fe D_m(U) G^m) from the columns U = q, G = 1/(1+q) and
     Fe = w (1-q)/ln(1/q), all integers at ``prec`` fractional bits.
-    G^m is taken as (2G)^m 2^-m, since 2G >= 1 keeps every truncation of
-    the power relative; one shift rounds the product back to prec bits."""
+    G^m is taken as (2G)^m 2^-m (:func:`~zetaodd.quadrature._power_fixed`),
+    since 2G >= 1 keeps every truncation of the power relative; one
+    shift rounds the product back to prec bits."""
     m = len(coeffs) + 1
     shifted = [c << prec for c in coeffs]
     shift = 2 * prec + m
-    one = 1 << prec
 
     def term(columns):
         u, g, fe, _, _ = columns
-        g <<= 1
-        power, n = one, m
-        while True:
-            if n & 1:
-                power = power * g >> prec
-            n >>= 1
-            if not n:
-                break
-            g = g * g >> prec
+        power = _power_fixed(g << 1, m, prec)
         return -(fe * _horner_int(shifted, u, prec) * power >> shift)
 
     return term

@@ -215,6 +215,17 @@ _I5_100 = (
     "64358744046284987619351"
 )
 
+_I400_300 = (
+    "0.044306731517281785854105234747612498689163965348495330890364999350972399347967"
+    "19979310096194062359150207102643301350146398272819131343962919131618997774243277"
+    "74095658214617096544916348115905158852630911313777097775481325798865712002678404"
+    "970040474460063057017642866267088398022842008401343533862816705"
+)
+_I200_100 = (
+    "0.062652657223949437694165789539483279553785650592578582437249238823439753328177"
+    "09780645179216693915802"
+)
+
 
 class TestNumericGoldens:
     """Byte-for-byte output of the quadrature commands, so a change to
@@ -254,9 +265,23 @@ class TestNumericGoldens:
                 f'  "value": "{_I5_100}",\n'
                 '  "error_estimate": "2.86e-102",\n  "nodes": 731,\n  "levels": 7\n}\n',
             ),
+            (
+                ["integral", "--n", "400", "--digits", "300", "--format", "json"],
+                '{\n  "n": 400,\n  "digits": 300,\n'
+                f'  "value": "{_I400_300}",\n'
+                '  "error_estimate": "7.02e-302",\n  "nodes": 3477,\n  "levels": 9\n}\n',
+            ),
+            (
+                ["integral", "--n", "1", "--digits", "15"],
+                "I_1 = 0.852556797635012\nerror estimate = 1.16e-17\nnodes = 127, levels = 5\n",
+            ),
+            (
+                ["integral", "--n", "200", "--digits", "100", "--format", "csv"],
+                f"n,value,error_estimate,nodes,levels\n200,{_I200_100},2.27e-103,1463,8\n",
+            ),
         ],
         ids=["zeta3-100-json", "zeta41-json", "zeta61-exp-15", "zeta5-asech-150-csv",
-             "I5-100-json"],
+             "I5-100-json", "I400-300-json", "I1-15-text", "I200-100-csv"],
     )
     def test_output(self, capsys, argv, want):
         rc, out, _ = run(capsys, *argv)

@@ -321,6 +321,28 @@ class TestNegLog:
                 neglog_stable(bad)
 
 
+def _moment_integrand(n):
+    """u^(2n-1)/asech(u), the mpf reference for integral_In."""
+    return lambda u, d, _, asech: u ** (2 * n - 1) / asech
+
+
+def _assert_matches_mpf(got, want, cfg):
+    """Same levels and node count, and the value within
+    10^-(eval_digits - 5) relative."""
+    assert (got.levels, got.nodes_used) == (want.levels, want.nodes_used)
+    with mp.workdps(cfg.eval_digits + 10):
+        tol = mp.mpf(10) ** (5 - cfg.eval_digits)
+        assert abs(got.value - want.value) <= tol * want.value
+
+
+# Digits x moment index; the 300-digit corners run only with --run-slow.
+_MOMENT_GRID = [
+    pytest.param(d, n, marks=pytest.mark.slow) if d == 300 else (d, n)
+    for d in (15, 30, 100, 300)
+    for n in (1, 5, 50, 200, 400)
+]
+
+
 class TestMomentIntegrals:
     def test_value_against_frozen_reference(self):
         res = integral_In(1, DEFAULT_PRECISION)
@@ -363,9 +385,9 @@ class TestMomentIntegrals:
         assert again == first
 
     def test_asech_table_matches_direct_integrand(self):
-        # integral_In divides by the asech(u) the node table carries: an
-        # integrand reading that column gives the same bits, and the
-        # column agrees with asech_stable at every node, within
+        # integral_In sums the node table's integer columns; the mpf
+        # integrand reading the table's asech(u) column agrees with it,
+        # and that column agrees with asech_stable at every node, within
         # 10^(2 - dps) relative.  Warm and cold tables, and two
         # precisions in one session, so a table shared across
         # precisions fails.
@@ -379,13 +401,21 @@ class TestMomentIntegrals:
                         seen.append((u, d, asech))
                         return u**e / asech
 
-                    assert integral_In(n, cfg) == integrate_01_singular(f, cfg)
+                    _assert_matches_mpf(integral_In(n, cfg), integrate_01_singular(f, cfg), cfg)
                     with mp.workdps(cfg.eval_digits):
                         tol = mp.mpf(10) ** (2 - cfg.eval_digits)
                         for u, d, asech in seen:
                             want = asech_stable(u, d)
                             assert abs(asech - want) <= tol * want
             _ts_level_nodes.cache_clear()
+
+    @pytest.mark.parametrize("digits, n", _MOMENT_GRID)
+    def test_integer_sums_match_mpf_reference(self, digits, n):
+        # integral_In sums Fa X^(n-1) in integers; the mpf integrand
+        # u^(2n-1)/asech(u) on integrate_01_singular is the reference
+        cfg = PrecisionConfig(digits, digits + 20)
+        want = integrate_01_singular(_moment_integrand(n), cfg)
+        _assert_matches_mpf(integral_In(n, cfg), want, cfg)
 
     @pytest.mark.parametrize("digits", [15, 30, 100])
     @pytest.mark.parametrize("n", [140, 180, 400])

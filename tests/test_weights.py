@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from zetaodd.bernoulli import _row_terms, gen_bernoulli
 from zetaodd.weights import (
     coeff_b,
     d_coefficients,
@@ -119,3 +120,16 @@ class TestSolve:
         assert system[(4, 4)] == 1
         with pytest.raises(KeyError):
             system[(3, 2)]
+
+    def test_cold_solve_past_the_row_memo_builds_each_row_once(self):
+        # the system is built diagonal by diagonal, so a degree-103 solve
+        # builds each of its 103 Bernoulli rows once although the row
+        # memo keeps 101, and its entries are the column-by-column
+        # build's
+        _row_terms.cache_clear()
+        gen_bernoulli.cache_clear()
+        wv = solve_weights(103)
+        assert _row_terms.cache_info().misses == 103
+        assert wv.weight(103) == -s_constant(103)
+        want = {(j, l): coeff_b(j, l) for l in range(1, 104) for j in range(1, l + 1)}
+        assert triangular_system(103) == want

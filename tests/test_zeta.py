@@ -277,12 +277,20 @@ class TestIntegralRoutes:
         # by moment, each moment 30 digits past the target to absorb the
         # pairing's cancellation (24.7 digits at m = 101).  The route
         # keeps the caller's node depth, so it misses the mass beyond the
-        # outermost node, about 0.4 m sqrt(2) 10^-(target + 3.5) relative
+        # outermost node, about 0.4 m sqrt(2) 10^-(target + 3.5) relative.
+        # integral_In sums the same integer columns as the route, so the
+        # moments come from the mpf integrand u^(2n-1)/asech(u) instead
         got = zeta_via_asech_kernel(m, PrecisionConfig(digits, digits + 20))
         oracle_cfg = PrecisionConfig(digits + 30, digits + 50)
+
+        def moment(n):
+            return integrate_01_singular(
+                lambda u, d, _, asech: u ** (2 * n - 1) / asech, oracle_cfg
+            ).value
+
         with mp.workdps(oracle_cfg.eval_digits):
             want = mp.pi ** (m - 1) * sum(
-                mp.mpf(t.numerator) / t.denominator * integral_In(j - 1, oracle_cfg).value
+                mp.mpf(t.numerator) / t.denominator * moment(j - 1)
                 for j, t in tau_row(m).items()
             )
             assert abs(got - want) <= m * mp.mpf(10) ** -(digits + 3) * want
@@ -436,6 +444,18 @@ class TestLinearForm:
     def test_residual(self, n):
         form = linear_form(n)
         assert linear_form_residual(form, DEFAULT_PRECISION) < mp.mpf("1e-20")
+
+    def test_deep_moment_against_zeta_sums(self):
+        # I_20 from the exact form and zeta_reference alone, no
+        # quadrature on that side, against integral_In at 100 digits
+        # (7.3e-104 measured)
+        cfg = PrecisionConfig(100, 120)
+        assert linear_form_residual(linear_form(20), cfg) <= mp.mpf(10) ** -95
+
+    def test_thetas_positive(self):
+        # observed, not proved: every theta_k of the degree-20 form is
+        # positive, so the zeta sum for I_20 has no cancellation
+        assert all(theta > 0 for theta in linear_form(20).thetas)
 
     def test_domain(self):
         with pytest.raises(ValueError):
