@@ -46,49 +46,62 @@ f(u, 1 - u, ln(1/u), asech(u)), with the complement taken from the
 other member of the pair, so it never re-derives 1 - u, and deep nodes
 whose u_plus rounds to exactly 1 still carry their exact, nonzero
 complement.  ln(1/u) (the exp route's ln(1/q)) and asech(u) are
-computed once per node from q and 2s (:func:`_ts_level_nodes`);
-:func:`neglog_stable` and :func:`asech_stable` are the tests' oracles
-for them.  Nothing tells one integrand from another: the integrator
-calls f and reads no type or attribute of it.
+computed once per node from q and 2s (:func:`_ts_level_nodes`, the mpf
+node table; production reads the same quantities as integer columns,
+see Integer level sums); :func:`neglog_stable` and
+:func:`asech_stable` are the tests' oracles for them.  Nothing tells
+one integrand from another: the integrator calls f and reads no type
+or attribute of it.
 
 Integer level sums.  :func:`integrate_01_fixed` runs the same loop,
 nodes, tail rule, stopping rule and error estimate, but takes each
-level's sum in Python integers.  Every production integral goes
-through it: the zeta routes' polynomial kernels and the moments I_n
+level's sum in Python integers.  Every production integral goes through
+it: the zeta routes' polynomial kernels and the moments I_n
 (:func:`integral_In`), where mpf overhead (a power, a division,
 conversions, the adds of the sum) costs more than the polynomial
-itself.  Each node member also carries integer columns in units of
-2^-P, with P = mp.prec + _FIXED_GUARD_BITS: u, 1/(1+u),
-w (1-u)/ln(1/u), u^2 and w u/asech(u), w the node weight, all in
-[0, 1]; they sit in the same memo entry as the mpf nodes.  The kernel
-turns one member's columns into one integer term by integer products
-and right shifts, and the level's terms go through the same _tail_sum
-against the cutoff in the same units, so the tail rule sees the same
-terms; the level total and the outermost term become mpf once per
-level.  Each right shift truncates by less than one unit and each
-column is within three units of its exact value, so a term errs by at
-most 2^-P times the kernel's count of truncations, each scaled by how
-much the rest of the term can magnify it
+itself.  Its node table (:func:`_ts_level_columns`) holds, per node
+member, only integer columns in units of 2^-P, with
+P = mp.prec + _FIXED_GUARD_BITS: u, 1/(1+u), w (1-u)/ln(1/u), u^2 and
+w u/asech(u), w the node weight, all in [0, 1].  They are computed in
+integers, each node at its own precision, and nothing in the table is
+an mpf; the mpf table of :func:`integrate_01_singular`, through
+:func:`_fixed_columns` at 20 digits more, is their oracle in the tests.
+The columns u, Fe = w (1-u)/ln(1/u) and Fa = w u/asech(u) are within
+one unit of 2^-P of their exact values (a truncation, after arithmetic
+that errs by less than 2^-16 units), 1/(1+u) within two and u^2 within
+three, both from the integer u (:func:`_ts_level_columns` derives the
+bound).  The
+centre node u = 1/2 is outside the table: its columns come from mpf
+arguments (:func:`_fixed_columns`), so its Fe and Fa carry one rounding
+at the working precision, about 2^20 units.  The kernel turns one
+member's columns into one integer term by integer products and right
+shifts, and the level's terms go through the same _tail_sum against the
+cutoff in the same units, so the tail rule sees the same terms; the
+level total and the outermost term become mpf once per level.  Each
+right shift truncates by less than one unit, so a term errs by at most
+2^-P times the kernel's count of truncations and column units, each
+scaled by how much the rest of the term can magnify it
 (:func:`zetaodd.zeta._degree_setup` bounds this for the routes,
-:func:`integral_In` for the moments), on top of the mpf rounding the
-columns inherit.  The guard puts a unit at or below
-10^-(eval_digits + _TAIL_EPS_SHIFT + 1), so the tail cutoff is at
+:func:`integral_In` for the moments).  The guard puts a unit at or
+below 10^-(eval_digits + _TAIL_EPS_SHIFT + 1), so the tail cutoff is at
 least ten units, and 2^20 units make one unit in the last place of a
-term near 1 at the working precision.  :func:`integrate_01_singular`
-is the general mpf integrator, for integrands that are no integer
-kernel on these columns (fixed point has no relative precision), and
-the tests' reference for the integer sums; nothing on the production
-path calls it.
+term near 1 at the working precision.  :func:`integrate_01_singular` is
+the general mpf integrator, for integrands that are no integer kernel
+on these columns (fixed point has no relative precision), and the
+tests' reference for the integer sums; nothing on the production path
+calls it.
 
 One precision, separate depth.  Arithmetic runs at
 PrecisionConfig.eval_digits: working_digits rounded up to a multiple of
 10, so nearby working precisions share node tables.  The node depth is
 set apart from it: the outermost nodes reach 1 - u ~ 10^-(2 target + 7),
 because the truncated mass of a 1/sqrt(1 - u) singularity is the square
-root of the gap (about 10^-(target + 3.5) there) and deep mpf exponents
-cost nothing.  Node tables are keyed by (eval precision, depth, level),
-and at most _NODE_TABLES_KEPT levels are held at once, so a session
-that sweeps precisions keeps bounded state.
+root of the gap (about 10^-(target + 3.5) there).  Deep nodes cost
+less, not more: a node's q needs only about P - log2(1/q)/2 bits of
+relative precision, since its columns shrink like sqrt(q).  Both node
+tables are keyed by (eval precision, depth, level), and each holds at
+most _NODE_TABLES_KEPT levels at once, so a session that sweeps
+precisions keeps bounded state.
 
 Tail rule.  Each level sums its terms outward from the centre and stops
 after _TAIL_RUN consecutive terms at or below 10^-(eval_digits + 5)
@@ -105,7 +118,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import mpmath as mp
-from mpmath.libmp import dps_to_prec, to_fixed
+from mpmath.libmp import dps_to_prec, from_man_exp, ln2_fixed, mpf_exp, mpf_log, pi_fixed, to_fixed
 
 __all__ = [
     "PrecisionConfig",
@@ -124,10 +137,13 @@ _TAIL_EPS_SHIFT = 5   # tail cutoff sits 10^-5 below eval precision
 _TAIL_RUN = 3         # consecutive negligible terms before truncating
 _STOP_HEADROOM = 10   # the error estimate must clear the target by 10^-10
 _MAX_LEVELS = 12      # step-halving refinements before NonConvergenceError
-_NODE_TABLES_KEPT = 32  # node levels memoized; a zeta_report sweep of m <= 41 builds 13
+_NODE_TABLES_KEPT = 32  # levels each node memo keeps; a zeta_report sweep of m <= 41 builds 13
 # integer columns carry this many bits past the working precision: one
 # digit more than the tail cutoff sits below it, so the cutoff is >= 10 units
 _FIXED_GUARD_BITS = math.ceil((_TAIL_EPS_SHIFT + 1) * math.log2(10))
+_COLUMN_GUARD_BITS = 32  # node arithmetic runs this far past the columns' bits
+_SERIES_MAX_TERMS = 32  # node logs by series once these end within about this many terms
+_LOG2_E = 1 / math.log(2)
 
 
 @dataclass(frozen=True)
@@ -232,10 +248,13 @@ def neglog_stable(q, d=None) -> mp.mpf:
 
 # -- node tables ---------------------------------------------------------
 #
-# Keyed by (eval_dps, depth, level).  Level 0 holds t = 1 .. t_max step 1
-# (the t = 0 centre node is handled by the caller); level k >= 1 holds the
-# odd multiples of 2^-k in (0, t_max].  All node data is derived from
-# q = exp(-2s) and 2s itself, so no subtraction ever forms the boundary gap.
+# Two tables of the same nodes, both keyed by (eval_dps, depth, level):
+# the integer columns production sums (_ts_level_columns) and the mpf
+# nodes of the general integrator, their oracle (_ts_level_nodes).  Level 0
+# holds t = 1 .. t_max step 1 (the t = 0 centre node is handled by the
+# caller); level k >= 1 holds the odd multiples of 2^-k in (0, t_max].  All
+# node data is derived from q = exp(-2s) and 2s itself, so no subtraction
+# ever forms the boundary gap.
 
 def _node_depth(cfg: PrecisionConfig) -> int:
     """Digits of the smallest boundary gap 1 - u the nodes reach."""
@@ -248,20 +267,24 @@ def _fixed_bits(eval_dps: int) -> int:
     return dps_to_prec(eval_dps) + _FIXED_GUARD_BITS
 
 
-def _fixed_columns(u, d, log_recip, asech, w, prec: int) -> tuple[int, ...]:
-    """One node member's integer columns at ``prec`` fractional bits,
-    all in [0, 1]: u, 1/(1+u), w (1-u)/ln(1/u), u^2 and w u/asech(u).
-    The weighted columns are formed in mpf, keeping relative accuracy,
-    and then truncated; 1/(1+u) >= 1/2 and u^2 come from the integer u,
-    within two and three units."""
-    fixed_u = to_fixed(u._mpf_, prec)
+def _member_columns(fixed_u: int, fe: int, fa: int, prec: int) -> tuple[int, ...]:
+    """One node member's five integer columns from its u, Fe and Fa
+    columns: 1/(1+u) >= 1/2 and u^2 come from the integer u."""
     one = 1 << prec
-    return (
-        fixed_u,
-        (one << prec) // (one + fixed_u),
+    return fixed_u, (one << prec) // (one + fixed_u), fe, fixed_u * fixed_u >> prec, fa
+
+
+def _fixed_columns(u, d, log_recip, asech, w, prec: int) -> tuple[int, ...]:
+    """One node member's integer columns at ``prec`` fractional bits from
+    its mpf arguments, all in [0, 1]: u, 1/(1+u), w (1-u)/ln(1/u), u^2
+    and w u/asech(u).  The weighted columns are formed in mpf at the
+    working precision and then truncated.  The centre node's columns, and
+    the tests' oracle for :func:`_ts_level_columns`."""
+    return _member_columns(
+        to_fixed(u._mpf_, prec),
         to_fixed((w * d / log_recip)._mpf_, prec),
-        fixed_u * fixed_u >> prec,
         to_fixed((w * u / asech)._mpf_, prec),
+        prec,
     )
 
 
@@ -279,27 +302,22 @@ def _power_fixed(x: int, n: int, prec: int) -> int:
         x = x * x >> prec
 
 
-def _log1p(x) -> mp.mpf:
-    """ln(1 + x) for x >= 0: x - x^2/2 below 2^-prec, else the log of
-    1 + x formed exactly, which works at only as many extra bits as the
-    sum cancels (mp.log1p doubles the precision)."""
-    if mp.mag(x) < -mp.mp.prec:
-        return x - x * x / 2
-    return mp.log(mp.fadd(1, x, exact=True))
-
-
-class _Level(tuple):
-    """One level's node pairs (minus, plus, w), plus ``fixed``: each
-    pair's two members as :func:`_fixed_columns` at
-    :func:`_fixed_bits` (eval_dps), with w folded in."""
+def _level_indices(eval_dps: int, depth: int, level: int) -> range:
+    """The k of the nodes t = k 2^-level new at this level, up to
+    t_max = asinh(depth ln(10) / pi), where q = 10^-depth."""
+    with mp.workdps(eval_dps):
+        t_max = mp.asinh(depth * mp.log(10) / mp.pi)
+        k_max = int(mp.floor(t_max * 2**level))
+    return range(1, k_max + 1, 1 if level == 0 else 2)
 
 
 @lru_cache(maxsize=_NODE_TABLES_KEPT)
-def _ts_level_nodes(eval_dps: int, depth: int, level: int) -> _Level:
-    """Tanh-sinh nodes new at this level: tuples (minus, plus, w), each
-    member of the pair the integrand's arguments (u, 1 - u, ln(1/u),
-    asech(u)), with u_minus = q/(1+q) ~ 10^-depth at the outermost node;
-    the same members' integer columns ride along as ``.fixed``.
+def _ts_level_nodes(eval_dps: int, depth: int, level: int) -> tuple:
+    """Tanh-sinh nodes new at this level, in mpf: tuples (minus, plus, w),
+    each member of the pair the integrand's arguments (u, 1 - u, ln(1/u),
+    asech(u)), with u_minus = q/(1+q) ~ 10^-depth at the outermost node.
+    The nodes of :func:`integrate_01_singular`, and through
+    :func:`_fixed_columns` the oracle for :func:`_ts_level_columns`.
 
     With 2s = pi sinh t and q = exp(-2s): u_plus = 1/(1+q),
     u_minus = q u_plus and w = pi cosh(t) q u_plus^2; sinh t and cosh t
@@ -308,35 +326,187 @@ def _ts_level_nodes(eval_dps: int, depth: int, level: int) -> _Level:
     ln(1/u_minus) = 2s + log1p(q), asech(u_plus) = log1p(q + sqrt(q (2+q)))
     and asech(u_minus) = 2s + ln(1 + q + sqrt(1 + 2q)).
     """
-    prec = _fixed_bits(eval_dps)
     with mp.workdps(eval_dps):
-        t_max = mp.asinh(depth * mp.log(10) / mp.pi)  # where q = 10^-depth
         h = mp.mpf(1) / 2**level
-        step = 1 if level == 0 else 2
         half_pi = mp.pi / 2
         out = []
-        fixed = []
-        k = 1
-        t = k * h
-        while t <= t_max:
-            e_t = mp.exp(t)
+        for k in _level_indices(eval_dps, depth, level):
+            e_t = mp.exp(k * h)
             e_neg = 1 / e_t
             two_s = half_pi * (e_t - e_neg)
             q = mp.exp(-two_s)
             u_plus = 1 / (1 + q)
             u_minus = q * u_plus
             w = half_pi * (e_t + e_neg) * u_minus * u_plus
-            log_plus = _log1p(q)
+            log_plus = mp.log1p(q)
             minus = (u_minus, u_plus, two_s + log_plus,
                      two_s + mp.log(1 + q + mp.sqrt(1 + 2 * q)))
-            plus = (u_plus, u_minus, log_plus, _log1p(q + mp.sqrt(q * (2 + q))))
+            plus = (u_plus, u_minus, log_plus, mp.log1p(q + mp.sqrt(q * (2 + q))))
             out.append((minus, plus, w))
-            fixed.append((_fixed_columns(*minus, w, prec), _fixed_columns(*plus, w, prec)))
-            k += step
-            t = k * h
-        level_nodes = _Level(out)
-        level_nodes.fixed = tuple(fixed)
-        return level_nodes
+        return tuple(out)
+
+
+@lru_cache(maxsize=4)
+def _log_sixteenths(prec: int) -> tuple[int, ...]:
+    """ln(j/16) for j = 16 .. 31, in units of 2^-prec."""
+    return tuple(to_fixed(mpf_log(from_man_exp(j, -4), prec), prec) for j in range(16, 32))
+
+
+def _log_fixed(x: int, prec: int) -> int:
+    """ln(x) for x >= 1, x and the result integers in units of 2^-prec,
+    within three units (one each from r, its log and ln(j/16)).
+    x = 2^e (j/16) r with 16 <= j < 32 its leading five bits and
+    1 <= r < 17/16, so mpf_log, whose table is indexed by a mantissa's
+    leading nine bits and filled one entry per new index, sees only the
+    16 heads of j/16 and of r: a cold process fills about 32 entries
+    instead of up to 256.  The ln(j/16) come at a multiple of 64 bits,
+    so nearby node precisions share them."""
+    j = x >> x.bit_length() - 5
+    table_prec = -(-prec // 64) * 64
+    head = _log_sixteenths(table_prec)[j - 16] >> table_prec - prec
+    return head + to_fixed(mpf_log(from_man_exp((x << 4) // j, -prec), prec), prec)
+
+
+def _log1p_ratio(x: int, prec: int) -> int:
+    """log1p(x)/x = 2 atanh(v)/x = (2/(2+x)) sum_k v^(2k)/(2k+1) with
+    v = x/(2+x), x and the result integers in units of 2^-prec, summed
+    until the term truncates to zero: about prec/(2 log2(1/x)) terms,
+    each truncated once."""
+    two = 2 << prec
+    v = (x << prec) // (two + x)
+    v2 = v * v >> prec
+    total, term, k = 0, 1 << prec, 1
+    while term:
+        total += term // k
+        term = term * v2 >> prec
+        k += 2
+    return (total << prec + 1) // (two + x)
+
+
+def _acosh_ratio(x: int, prec: int) -> int:
+    """acosh(1+x)/sqrt(2x) = sum_k (-1)^k C(2k,k)/(4^k (2k+1)) (x/2)^k, in
+    the units of :func:`_log1p_ratio` and summed the same way."""
+    total, term, k, sign = 0, 1 << prec, 0, 1
+    while term:
+        total += sign * (term // (2 * k + 1))
+        k += 1
+        term = (term * x >> (prec + 1)) * (2 * k - 1) // (2 * k)
+        sign = -sign
+    return total
+
+
+def _series_ratios(q: int, root: int, prec: int) -> tuple[int, int, int]:
+    """log1p(q)/q, acosh(1+q)/sqrt(2q) and ln(1 + q + sqrt(1 + 2q)) from
+    q and root = sqrt(1 + 2q), all in units of 2^-prec, by the series of
+    :func:`_log1p_ratio` and :func:`_acosh_ratio`, with
+    ln(1 + q + root) = ln 2 + log1p(y), y = q (1 + 2/(1 + root))/2."""
+    one = 1 << prec
+    y = q * (one + (one << prec + 1) // (one + root)) >> prec + 1
+    rest = ln2_fixed(prec) + (y * _log1p_ratio(y, prec) >> prec)
+    return _log1p_ratio(q, prec), _acosh_ratio(q, prec), rest
+
+
+def _log_ratios(q: int, root: int, prec: int) -> tuple[int, int, int]:
+    """:func:`_series_ratios` from three logarithms: of 1 + q, formed
+    exactly, of 1 + q + sqrt(q (2+q)) = exp(acosh(1+q)) and of
+    1 + q + root."""
+    one = 1 << prec
+    log_plus = _log_fixed(one + q, prec)
+    asech_plus = _log_fixed(one + q + math.isqrt(q * (2 * one + q)), prec)
+    return (
+        (log_plus << prec) // q,
+        (asech_plus << prec) // math.isqrt(q << prec + 1),
+        _log_fixed(one + q + root, prec),
+    )
+
+
+def _pair_columns(two_s: int, cosh_pi: int, wp: int, prec: int) -> tuple:
+    """One node pair's (minus, plus) integer columns at ``prec`` bits from
+    2s and pi cosh t at ``wp`` bits; see :func:`_ts_level_columns`."""
+    log2_recip = int(two_s / (1 << wp) * _LOG2_E)  # log2(1/q), rounded down
+    # W + L/2 + log2 C bits: Fa ~ C sqrt(q/2) divides by sqrt(q)
+    lift = log2_recip // 2 + 1 + cosh_pi.bit_length() - wp
+    node_prec = wp + lift
+    # q to 8 bits below a unit of node_prec: node_prec - L bits relative
+    q = to_fixed(mpf_exp(from_man_exp(-two_s, -wp), node_prec - log2_recip + 8), node_prec)
+    two_s <<= lift
+    one = 1 << node_prec
+    u_plus = (one << node_prec) // (one + q)
+    b = cosh_pi << lift
+    for _ in range(3):
+        b = b * u_plus >> node_prec  # pi cosh t / (1+q)^3
+    w_plus = b * q >> node_prec  # w u_plus
+    w_minus = w_plus * q >> node_prec  # w u_minus
+    root = math.isqrt((one + 2 * q) << node_prec)
+    ratios = _series_ratios if _SERIES_MAX_TERMS * log2_recip >= node_prec else _log_ratios
+    log_ratio, acosh_ratio, rest = ratios(q, root, node_prec)
+    log_minus = two_s + (q * log_ratio >> node_prec)
+    shift = node_prec - prec
+    u_minus = q * u_plus >> node_prec + shift
+    minus = _member_columns(
+        u_minus,
+        (w_plus << node_prec) // log_minus >> shift,
+        (w_minus << node_prec) // (two_s + rest) >> shift,
+        prec,
+    )
+    plus = _member_columns(
+        (1 << prec) - u_minus,
+        (w_plus << node_prec) // log_ratio >> shift,
+        b * math.isqrt(q << node_prec - 1) // acosh_ratio >> shift,
+        prec,
+    )
+    return minus, plus
+
+
+@lru_cache(maxsize=_NODE_TABLES_KEPT)
+def _ts_level_columns(eval_dps: int, depth: int, level: int) -> tuple:
+    """The production node table: the nodes of :func:`_ts_level_nodes`
+    as pairs (minus, plus) of five integer columns each, the
+    :func:`_fixed_columns` at P = :func:`_fixed_bits` (eval_dps)
+    fractional bits, computed in integers with no mpf kept.
+
+    Per level, e^t comes from one exp and then one product per node, at
+    W = P + _COLUMN_GUARD_BITS + bits(N) for the level's N nodes; 2s and
+    C = pi cosh t follow in fixed point.  Per node, q = exp(-2s) is one
+    exp at the node's own relative precision, held in fixed point at
+    W + L/2 + log2 C bits with L = log2(1/q), since the largest column,
+    Fa ~ C sqrt(q/2) at the plus member, divides by sqrt(q).  The rest
+    is integer arithmetic at that precision.  The plus member's u column
+    is the exact complement 2^P - u_minus.  log1p(q)/q,
+    acosh(1+q)/sqrt(2q) and asech(u_minus) - 2s come from short series
+    once those end within about _SERIES_MAX_TERMS terms
+    (:func:`_series_ratios`), and from three fixed-point logs on the
+    inner nodes (:func:`_log_ratios`).
+
+    Error bound, in units of 2^-P.  Each of the N steps of e^t adds at
+    most three units of 2^-W relative (the factor's, the product's, the
+    start's), so e^t is within 3N 2^-W < 2^(-30-P) relative, and 2s
+    within C 2^(-29-P) absolute.  q inherits that relatively, plus one
+    unit of the node precision.  Through the relative error, the columns
+    move by at most C^2 q or C^2 sqrt(q) times it, both below 10 on every
+    node; through the unit, by at most C/sqrt(q) units of the node
+    precision, which its extra L/2 + log2 C bits cancel.  With one unit
+    of the node precision per series term or log, the arithmetic errs by
+    less than 2^-16 units before the last truncation to P bits.  Hence
+    u_minus, Fe and Fa are within one unit (and 2^-16) of their exact
+    values, and u_plus too (it lies above, u_minus below); 1/(1+u) is
+    within two and u^2 within three, from the integer u as in
+    :func:`_fixed_columns`.  The tests compare every column with
+    :func:`_fixed_columns` of :func:`_ts_level_nodes` 20 digits higher.
+    """
+    prec = _fixed_bits(eval_dps)
+    indices = _level_indices(eval_dps, depth, level)
+    wp = prec + _COLUMN_GUARD_BITS + len(indices).bit_length()
+    e_t = to_fixed(mpf_exp(from_man_exp(indices[0], -level), wp), wp)
+    step = to_fixed(mpf_exp(from_man_exp(indices.step, -level), wp), wp)
+    pi = pi_fixed(wp)
+    out = []
+    for _ in indices:
+        e_inv = (1 << 2 * wp) // e_t
+        two_s = pi * (e_t - e_inv) >> wp + 1
+        out.append(_pair_columns(two_s, pi * (e_t + e_inv) >> wp + 1, wp, prec))
+        e_t = e_t * step >> wp
+    return tuple(out)
 
 
 def _tail_sum(terms, eps):
@@ -388,9 +558,10 @@ def _centre() -> tuple:
     return half, half, mp.log(2), mp.log(2 + mp.sqrt(3))
 
 
-def _refine(centre, level_sum, cfg: PrecisionConfig) -> QuadratureResult:
+def _refine(table, centre, level_sum, cfg: PrecisionConfig) -> QuadratureResult:
     """The level loop: halve the step until the stopping rule holds.
-    ``centre()`` is pi/4 times the integrand at u = 1/2, and
+    ``table(eval_dps, depth, level)`` is the node table,
+    ``centre()`` pi/4 times the integrand at u = 1/2, and
     ``level_sum(nodes, eps)`` the :func:`_tail_sum` of one level's pair
     terms at cutoff eps, as mpf; both run at eval_digits."""
     eval_dps = cfg.eval_digits
@@ -403,7 +574,7 @@ def _refine(centre, level_sum, cfg: PrecisionConfig) -> QuadratureResult:
         used = 0
         for level in range(_MAX_LEVELS):
             scale = 1 + abs(sums[-1]) if sums else mp.mpf(1)
-            nodes = _ts_level_nodes(eval_dps, depth, level)
+            nodes = table(eval_dps, depth, level)
             new, count, outermost = level_sum(nodes, base_eps * scale)
             used += 2 * count
             h = mp.mpf(1) / 2**level
@@ -440,7 +611,7 @@ def integrate_01_singular(f, cfg: PrecisionConfig = DEFAULT_PRECISION) -> Quadra
     def level_sum(nodes, eps):
         return _tail_sum((w * (f(*lo) + f(*hi)) for lo, hi, w in nodes), eps)
 
-    return _refine(lambda: mp.pi / 4 * f(*_centre()), level_sum, cfg)
+    return _refine(_ts_level_nodes, lambda: mp.pi / 4 * f(*_centre()), level_sum, cfg)
 
 
 def integrate_01_fixed(kernel, cfg: PrecisionConfig = DEFAULT_PRECISION) -> QuadratureResult:
@@ -462,11 +633,11 @@ def integrate_01_fixed(kernel, cfg: PrecisionConfig = DEFAULT_PRECISION) -> Quad
 
     def level_sum(nodes, eps):
         total, count, outermost = _tail_sum(
-            (term(lo) + term(hi) for lo, hi in nodes.fixed), to_fixed(eps._mpf_, prec)
+            (term(lo) + term(hi) for lo, hi in nodes), to_fixed(eps._mpf_, prec)
         )
         return mp.ldexp(total, -prec), count, mp.ldexp(outermost, -prec)
 
-    return _refine(centre, level_sum, cfg)
+    return _refine(_ts_level_columns, centre, level_sum, cfg)
 
 
 # -- the inverse-asech moment integrals ----------------------------------
@@ -480,12 +651,16 @@ def integral_In(n: int, cfg: PrecisionConfig = DEFAULT_PRECISION) -> QuadratureR
     with the polynomial x^(n-1), so the level sums are taken in integers
     (:func:`integrate_01_fixed`) from the node table's columns X = u^2
     and Fa = w u/asech(u): each term is Fa X^(n-1), the power by
-    :func:`_power_fixed`.  X is within three units of 2^-P and the power
-    magnifies that by at most n - 1; with the power's and the product's
-    truncations the sum errs by about n units, against
-    I_n ~ sqrt(pi/(4n)), at least 0.044 for n <= 400, so well inside
-    the 20 guard bits.  Moments are not memoized: every call
-    integrates, and the zeta routes take none.
+    :func:`_power_fixed`.  X is within three units of 2^-P and Fa within
+    one (:func:`_ts_level_columns`); the power magnifies X's error by at
+    most n - 1, so with the power's 2 log2(n) truncations and the
+    product's one a term errs by at most 3n + 2 log2(n) + 2 units, and a
+    level sum, h times its terms over t <= t_max (below 8 for targets
+    under 1000), by at most eight times that: under 2^14 units for
+    n <= 400, against I_n ~ sqrt(pi/(4n)) >= 0.044, so well inside the
+    20 guard bits.
+    Moments are not memoized: every call integrates, and the zeta routes
+    take none.
     """
     if n < 1:
         raise ValueError(f"moment index n must be >= 1, got {n}")

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from functools import partial
 
 import mpmath as mp
 import pytest
@@ -9,13 +10,18 @@ from zetaodd.quadrature import (
     DEFAULT_PRECISION,
     NonConvergenceError,
     PrecisionConfig,
+    _NODE_TABLES_KEPT,
     _TAIL_EPS_SHIFT,
+    _fixed_bits,
+    _fixed_columns,
     _node_depth,
     _tail_sum,
+    _ts_level_columns,
     _ts_level_nodes,
     asech_stable,
     integral_In,
     integral_In_crosscheck,
+    integrate_01_fixed,
     integrate_01_singular,
     neglog_stable,
 )
@@ -242,14 +248,17 @@ class TestHalfLine:
         assert _close(res.value, mp.pi / 2, "1e-19")
 
     def test_runs_at_eval_digits(self):
+        # the exp route's half-line kernel, summed in integers, builds its
+        # node tables at eval_digits and the caller's depth
         cfg = PrecisionConfig(target_digits=20, working_digits=33)
-        _ts_level_nodes.cache_clear()
-        _half_line(lambda u: mp.exp(-u), cfg)
-        built = _ts_level_nodes.cache_info().currsize
+        _, coeffs, _, _ = zeta_mod._degree_setup(3, cfg)
+        _ts_level_columns.cache_clear()
+        integrate_01_fixed(partial(zeta_mod._exp_term, coeffs), cfg)
+        built = _ts_level_columns.cache_info().currsize
         assert built >= 2
-        _ts_level_nodes(cfg.eval_digits, _node_depth(cfg), 0)
-        _ts_level_nodes(cfg.eval_digits, _node_depth(cfg), 1)
-        assert _ts_level_nodes.cache_info().currsize == built
+        _ts_level_columns(cfg.eval_digits, _node_depth(cfg), 0)
+        _ts_level_columns(cfg.eval_digits, _node_depth(cfg), 1)
+        assert _ts_level_columns.cache_info().currsize == built
 
     def test_growing_integrand_raises(self, monkeypatch):
         monkeypatch.setattr(quadrature, "_MAX_LEVELS", 4)
@@ -435,7 +444,7 @@ class TestMomentIntegrals:
 
     def test_cache_reset_reproduces_bit_identical_value(self):
         first = integral_In(1, QUICK)
-        _ts_level_nodes.cache_clear()
+        _ts_level_columns.cache_clear()
         second = integral_In(1, QUICK)
         assert second is not first
         assert second.value == first.value
@@ -512,12 +521,108 @@ class TestNodeTables:
     def test_node_state_is_bounded(self):
         # a session that sweeps precisions (hypothesis, zeta_sweep) must
         # not keep every node table it ever built
+        maxsize = _ts_level_columns.cache_info().maxsize
+        assert maxsize == _NODE_TABLES_KEPT
+        for target in range(1, maxsize + 2):
+            zeta_mod.zeta_via_exp_kernel(3, PrecisionConfig(target, target + 10))
+        assert _ts_level_columns.cache_info().currsize <= maxsize
+
+    def test_mpf_node_state_is_bounded(self):
+        # the tests' mpf node tables keep the same bound
         maxsize = _ts_level_nodes.cache_info().maxsize
-        assert maxsize is not None
+        assert maxsize == _NODE_TABLES_KEPT
         for target in range(1, maxsize + 2):
             cfg = PrecisionConfig(target, target + 10)
             integrate_01_singular(lambda u, d, *_: u, cfg)
         assert _ts_level_nodes.cache_info().currsize <= maxsize
+
+
+# (eval digits, target digits): production depth 2 target + 7 puts the
+# outermost q below 2^-P at every point; the corners from 300 digits up
+# run only with --run-slow
+_COLUMN_GRID = [
+    (30, 20),
+    (60, 40),
+    (130, 110),
+    (180, 150),
+    (250, 230),
+    pytest.param(350, 330, marks=pytest.mark.slow),
+]
+# u, 1/(1+u), w (1-u)/ln(1/u), u^2, w u/asech(u): the documented bound
+# of each column, in units of 2^-P
+_COLUMN_BOUND = (1, 2, 1, 3, 1)
+
+
+def _assert_columns_match_oracle(eval_dps: int, depth: int, level: int):
+    """The production columns against _fixed_columns of the mpf node
+    table 20 digits higher, at the production P; returns them."""
+    prec = _fixed_bits(eval_dps)
+    got = _ts_level_columns(eval_dps, depth, level)
+    with mp.workdps(eval_dps + 20):
+        want = [
+            (_fixed_columns(*minus, w, prec), _fixed_columns(*plus, w, prec))
+            for minus, plus, w in _ts_level_nodes(eval_dps + 20, depth, level)
+        ]
+    assert len(got) == len(want)
+    for k, (pair, ref) in enumerate(zip(got, want)):
+        assert pair[0][0] + pair[1][0] == 1 << prec
+        for member, ref_member in zip(pair, ref):
+            for column, (a, b, bound) in enumerate(zip(member, ref_member, _COLUMN_BOUND)):
+                assert abs(a - b) <= bound, (eval_dps, level, k, column, a - b)
+    return got
+
+
+class TestNodeColumns:
+    """The production node table (_ts_level_columns, integers only)
+    against its oracle, the mpf table 20 digits higher."""
+
+    @pytest.mark.parametrize("eval_dps, target", _COLUMN_GRID)
+    def test_match_the_mpf_oracle(self, eval_dps, target):
+        depth = 2 * target + 7
+        deep = 0
+        for level in range(4):
+            for minus, plus in _assert_columns_match_oracle(eval_dps, depth, level):
+                if minus[0] == 0:
+                    # q < 2^-P: u_plus rounds to 1, the weighted columns
+                    # still carry the node
+                    deep += 1
+                    assert plus[0] == plus[3] == 1 << _fixed_bits(eval_dps)
+                    assert plus[4] > 0
+        assert deep > 0
+
+    def test_series_and_logs_agree_around_the_switch(self, monkeypatch):
+        # halving and doubling the series' term budget moves the switch
+        # between series and logs across the nodes next to it; every
+        # setting must match the oracle, and each level switches once
+        eval_dps, depth = 130, 2 * 110 + 7
+        branches = []
+        for name, by_series in (("_series_ratios", True), ("_log_ratios", False)):
+            real = getattr(quadrature, name)
+
+            def record(q, root, prec, real=real, by_series=by_series):
+                branches.append(by_series)
+                return real(q, root, prec)
+
+            monkeypatch.setattr(quadrature, name, record)
+        terms = quadrature._SERIES_MAX_TERMS
+        try:
+            for budget in (terms // 2, terms, 2 * terms):
+                monkeypatch.setattr(quadrature, "_SERIES_MAX_TERMS", budget)
+                for level in range(4):
+                    branches.clear()
+                    _ts_level_columns.cache_clear()
+                    _assert_columns_match_oracle(eval_dps, depth, level)
+                    switch = branches.index(True)
+                    assert 0 < switch
+                    assert not any(branches[:switch]) and all(branches[switch:])
+        finally:
+            _ts_level_columns.cache_clear()
+
+    @pytest.mark.slow
+    def test_library_precision_above_the_cli(self):
+        # 800 digits, past the CLI's 300: same columns as the oracle
+        for level in (0, 1):
+            _assert_columns_match_oracle(800, 2 * 780 + 7, level)
 
 
 class TestTailRule:

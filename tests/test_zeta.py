@@ -14,7 +14,9 @@ from zetaodd.hyperbolic import tau_row, tau_top
 from zetaodd.quadrature import (
     DEFAULT_PRECISION,
     PrecisionConfig,
+    _fixed_bits,
     _node_depth,
+    _ts_level_columns,
     _ts_level_nodes,
     integral_In,
     integral_In_crosscheck,
@@ -349,10 +351,10 @@ class TestZetaReport:
     def test_routes_share_one_node_build(self, m, digits):
         # both routes run at the degree's one precision and the caller's
         # depth, so each node level (7 of them here) is built once
-        _ts_level_nodes.cache_clear()
-        before = _ts_level_nodes.cache_info().misses
+        _ts_level_columns.cache_clear()
+        before = _ts_level_columns.cache_info().misses
         zeta_report(m, PrecisionConfig(target_digits=digits, working_digits=digits + 20))
-        assert _ts_level_nodes.cache_info().misses - before == 7
+        assert _ts_level_columns.cache_info().misses - before == 7
 
     def test_impossible_tolerance_fails_cleanly(self, monkeypatch):
         # one route 1e-20 off, far outside the default 10^-(target - 5)
@@ -402,21 +404,28 @@ class TestIntegerLevelSums:
             assert abs(got.value - want.value) <= tol * abs(want.value)
 
     def test_node_memo_holds_the_integer_columns(self):
-        # after zeta_report at three precisions the one node memo is
-        # within its bound, and each entry carries its integer columns
+        # after zeta_report at three precisions the production node memo
+        # is within its bound and holds only integer columns, and no mpf
+        # node table was built
+        _ts_level_columns.cache_clear()
         _ts_level_nodes.cache_clear()
         configs = [PrecisionConfig(d, d + 20) for d in (15, 30, 100)]
         for cfg in configs:
             zeta_report(13, cfg)
-        info = _ts_level_nodes.cache_info()
+        info = _ts_level_columns.cache_info()
         assert info.currsize <= quadrature._NODE_TABLES_KEPT
         assert info.currsize == info.misses
+        assert _ts_level_nodes.cache_info().misses == 0
         cfg, _, _, _ = zeta_mod._degree_setup(13, configs[-1])
+        one = 1 << _fixed_bits(cfg.eval_digits)
         for level in range(3):
-            nodes = _ts_level_nodes(cfg.eval_digits, _node_depth(cfg), level)
-            assert len(nodes.fixed) == len(nodes)
-            assert all(len(c) == 5 for pair in nodes.fixed for c in pair)
-        assert _ts_level_nodes.cache_info().misses == info.misses
+            pairs = _ts_level_columns(cfg.eval_digits, _node_depth(cfg), level)
+            assert pairs
+            for minus, plus in pairs:
+                assert len(minus) == len(plus) == 5
+                assert all(type(c) is int for c in minus + plus)
+                assert minus[0] + plus[0] == one
+        assert _ts_level_columns.cache_info().misses == info.misses
 
 
 class TestLinearForm:
