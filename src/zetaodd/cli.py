@@ -9,13 +9,13 @@ lie in 15..300, ``zeta --m``, ``weights --m`` and ``tau --m`` must be at
 most 101, ``scan --to`` at most 500, ``linform --n`` at most 50
 (degree 101), ``integral --n`` at most 400, ``bernoulli --n`` and
 ``--l`` at most 300, and ``bernoulli --max-n`` and ``--max-l`` at most
-101.  On a 2.1 GHz core ``zeta --m 101 --digits 15`` takes 0.7 to 1.1 s
-cold, 0.4 to 0.7 s of it in ``solve_weights(101)``; ``weights --m 101``
-and ``tau --m 101`` take 0.65 to 1 s, ``linform --n 50`` 1.5 to 2.4 s,
-``scan --to 500`` (a closed form, no weight solve) 0.2 to 0.3 s, the
-60 x 60 ``bernoulli`` grid 0.3 to 0.45 s, the 101 x 101 grid 1.1 to
-1.7 s and one ``B(300, 300)`` about 0.7 s.  Results go to stdout,
-diagnostics to stderr.  JSON output is deterministic for a given
+101.  Cold, whole process, on a 2-vCPU Xeon VM: ``zeta --m 101
+--digits 15`` takes 0.2 to 0.3 s; ``tau --m 101`` and ``linform --n 50``,
+closed forms with no weight solve, 0.12 to 0.18 s; ``weights --m 101``
+0.6 to 0.9 s, nearly all of it ``solve_weights(101)``; ``scan --to
+500`` 0.1 to 0.2 s; the 60 x 60 ``bernoulli`` grid 0.2 to 0.35 s, the
+101 x 101 grid 1 to 1.5 s and one ``B(300, 300)`` about 0.5 s.
+Results go to stdout, diagnostics to stderr.  JSON output is deterministic for a given
 invocation: fixed key order, rationals as exact ``num/den`` strings,
 decimals with exactly ``--digits`` significant digits.
 """

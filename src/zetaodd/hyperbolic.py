@@ -17,15 +17,17 @@ returns.  The paper defines the same integers by the recursion
 
 which lives in the verify suite as the closed form's oracle.
 
-The tau coefficients then mix a weight system into these integers:
+The paper's tau coefficients mix a weight system into these integers:
 
     tau(j, m) = -(2^(m-1) / ((m-1)! (2^m - 1)))
                 * sum_{l=2j-1}^{m} w_l q(j, l) / 4^(j-1),
 
-which :func:`tau_row` returns for 2 <= j <= (m+1)/2 (tau(1, m) is 0),
-and for odd m = 2n+1 the top coefficient is tau(n+1, 2n+1) =
-1/(2^(2n+1) - 1), which :func:`tau_top` returns directly; the verify
-suite checks it against the general formula.
+for 2 <= j <= (m+1)/2 (tau(1, m) is 0).  :func:`tau_row` returns an
+integer closed form instead, from central factorial numbers, which
+uses neither the weights nor q; the weight mixing lives in the verify
+suite as its oracle.  For odd m = 2n+1 the top coefficient is
+tau(n+1, 2n+1) = 1/(2^(2n+1) - 1), which :func:`tau_top` returns
+directly.
 """
 
 from __future__ import annotations
@@ -34,8 +36,6 @@ import math
 from fractions import Fraction
 
 import mpmath as mp
-
-from .weights import solve_weights
 
 __all__ = [
     "q_coeff",
@@ -114,31 +114,58 @@ def tau_top(n: int) -> Fraction:
 
     Check 11 of the verify suite compares :func:`q_coeff` with the
     paper's recursion for l <= 119 and this function with the top entry
-    of :func:`tau_row` for n <= 20.
+    of the paper's tau, through the weight solve, for n <= 50.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     return Fraction(1, 2 ** (2 * n + 1) - 1)
 
 
-def tau_row(m: int) -> dict[int, Fraction]:
-    """{j: tau(j, m)} for odd m >= 3 and 2 <= j <= (m+1)/2, from one weight
-    solve mixed against q in integer arithmetic.
+def _central_factorial_row(n: int) -> list[int]:
+    """[T(2n, 0), T(2n, 2), ..., T(2n, 2n)], central factorial numbers of
+    the second kind (https://oeis.org/A036969), by
+    T(2n, 2k) = T(2n-2, 2k-2) + k^2 T(2n-2, 2k) from T(0, 0) = 1."""
+    row = [1]
+    for i in range(1, n + 1):
+        row = [(row[k - 1] if k else 0) + k * k * (row[k] if k < i else 0) for k in range(i + 1)]
+    return row
 
-    j = 1 is left out because tau(1, m) = front * sum_l w_l q(1, l) =
-    front * sum_l w_l = 0: the weights sum to zero (verify check 4 tests
-    it for m <= 41; with the Stirling form of check 11 the sum is the
-    z^m coefficient of log(1 + (e^z - 1)) = z).  Were it nonzero, the
-    pairing with the moments would need I_0, which diverges at u = 0.
+
+def tau_row(m: int) -> dict[int, Fraction]:
+    """{j: tau(j, m)} for odd m = 2K+1 >= 3 and 2 <= j <= K+1, by the
+    closed form
+
+        tau*(j, m) = (-1)^(K-j+1) 4^(K-j+1) (2j-2)! T(2K, 2j-2)
+                     / ((2^m - 1) (2K)!)
+
+    with T the central factorial numbers of the second kind
+    (:func:`_central_factorial_row`; Butzer, Schmidt, Stark and Vogt,
+    Numer. Funct. Anal. Optim. 10, 1989).  O(K^2) integers, no weight
+    solve and no Bernoulli number.
+
+    Proved: tau* is the inverse of the theta array of
+    :func:`~zetaodd.zeta.linear_form`, whose entries are central
+    factorial numbers of the first kind, because the central factorial
+    numbers of the first and second kind are inverse matrices (the
+    proof is in :func:`~zetaodd.zeta.linear_form`).  At j = K+1,
+    T(2K, 2K) = 1 gives tau_top(K) = 1/(2^m - 1).  Observed, not
+    proved: tau* equals the paper's tau, the weight solve mixed against
+    q, for every odd m <= 101, the CLI's whole range (verify check 11;
+    a slow test adds m = 121).
+
+    j = 1 is left out because the paper's tau(1, m) = front * sum_l
+    w_l q(1, l) = front * sum_l w_l = 0: the weights sum to zero
+    (verify check 4 tests it for m <= 41; with the Stirling form of
+    check 11 the sum is the z^m coefficient of log(1 + (e^z - 1)) = z).
+    Were it nonzero, the pairing with the moments would need I_0, which
+    diverges at u = 0.
     """
     if m < 3 or m % 2 == 0:
         raise ValueError(f"degree m must be odd and >= 3, got {m}")
-    weights = solve_weights(m).weights
-    if any(w.denominator != 1 for w in weights):
-        raise ArithmeticError(f"a weight of degree {m} is not an integer")
-    w = [x.numerator for x in weights]
-    front = -Fraction(2 ** (m - 1), math.factorial(m - 1) * (2**m - 1))
+    K = m // 2
+    T = _central_factorial_row(K)
+    denom = (2**m - 1) * math.factorial(2 * K)
     return {
-        j: front / 4 ** (j - 1) * sum(w[l - 1] * q_coeff(j, l) for l in range(2 * j - 1, m + 1))
-        for j in range(2, _ceil_half(m) + 1)
+        k + 1: Fraction((-4) ** (K - k) * math.factorial(2 * k) * T[k], denom)
+        for k in range(1, K + 1)
     }

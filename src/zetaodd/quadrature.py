@@ -94,9 +94,10 @@ calls it.
 One precision, separate depth.  Arithmetic runs at
 PrecisionConfig.eval_digits: working_digits rounded up to a multiple of
 10, so nearby working precisions share node tables.  The node depth is
-set apart from it: the outermost nodes reach 1 - u ~ 10^-(2 target + 7),
-because the truncated mass of a 1/sqrt(1 - u) singularity is the square
-root of the gap (about 10^-(target + 3.5) there).  Deep nodes cost
+set apart from it: the outermost nodes reach 1 - u ~ 10^-(2 target + 7)
+(target floored at 8, see _node_depth), because the truncated mass of a
+1/sqrt(1 - u) singularity is the square root of the gap (about
+10^-(target + 3.5) there).  Deep nodes cost
 less, not more: a node's q needs only about P - log2(1/q)/2 bits of
 relative precision, since its columns shrink like sqrt(q).  Both node
 tables are keyed by (eval precision, depth, level), and each holds at
@@ -257,8 +258,11 @@ def neglog_stable(q, d=None) -> mp.mpf:
 # ever forms the boundary gap.
 
 def _node_depth(cfg: PrecisionConfig) -> int:
-    """Digits of the smallest boundary gap 1 - u the nodes reach."""
-    return 2 * cfg.target_digits + 7
+    """Digits of the smallest boundary gap 1 - u the nodes reach: 2 target
+    + 7, with the target floored at 8.  Below that floor the outermost
+    summed term of a 1/sqrt(1 - u) endpoint moves with each level's last
+    node by more than the stop test allows, and refinement stalls."""
+    return 2 * max(cfg.target_digits, 8) + 7
 
 
 def _fixed_bits(eval_dps: int) -> int:

@@ -264,10 +264,11 @@ def _check_dimension_scan() -> tuple[bool, str]:
 #
 # The weights are checked against the Stirling recurrence: no Bernoulli
 # number or triangular solve goes into the expected values.  q_coeff,
-# tau_top and exp_kernel_polynomial return closed forms, so for them the
-# direction flips: the expected values are the paper's q recursion, the
-# top entry of tau_row(2n+1) and C_m by a Horner pass over the weights,
-# all three through the weight solve.
+# tau_row, tau_top, linear_form and exp_kernel_polynomial return closed
+# forms, so for them the direction flips: the expected values come from
+# the paper's pipeline, the q recursion and the weight solve mixed into
+# tau, with the thetas telescoped against that tau and C_m by a Horner
+# pass over the weights.
 
 def _stirling2_rows(m_max: int) -> list[list[int]]:
     """rows[m][l] = S(m, l), Stirling numbers of the second kind."""
@@ -300,32 +301,75 @@ def _q_recursion_row(l: int) -> list[int]:
     return row
 
 
-def _check_integer_closed_forms() -> tuple[bool, str]:
-    stirling = _stirling2_rows(61)
-    weights = {m: solve_weights(m).weights for m in range(1, 62)}
-    for m in range(1, 62):
-        expected = tuple(
-            Fraction((-1) ** (m // 2 + l) * math.factorial(l - 1) * stirling[m][l])
-            for l in range(1, m + 1)
+def _tau_by_weights(m: int, weights, q_rows) -> dict[int, Fraction]:
+    """The paper's {j: tau(j, m)} for j = 2..(m+1)/2, the weights mixed
+    against q: -(2^(m-1) / ((m-1)! (2^m - 1))) sum_{l=2j-1}^{m} w_l
+    q(j, l) / 4^(j-1), with ``q_rows[l]`` from :func:`_q_recursion_row`."""
+    front = -Fraction(2 ** (m - 1), math.factorial(m - 1) * (2**m - 1))
+    return {
+        j: front / 4 ** (j - 1)
+        * sum((weights[l - 1] * q_rows[l][j - 1] for l in range(2 * j - 1, m + 1)), Fraction(0))
+        for j in range(2, (m + 1) // 2 + 1)
+    }
+
+
+def _telescoping_failure(n: int, taus: dict[int, dict[int, Fraction]]) -> str | None:
+    """Where linear_form(n) fails to telescope against ``taus``, the
+    paper's tau rows by degree: sum_K theta_K tau(j+1, 2K+1) must be 0
+    for every column j < n, and theta_n tau(n+1, 2n+1) = theta_next = 1.
+    The diagonal is nonzero, so this fixes every theta."""
+    form = linear_form(n)
+    if form.theta_next != 1:
+        return f"theta_next = {form.theta_next}"
+    for j in range(1, n + 1):
+        col = sum(
+            (form.thetas[k - 1] * taus[2 * k + 1][j + 1] for k in range(j, n + 1)), Fraction(0)
         )
-        if weights[m] != expected:
-            return False, f"weights differ from (-1)^(m//2+l) (l-1)! S(m,l) at m={m}"
-    for l in range(1, 120):
-        for j, expected in enumerate(_q_recursion_row(l), start=1):
+        if col != (1 if j == n else 0):
+            return f"column {j} sums to {col}"
+    return None
+
+
+def _check_integer_closed_forms() -> tuple[bool, str]:
+    q_rows = {l: _q_recursion_row(l) for l in range(1, 120)}
+    for l, row in q_rows.items():
+        for j, expected in enumerate(row, start=1):
             if q_coeff(j, l) != expected:
                 return False, f"q({j},{l}) differs from the paper's recursion"
-    for n in range(1, 21):
-        if tau_top(n) != tau_row(2 * n + 1)[n + 1]:
-            return False, f"tau_top({n}) != tau_row({2 * n + 1})[{n + 1}] by the weight solve"
-    for m in range(3, 62, 2):
-        want = _kernel_by_weights(weights[m])
-        for k, (got, c) in enumerate(zip(exp_kernel_polynomial(m), want, strict=True)):
-            if got != c:
-                return False, f"Eulerian C_m != Horner over the weights at m={m}, q^{k}"
+    stirling = _stirling2_rows(61)
+    taus = {}
+    # ascending degrees, so a wrong entry fails before the larger solves
+    for m in [*range(1, 62), *range(63, 102, 2)]:
+        weights = solve_weights(m).weights
+        if m <= 61:
+            expected = tuple(
+                Fraction((-1) ** (m // 2 + l) * math.factorial(l - 1) * stirling[m][l])
+                for l in range(1, m + 1)
+            )
+            if weights != expected:
+                return False, f"weights differ from (-1)^(m//2+l) (l-1)! S(m,l) at m={m}"
+        if m < 3 or m % 2 == 0:
+            continue
+        if m <= 61:
+            want = _kernel_by_weights(weights)
+            for k, (got, c) in enumerate(zip(exp_kernel_polynomial(m), want, strict=True)):
+                if got != c:
+                    return False, f"Eulerian C_m != Horner over the weights at m={m}, q^{k}"
+        taus[m] = _tau_by_weights(m, weights, q_rows)
+        if tau_row(m) != taus[m]:
+            return False, f"tau_row({m}) differs from the weight solve mixed against q"
+        n = m // 2
+        if tau_top(n) != taus[m][n + 1]:
+            return False, f"tau_top({n}) != tau({n + 1},{m}) by the weight solve"
+        where = _telescoping_failure(n, taus)
+        if where is not None:
+            return False, f"linear_form({n}) does not telescope against the paper's tau: {where}"
     return True, (
         "w = (-1)^(m//2+l) (l-1)! S(m,l) for m<=61; "
         "q(j,l) = (-1)^(j-1) C(l-j,j-1) == recursion for l<=119; "
-        "tau_top(n) = 1/(2^(2n+1)-1) == general tau for n<=20; "
+        "central factorial tau == weight-solve tau for odd m<=101; "
+        "tau_top(n) = 1/(2^(2n+1)-1) == its top entry for n<=50; "
+        "closed thetas telescope against it for n<=50; "
         "Eulerian C_m == Horner over the weights for odd m<=61"
     )
 

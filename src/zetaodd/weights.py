@@ -96,8 +96,9 @@ def solve_weights(m: int) -> WeightVector:
 
     The diagonal is identically 1, so w_m = rhs_m = -s_m and each
     earlier weight is rhs_j minus the already-known tail of its row.
-    Not memoized: the cost is the Bernoulli entries, which gen_bernoulli
-    memoizes (degree 101 re-solves in about 0.04 s warm, 0.4 to 0.7 s cold).
+    Not memoized, nor are the Bernoulli entries it reads; only their
+    l-independent rows are (degree 101 solves in about 0.3 s with the
+    rows built, 0.6 s cold).
     """
     system = triangular_system(m)
     s_m = s_constant(m)

@@ -19,20 +19,21 @@ Routes to zeta(m):
   degree (:func:`asech_kernel_polynomial`).
 
 What agreement between routes 2 and 3 tests (verify check 6, and the
-2-vs-3 difference in :func:`zeta_report`): two exact pipelines, C_m
-from Eulerian numbers against the tau row from Bernoulli numbers and
-the weight solve, and two node sets, the same tanh-sinh nodes read as
-q and as u, whose transcendentals ln(1/q) and asech(u) come from one
-node generator.  It does not test two analytic representations: with
-u = sech(v) and q = e^(-2v) the two integrands, constants included,
-are one integrand in v (checked numerically at m = 3, 5, 13, 41, not
-proved here).  Only route 1 is independent of the quadrature.
+2-vs-3 difference in :func:`zeta_report`): two exact families, C_m
+from Eulerian numbers against the tau row from central factorial
+numbers (:func:`~zetaodd.hyperbolic.tau_row`), and two node sets, the
+same tanh-sinh nodes read as q and as u, whose transcendentals ln(1/q)
+and asech(u) come from one node generator.  It does not test two
+analytic representations: with u = sech(v) and q = e^(-2v) the two
+integrands, constants included, are one integrand in v (checked
+numerically at m = 3, 5, 13, 41, not proved here).  Only route 1 is independent of the quadrature.
 
 The exact side of the same pairing is :func:`linear_form`: for each n
-it back-solves the triangular tau array so that a rational combination
-of zeta(3)/pi^2, zeta(5)/pi^4, ..., zeta(2n+1)/pi^2n telescopes to
-theta_next * I_n, with theta_next = 1.  The scan (:func:`dimension_scan`,
-the CLI's ``scan``) prints the top coefficients tau(n+1, 2n+1), proved
+a rational combination of zeta(3)/pi^2, zeta(5)/pi^4, ...,
+zeta(2n+1)/pi^2n that telescopes through the tau array to
+theta_next * I_n, with theta_next = 1, its thetas central factorial
+numbers of the first kind in closed form.  The scan
+(:func:`dimension_scan`, the CLI's ``scan``) prints the top coefficients tau(n+1, 2n+1), proved
 nonzero: they equal 1/(2^(2n+1) - 1) for every n (proof in
 :func:`~zetaodd.hyperbolic.tau_top`).  The scan does not prove that the
 span of the zeta ratios grows: I_n itself might be a rational
@@ -45,7 +46,7 @@ import itertools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import partial
 
 import mpmath as mp
 
@@ -279,24 +280,19 @@ def _degree_setup(m: int, cfg: PrecisionConfig) -> tuple[PrecisionConfig, tuple,
     where G = 1/2 and the kernel peaks.  The tests compare both routes
     with their mpf kernels on the precision grid.
 
-    Guard and kernels depend on m alone: a one-entry memo builds them
-    once per degree in a :func:`zeta_report`.  ``--method exp`` builds
-    the tau row too, since the shared guard keeps one set of node tables.
+    Guard and kernels depend on m alone and are built on every call,
+    with no memo: both are integer closed forms, about 1.6 ms at
+    m = 101.  ``--method exp`` builds the tau row too, since the shared
+    guard keeps one set of node tables.
     """
-    guard, exp_coeffs, asech_coeffs, denom = _degree_kernels(m)
-    cfg = replace(cfg, working_digits=cfg.working_digits + guard)
-    return cfg, exp_coeffs, asech_coeffs, denom
-
-
-@lru_cache(maxsize=1)
-def _degree_kernels(m: int) -> tuple[int, tuple, tuple, int]:
     exp_coeffs = exp_kernel_polynomial(m)
     exp_guard = _digits(sum(map(abs, exp_coeffs))) - _digits(sum(exp_coeffs)) + _digits(m) + 5
     asech_coeffs, denom = asech_kernel_polynomial(m)
     envelope = sum((2 * i + 1) * abs(a) for i, a in enumerate(asech_coeffs))
     envelope += len(asech_coeffs) - 1
     asech_guard = 1 + math.ceil(math.log10(math.pi ** (m - 1) * (envelope / denom)))
-    return max(exp_guard, asech_guard), exp_coeffs[:0:-1], asech_coeffs[::-1], denom
+    cfg = replace(cfg, working_digits=cfg.working_digits + max(exp_guard, asech_guard))
+    return cfg, exp_coeffs[:0:-1], asech_coeffs[::-1], denom
 
 
 def zeta_via_exp_kernel(m: int, cfg: PrecisionConfig = DEFAULT_PRECISION) -> mp.mpf:
@@ -398,50 +394,40 @@ class LinearForm:
     theta_next: Fraction
 
 
-def _solve_telescoping(t_rows: list[list[Fraction]]) -> tuple[list[Fraction], Fraction]:
-    """Back-solve theta so that sum_k theta_k * row_k kills every moment
-    below the top one.
-
-    ``t_rows[k-1][j-1]`` is the coefficient of I_j in row k (row k has
-    entries for j = 1..k, a lower-triangular array).  theta_n is fixed
-    first, 1/diagonal, so the combination is monic in I_n; columns
-    j = n-1..1 then determine the rest.  The diagonal entries are the
-    top coefficients 1/(2^(2k+1) - 1), never zero; a zero one raises
-    ZeroDivisionError.  The solution is re-multiplied through the array
-    afterwards as a transcription check.
-    """
-    n = len(t_rows)
-    for k, row in enumerate(t_rows, start=1):
-        if len(row) != k:
-            raise ValueError("rows must form a lower-triangular array")
-    diag_last = t_rows[n - 1][n - 1]
-    theta: list[Fraction] = [Fraction(0)] * (n + 1)  # 1-based
-    theta[n] = 1 / diag_last
-    for j in range(n - 1, 0, -1):
-        upper = sum(
-            (theta[k] * t_rows[k - 1][j - 1] for k in range(j + 1, n + 1)),
-            Fraction(0),
-        )
-        theta[j] = -upper / t_rows[j - 1][j - 1]
-    thetas = theta[1:]
-    theta_next = thetas[n - 1] * diag_last
-    for j in range(1, n):
-        col = sum(
-            (thetas[k - 1] * t_rows[k - 1][j - 1] for k in range(j, n + 1)),
-            Fraction(0),
-        )
-        if col != 0:
-            raise ArithmeticError(f"telescoping failed in column {j}")
-    return thetas, theta_next
-
-
 def linear_form(n: int) -> LinearForm:
-    """Exact telescoping combination ending at the single moment I_n."""
+    """The telescoping combination ending at the single moment I_n, in
+    closed form: theta_next = 1 and, for K = 1..n,
+
+        theta_K = (2^(2K+1) - 1) (2K)! |e_(K-1)| / (2n)!,
+
+    with e_(K-1) the coefficient of y^(K-1) in
+    prod_(j=1)^(n-1) (y - 4j^2) (https://oeis.org/A008955).
+
+    Proved: these thetas invert the tau* array of
+    :func:`~zetaodd.hyperbolic.tau_row`, so sum_K theta_K tau*(j+1, 2K+1)
+    is 0 for j < n and 1 for j = n.  With y = 4x^2 the product is
+    sum_K 4^(n-K) t(2n, 2K) y^(K-1), t the central factorial numbers of
+    the first kind (x^2 (x^2 - 1) ... (x^2 - (n-1)^2) = sum_K t(2n, 2K)
+    x^(2K)), whose signs alternate, so |e_(K-1)| = (-1)^(n-K) 4^(n-K)
+    t(2n, 2K).  The sum is then (-4)^(n-j) (2j)!/(2n)! times
+    sum_K t(2n, 2K) T(2K, 2j), and the first and second kinds are
+    inverse matrices.  Every theta is positive: |e_(K-1)| is an
+    elementary symmetric sum of the positive 4j^2.  That these are the
+    thetas of the paper's tau, the weight solve mixed against q, rests
+    on tau* = tau, observed for every odd m <= 101; verify check 11
+    telescopes them against that tau for n <= 50.
+    """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    t_rows = [list(tau_row(2 * k + 1).values()) for k in range(1, n + 1)]
-    thetas, theta_next = _solve_telescoping(t_rows)
-    return LinearForm(n, tuple(thetas), theta_next)
+    e = [1]  # prod_(j<n) (y - 4j^2), lowest power first
+    for j in range(1, n):
+        e = [(e[i - 1] if i else 0) - 4 * j * j * (e[i] if i < j else 0) for i in range(j + 1)]
+    denom = math.factorial(2 * n)
+    thetas = tuple(
+        Fraction((2 ** (2 * k + 1) - 1) * math.factorial(2 * k) * abs(e[k - 1]), denom)
+        for k in range(1, n + 1)
+    )
+    return LinearForm(n, thetas, Fraction(1))
 
 
 def linear_form_residual(form: LinearForm, cfg: PrecisionConfig = DEFAULT_PRECISION) -> mp.mpf:
@@ -503,10 +489,10 @@ def dimension_scan(n_max: int = 20) -> ScanReport:
     w_{2n+1} = (-1)^(n+1) (2n)! cancel the other factors of the top
     coefficient exactly.  The rows come from the closed form in
     :func:`~zetaodd.hyperbolic.tau_top`, which has the proof; verify
-    check 11 compares it with the top entry of ``tau_row(2n+1)``.  What the
-    identity does not prove is that the span of the zeta ratios grows,
-    since I_n itself might be a rational combination of the lower
-    ratios; the summary line says so.
+    check 11 compares it with the top entry of the paper's tau, through
+    the weight solve, for n <= 50.  What the identity does not prove is
+    that the span of the zeta ratios grows, since I_n itself might be a
+    rational combination of the lower ratios; the summary line says so.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")

@@ -43,7 +43,9 @@ def test_suite_is_complete():
 
 _ORIGINAL = {
     name: getattr(verify, name)
-    for name in ("solve_weights", "q_coeff", "tau_top", "exp_kernel_polynomial")
+    for name in (
+        "solve_weights", "q_coeff", "tau_row", "tau_top", "linear_form", "exp_kernel_polynomial"
+    )
 }
 
 
@@ -66,6 +68,22 @@ def _off_by_one_q(j, l):
     return (-1) ** (j - 1) * math.comb(l - j, j)
 
 
+def _perturbed_tau_row(m):
+    row = _ORIGINAL["tau_row"](m)
+    if m == 87:
+        row[30] += 1
+    return row
+
+
+def _perturbed_linear_form(n):
+    form = _ORIGINAL["linear_form"](n)
+    if n != 37:
+        return form
+    thetas = list(form.thetas)
+    thetas[11] *= 2
+    return replace(form, thetas=tuple(thetas))
+
+
 def _perturbed_tau_top(n):
     return _ORIGINAL["tau_top"](n) * (2 if n == 13 else 1)
 
@@ -83,11 +101,13 @@ def _perturbed_kernel_polynomial(m):
         ("solve_weights", _perturbed_weights, "at m=17"),
         ("q_coeff", _perturbed_q, "q(30,101)"),
         ("q_coeff", _off_by_one_q, "q(1,1)"),
+        ("tau_row", _perturbed_tau_row, "tau_row(87)"),
         ("tau_top", _perturbed_tau_top, "tau_top(13)"),
+        ("linear_form", _perturbed_linear_form, "linear_form(37)"),
         ("exp_kernel_polynomial", _perturbed_kernel_polynomial, "at m=23, q^7"),
     ],
-    ids=["solve_weights", "q_coeff", "q_closed_form_off_by_one", "tau_top",
-         "exp_kernel_polynomial"],
+    ids=["solve_weights", "q_coeff", "q_closed_form_off_by_one", "tau_row", "tau_top",
+         "linear_form", "exp_kernel_polynomial"],
 )
 def test_check_11_catches_one_wrong_entry(monkeypatch, name, fake, where):
     monkeypatch.setattr(verify, name, fake)

@@ -45,12 +45,9 @@ class TestClosedForm:
             gen_bernoulli(0, 0)
 
     def test_memo_is_bounded_above_the_largest_weight_solve(self):
-        # both memos are bounded, yet hold all m (m + 1) / 2 entries that
-        # solve_weights(m) reads at the CLI's largest degree (5151 at 101)
-        # and the m rows n = 0..m-1 they come from
-        maxsize = gen_bernoulli.cache_info().maxsize
-        assert maxsize is not None
-        assert maxsize >= MAX_WEIGHTS_M * (MAX_WEIGHTS_M + 1) // 2
+        # the row memo is the only one; it is bounded, yet holds the m rows
+        # n = 0..m-1 that solve_weights(m) reads at the CLI's largest degree
+        assert not hasattr(gen_bernoulli, "cache_info")
         rows = _row_terms.cache_info().maxsize
         assert rows is not None
         assert rows >= MAX_WEIGHTS_M
@@ -74,25 +71,20 @@ def _double_sum(n, l):
     return Fraction(acc * math.factorial(n), common)
 
 
-def _clear_memos():
-    _row_terms.cache_clear()
-    gen_bernoulli.cache_clear()
-
-
 class TestRowMemo:
     def _check(self, entries, cold_orders):
         expected = {(n, l): _double_sum(n, l) for n, l in entries}
         # entries from a cold start, their row not in the memo yet
         for n, l in entries:
             if l in cold_orders:
-                _clear_memos()
+                _row_terms.cache_clear()
                 assert gen_bernoulli(n, l) == expected[n, l]
         # every entry with its row already in the memo
-        _clear_memos()
+        _row_terms.cache_clear()
         for n in {n for n, _ in entries}:
             _row_terms(n)
         assert {key: gen_bernoulli(*key) for key in entries} == expected
-        _clear_memos()
+        _row_terms.cache_clear()
 
     def test_bit_identical_on_the_grid(self):
         grid = [(n, l) for n in range(61) for l in range(1, 62)]

@@ -9,7 +9,7 @@ import pytest
 import zetaodd
 import zetaodd.cli as cli
 import zetaodd.verify as verify
-from zetaodd.bernoulli import _row_terms, gen_bernoulli
+from zetaodd.bernoulli import _row_terms
 from zetaodd.cli import (
     MAX_BERNOULLI_GRID,
     MAX_BERNOULLI_N,
@@ -100,7 +100,6 @@ class TestBernoulli:
         # yet each degree's l-independent terms are built once, not once
         # per order
         _row_terms.cache_clear()
-        gen_bernoulli.cache_clear()
         rc, _, _ = run(
             capsys, "bernoulli", "--max-n", str(MAX_BERNOULLI_GRID), "--max-l", "2"
         )

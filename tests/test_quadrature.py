@@ -62,6 +62,8 @@ class TestPrecisionConfig:
         assert _node_depth(PrecisionConfig(40, 100)) == 87
         assert _node_depth(PrecisionConfig(40, 52)) == 87
         assert _node_depth(DEFAULT_PRECISION) == 67
+        # below 8 target digits the depth stays at 2 * 8 + 7
+        assert _node_depth(PrecisionConfig(2, 12)) == _node_depth(PrecisionConfig(8, 18)) == 23
         assert PrecisionConfig(40, 52).eval_digits == PrecisionConfig(15, 52).eval_digits
 
     def test_eval_digits_round_working_up_to_tens(self):
@@ -372,6 +374,15 @@ class TestMomentIntegrals:
         with mp.workdps(digits + 40):
             assert cross_err < mp.mpf(10) ** -(digits + 20)
             assert res.error_estimate >= abs(res.value - cross)
+
+    def test_small_targets_converge(self):
+        # at depth 2 target + 7 refinement stalled on the moving outermost
+        # term for n = 1 at targets 2..5 and for n = 20 at 1..5
+        for n in (1, 5, 20):
+            cross, _ = integral_In_crosscheck(n, dps=40)
+            for target in range(1, 16):
+                value = integral_In(n, PrecisionConfig(target, target + 10)).value
+                assert abs(value - cross) <= mp.mpf(10) ** -target * cross
 
     def test_two_schemes_agree(self):
         for n in (1, 2, 3):

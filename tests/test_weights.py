@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from zetaodd.bernoulli import _row_terms, gen_bernoulli
+from zetaodd.bernoulli import _row_terms
 from zetaodd.weights import (
     coeff_b,
     d_coefficients,
@@ -127,7 +127,6 @@ class TestSolve:
         # memo keeps 101, and its entries are the column-by-column
         # build's
         _row_terms.cache_clear()
-        gen_bernoulli.cache_clear()
         wv = solve_weights(103)
         assert _row_terms.cache_info().misses == 103
         assert wv.weight(103) == -s_constant(103)

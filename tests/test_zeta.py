@@ -169,6 +169,15 @@ class TestIntegralRoutes:
         got = zeta_via_asech_kernel(m, DEFAULT_PRECISION)
         assert abs(got - mp.zeta(m)) < mp.mpf("1e-24")
 
+    @pytest.mark.parametrize("route", [zeta_via_exp_kernel, zeta_via_asech_kernel],
+                             ids=lambda f: f.__name__)
+    def test_small_targets_converge(self, route):
+        # the asech route stalled at targets 2..5 before the node depth
+        # was floored at target 8
+        for target in range(1, 16):
+            got = route(3, PrecisionConfig(target, target + 10))
+            assert abs(got - mp.zeta(3)) <= mp.mpf(10) ** -target
+
     def test_zeta3_two_kernels_differ_in_route_only(self):
         a = zeta3_exp_integral(DEFAULT_PRECISION)
         b = zeta_via_exp_kernel(3, DEFAULT_PRECISION)
@@ -462,29 +471,15 @@ class TestLinearForm:
         assert linear_form_residual(linear_form(20), cfg) <= mp.mpf(10) ** -95
 
     def test_thetas_positive(self):
-        # observed, not proved: every theta_k of the degree-20 form is
-        # positive, so the zeta sum for I_20 has no cancellation
-        assert all(theta > 0 for theta in linear_form(20).thetas)
+        # proved (linear_form's docstring): |e_(K-1)| is an elementary
+        # symmetric sum of the positive 4j^2, so no zeta sum for I_n
+        # cancels
+        for n in range(1, 51):
+            assert all(theta > 0 for theta in linear_form(n).thetas)
 
     def test_domain(self):
         with pytest.raises(ValueError):
             linear_form(0)
-
-    def test_zero_top_diagonal_is_rejected(self):
-        # the top coefficients are never zero; a zero one fails loudly
-        with pytest.raises(ZeroDivisionError):
-            zeta_mod._solve_telescoping([[Fraction(0)]])
-        with pytest.raises(ZeroDivisionError):
-            zeta_mod._solve_telescoping([[Fraction(1, 7)], [Fraction(-1, 93), Fraction(0)]])
-
-    def test_interior_zero_diagonal_is_rejected(self):
-        rows = [[Fraction(0)], [Fraction(1), Fraction(1)]]
-        with pytest.raises(ZeroDivisionError):
-            zeta_mod._solve_telescoping(rows)
-
-    def test_ragged_rows_rejected(self):
-        with pytest.raises(ValueError):
-            zeta_mod._solve_telescoping([[Fraction(1), Fraction(2)]])
 
 
 class TestDimensionScan:
@@ -522,48 +517,44 @@ class TestMomentSequence:
             in_sequence_report(0)
 
 
-class TestOneSolvePerDegree:
-    """Each degree's weights are solved once per call that needs them:
-    one tau row reads one solve, and a zeta_report builds both kernels
-    once.  Every zetaodd module that holds solve_weights is wrapped."""
+class TestNoWeightSolve:
+    """The zeta routes, tau_row and linear_form read integer closed forms
+    only: no weight solve and no generalized Bernoulli number.  Every
+    zetaodd module that holds solve_weights or gen_bernoulli is wrapped."""
 
     @pytest.fixture
-    def solves(self, monkeypatch):
-        real = zetaodd.weights.solve_weights
+    def calls(self, monkeypatch):
         calls = []
+        for name in ("solve_weights", "gen_bernoulli"):
+            real = getattr(zetaodd, name)
 
-        def counted(m):
-            calls.append(m)
-            return real(m)
+            def counted(*args, _name=name, _real=real):
+                calls.append((_name, args))
+                return _real(*args)
 
-        for module in (zetaodd, zetaodd.weights, zetaodd.hyperbolic, zetaodd.zeta,
-                       zetaodd.verify, zetaodd.cli):
-            if getattr(module, "solve_weights", None) is real:
-                monkeypatch.setattr(module, "solve_weights", counted)
-        zeta_mod._degree_kernels.cache_clear()
+            for module in (zetaodd, zetaodd.bernoulli, zetaodd.weights, zetaodd.hyperbolic,
+                           zetaodd.zeta, zetaodd.verify, zetaodd.cli):
+                if getattr(module, name, None) is real:
+                    monkeypatch.setattr(module, name, counted)
         return calls
 
     @pytest.mark.parametrize(
         "route", [zeta_report, zeta_via_exp_kernel, zeta_via_asech_kernel],
         ids=lambda f: f.__name__,
     )
-    def test_zeta_routes(self, solves, route):
+    def test_zeta_routes(self, calls, route):
         route(13, DEFAULT_PRECISION)
-        assert solves == [13]
+        assert calls == []
 
-    def test_report_after_route_reuses_the_degree(self, solves):
-        zeta_via_exp_kernel(7, DEFAULT_PRECISION)
-        zeta_report(7, DEFAULT_PRECISION)
-        assert solves == [7]
+    def test_tau_row(self, calls):
+        tau_row(101)
+        assert calls == []
 
-    def test_tau_row(self, solves):
-        tau_row(41)
-        assert solves == [41]
+    def test_linear_form(self, calls):
+        linear_form(50)
+        assert calls == []
 
-    def test_linear_form(self, solves):
-        linear_form(8)
-        assert sorted(solves) == [3, 5, 7, 9, 11, 13, 15, 17]
-
-    def test_degree_memo_holds_one_degree(self):
-        assert zeta_mod._degree_kernels.cache_info().maxsize == 1
-        assert not hasattr(solve_weights, "cache_info")
+    def test_the_wrapper_sees_a_weight_solve(self, calls):
+        zetaodd.weights.solve_weights(3)
+        assert ("solve_weights", (3,)) in calls
+        assert ("gen_bernoulli", (2, 3)) in calls
