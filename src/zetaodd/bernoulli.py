@@ -9,8 +9,8 @@ l = 1 column.
 
 Two routes to the same value live here on purpose:
 
-* :func:`gen_bernoulli` evaluates a closed-form double sum of binomial
-  products.  It is the production path.
+* :func:`gen_bernoulli_row` evaluates a closed-form double sum of binomial
+  products, one degree n at a time.  It is the production path.
 * :func:`series_oracle` builds the defining power series from scratch
   (invert ``(e^z - 1)/z``, then raise to the l-th power) and reads the
   coefficients off.  It shares no intermediate quantities with the
@@ -25,15 +25,13 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 
 __all__ = [
     "gen_bernoulli",
+    "gen_bernoulli_row",
     "gen_bernoulli_poly",
     "series_oracle",
 ]
-
-_ROW_MEMO_ROWS = 101  # rows n = 0..100, all that solve_weights(101) reads; about 0.67 MB
 
 
 def _validate_indices(n: int, l: int) -> None:
@@ -43,8 +41,7 @@ def _validate_indices(n: int, l: int) -> None:
         raise ValueError(f"order l must be >= 1, got {l}")
 
 
-@lru_cache(maxsize=_ROW_MEMO_ROWS)
-def _row_terms(n: int) -> tuple[int, ...]:
+def _row_terms(n: int) -> list[int]:
     """The l-independent integers of row n, for k = 0..n:
 
         a(n, k) = (2n)!/(n+k)! * sum_j (-1)^j C(k, j) j^(n+k).
@@ -59,26 +56,33 @@ def _row_terms(n: int) -> tuple[int, ...]:
             (-1) ** j * math.comb(k, j) * j ** (n + k) for j in range(k + 1)
         )
         terms.append(common // math.factorial(n + k) * inner)
-    return tuple(terms)
+    return terms
 
 
-def gen_bernoulli(n: int, l: int) -> Fraction:
-    """B(n, l) by closed-form double sum,
+def gen_bernoulli_row(n: int, orders) -> list[Fraction]:
+    """[B(n, l) for l in orders] by closed-form double sum,
 
         B(n, l) = n!/(2n)! * sum_{k=0}^{n} C(l+n, n-k) C(l+k-1, k) a(n, k),
 
-    with a(n, k) the l-independent integers of :func:`_row_terms`, so a
-    row is built once for every order that reads it.  The sum is one
-    integer over the common denominator (2n)!, with one Fraction
-    normalization.  Not memoized: no command reads an entry twice; the
-    verify suite re-reads some and stays within its budgets.
+    with a(n, k) the l-independent integers of :func:`_row_terms`, built
+    once per call, as are n! and (2n)!: one integer over (2n)! per entry.
+    Not memoized; a caller that needs many orders of a degree reads them
+    in one call.
     """
-    _validate_indices(n, l)
-    acc = sum(
-        math.comb(l + n, n - k) * math.comb(l + k - 1, k) * a
-        for k, a in enumerate(_row_terms(n))
+    orders = list(orders)
+    _validate_indices(n, min(orders, default=1))
+    terms = _row_terms(n)
+    scale, common = math.factorial(n), math.factorial(2 * n)
+    sums = (
+        sum(math.comb(l + n, n - k) * math.comb(l + k - 1, k) * a for k, a in enumerate(terms))
+        for l in orders
     )
-    return Fraction(acc * math.factorial(n), math.factorial(2 * n))
+    return [Fraction(scale * acc, common) for acc in sums]
+
+
+def gen_bernoulli(n: int, l: int) -> Fraction:
+    """B(n, l), one entry of :func:`gen_bernoulli_row`."""
+    return gen_bernoulli_row(n, (l,))[0]
 
 
 def gen_bernoulli_poly(n: int, l: int, x: Fraction | int) -> Fraction:

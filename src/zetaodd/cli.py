@@ -14,10 +14,11 @@ most 101, ``scan --to`` at most 500, ``linform --n`` at most 50
 closed forms with no weight solve, 0.12 to 0.18 s; ``weights --m 101``
 0.6 to 0.9 s, nearly all of it ``solve_weights(101)``; ``scan --to
 500`` 0.1 to 0.2 s; the 60 x 60 ``bernoulli`` grid 0.2 to 0.35 s, the
-101 x 101 grid 1 to 1.5 s and one ``B(300, 300)`` about 0.5 s.
-Results go to stdout, diagnostics to stderr.  JSON output is deterministic for a given
-invocation: fixed key order, rationals as exact ``num/den`` strings,
-decimals with exactly ``--digits`` significant digits.
+101 x 101 grid 1 to 1.5 s and one ``B(300, 300)`` about 0.6 s.
+Results go to stdout, diagnostics to stderr.  JSON output, apart from
+``verify``'s check times, is deterministic for a given invocation:
+fixed key order, rationals as exact ``num/den`` strings, decimals with
+exactly ``--digits`` significant digits.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import sys
 
 import mpmath as mp
 
-from .bernoulli import gen_bernoulli
+from .bernoulli import gen_bernoulli, gen_bernoulli_row
 from .hyperbolic import tau_row
 from .quadrature import NonConvergenceError, PrecisionConfig, integral_In
 from .verify import format_result, run_checks
@@ -143,46 +144,27 @@ def _cmd_bernoulli(args: argparse.Namespace) -> int:
         _require(args.l >= 1, "--l must be >= 1")
         _require_at_most("bernoulli", "--n", args.n, MAX_BERNOULLI_N)
         _require_at_most("bernoulli", "--l", args.l, MAX_BERNOULLI_N)
-        value = gen_bernoulli(args.n, args.l)
-        if args.format == "json":
-            _emit_json({"n": args.n, "l": args.l, "value": str(value)})
-        elif args.format == "csv":
-            _emit_csv(["n", "l", "value"], [[args.n, args.l, str(value)]])
-        else:
-            _emit(f"B({args.n}, {args.l}) = {value}")
-        return 0
-    _require(args.max_n >= 0, "--max-n must be >= 0")
-    _require(args.max_l >= 1, "--max-l must be >= 1")
-    _require_at_most("bernoulli", "--max-n", args.max_n, MAX_BERNOULLI_GRID)
-    _require_at_most("bernoulli", "--max-l", args.max_l, MAX_BERNOULLI_GRID)
-    # computed row by row, so each degree's l-independent terms are
-    # built once whatever the size of their memo; printed column by column
-    values = {
-        (n, l): gen_bernoulli(n, l)
-        for n in range(args.max_n + 1)
-        for l in range(1, args.max_l + 1)
-    }
-    entries = [
-        (n, l, values[n, l])
-        for l in range(1, args.max_l + 1)
-        for n in range(args.max_n + 1)
-    ]
+        entries = [(args.n, args.l, str(gen_bernoulli(args.n, args.l)))]
+        payload = {"n": args.n, "l": args.l, "value": entries[0][2]}
+    else:
+        _require(args.max_n >= 0, "--max-n must be >= 0")
+        _require(args.max_l >= 1, "--max-l must be >= 1")
+        _require_at_most("bernoulli", "--max-n", args.max_n, MAX_BERNOULLI_GRID)
+        _require_at_most("bernoulli", "--max-l", args.max_l, MAX_BERNOULLI_GRID)
+        # computed row by row, so each degree's l-independent terms are
+        # built once; printed column by column
+        orders = range(1, args.max_l + 1)
+        rows = [gen_bernoulli_row(n, orders) for n in range(args.max_n + 1)]
+        entries = [(n, l, str(rows[n][l - 1])) for l in orders for n in range(args.max_n + 1)]
+        payload = {
+            "max_n": args.max_n,
+            "max_l": args.max_l,
+            "entries": [{"n": n, "l": l, "value": v} for n, l, v in entries],
+        }
     if args.format == "json":
-        _emit_json(
-            {
-                "max_n": args.max_n,
-                "max_l": args.max_l,
-                "entries": [
-                    {"n": n, "l": l, "value": str(v)}
-                    for n, l, v in entries
-                ],
-            }
-        )
+        _emit_json(payload)
     elif args.format == "csv":
-        _emit_csv(
-            ["n", "l", "value"],
-            [[n, l, str(v)] for n, l, v in entries],
-        )
+        _emit_csv(["n", "l", "value"], entries)
     else:
         for n, l, v in entries:
             _emit(f"B({n}, {l}) = {v}")
@@ -373,6 +355,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                         "title": r.title,
                         "passed": r.ok,
                         "detail": r.note,
+                        "elapsed": round(r.elapsed, 2),
+                        "budget": r.budget,
+                        "within_budget": r.within_budget,
                     }
                     for r in results
                 ],

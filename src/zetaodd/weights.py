@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bernoulli import gen_bernoulli
+from .bernoulli import gen_bernoulli_row
 
 __all__ = [
     "coeff_b",
@@ -30,17 +30,23 @@ __all__ = [
     "s_constant",
     "triangular_system",
     "WeightVector",
+    "back_substitute",
     "solve_weights",
 ]
+
+
+def _diagonal(k: int, orders) -> list[Fraction]:
+    """[b(l - k, l) for l in orders], from one read of Bernoulli row k."""
+    sign = -1 if k & 1 else 1
+    scale = math.factorial(k)
+    return [sign * b / scale for b in gen_bernoulli_row(k, orders)]
 
 
 def coeff_b(j: int, l: int) -> Fraction:
     """Matrix entry b(j, l); defined for 1 <= j <= l."""
     if not 1 <= j <= l:
         raise ValueError(f"coeff_b requires 1 <= j <= l, got j={j}, l={l}")
-    k = l - j
-    sign = -1 if k & 1 else 1
-    return sign * gen_bernoulli(k, l) / math.factorial(k)
+    return _diagonal(l - j, (l,))[0]
 
 
 def d_coefficients(l: int) -> list[Fraction]:
@@ -68,13 +74,17 @@ def s_constant(m: int) -> Fraction:
 def triangular_system(m: int) -> dict[tuple[int, int], Fraction]:
     """Upper-triangular system matrix for degree m: {(j, l): b(j, l)}.
 
-    Built diagonal by diagonal: every entry with l - j = k reads the
-    Bernoulli row B(k, .), so each row is built once per call at any
-    degree, also past the row memo's 101 rows.
+    Built diagonal by diagonal: every entry with l - j = k comes from
+    one read of the Bernoulli row B(k, .), so a degree-m system builds
+    m rows.
     """
     if m < 1:
         raise ValueError(f"degree m must be >= 1, got {m}")
-    return {(l - k, l): coeff_b(l - k, l) for k in range(m) for l in range(k + 1, m + 1)}
+    system = {}
+    for k in range(m):
+        orders = range(k + 1, m + 1)
+        system.update(((l - k, l), b) for l, b in zip(orders, _diagonal(k, orders)))
+    return system
 
 
 @dataclass(frozen=True)
@@ -91,16 +101,14 @@ class WeightVector:
         return self.weights[l - 1]
 
 
-def solve_weights(m: int) -> WeightVector:
-    """Back-substitute the triangular system for degree m.
+def back_substitute(system: dict[tuple[int, int], Fraction], m: int) -> WeightVector:
+    """Weights of degree m from ``system``, :func:`triangular_system` of
+    degree m or of any larger one: b(j, l) does not depend on m, so the
+    degree-m system is the leading block of every larger system.
 
     The diagonal is identically 1, so w_m = rhs_m = -s_m and each
     earlier weight is rhs_j minus the already-known tail of its row.
-    Not memoized, nor are the Bernoulli entries it reads; only their
-    l-independent rows are (degree 101 solves in about 0.3 s with the
-    rows built, 0.6 s cold).
     """
-    system = triangular_system(m)
     s_m = s_constant(m)
     w: list[Fraction] = [Fraction(0)] * (m + 1)  # 1-based
     w[m] = -s_m
@@ -110,3 +118,8 @@ def solve_weights(m: int) -> WeightVector:
         )
         w[j] = -tail
     return WeightVector(m, s_m, tuple(w[1:]))
+
+
+def solve_weights(m: int) -> WeightVector:
+    """Back-substitute a new degree-m system; not memoized."""
+    return back_substitute(triangular_system(m), m)

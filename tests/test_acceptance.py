@@ -44,13 +44,14 @@ def test_suite_is_complete():
 _ORIGINAL = {
     name: getattr(verify, name)
     for name in (
-        "solve_weights", "q_coeff", "tau_row", "tau_top", "linear_form", "exp_kernel_polynomial"
+        "back_substitute", "q_coeff", "tau_row", "tau_top", "linear_form",
+        "exp_kernel_polynomial",
     )
 }
 
 
-def _perturbed_weights(m):
-    wv = _ORIGINAL["solve_weights"](m)
+def _perturbed_weights(system, m):
+    wv = _ORIGINAL["back_substitute"](system, m)
     if m != 17:
         return wv
     weights = list(wv.weights)
@@ -98,7 +99,7 @@ def _perturbed_kernel_polynomial(m):
 @pytest.mark.parametrize(
     "name,fake,where",
     [
-        ("solve_weights", _perturbed_weights, "at m=17"),
+        ("back_substitute", _perturbed_weights, "at m=17"),
         ("q_coeff", _perturbed_q, "q(30,101)"),
         ("q_coeff", _off_by_one_q, "q(1,1)"),
         ("tau_row", _perturbed_tau_row, "tau_row(87)"),
@@ -118,12 +119,13 @@ def test_check_11_catches_one_wrong_entry(monkeypatch, name, fake, where):
 
 
 def test_check_3_catches_one_wrong_entry(monkeypatch):
-    real = verify.gen_bernoulli
+    real = verify.gen_bernoulli_row
 
-    def wrong(n, l):
-        return real(n, l) + (1 if (n, l) == (30, 37) else 0)
+    def wrong(n, orders):
+        orders = list(orders)
+        return [b + (1 if (n, l) == (30, 37) else 0) for l, b in zip(orders, real(n, orders))]
 
-    monkeypatch.setattr(verify, "gen_bernoulli", wrong)
+    monkeypatch.setattr(verify, "gen_bernoulli_row", wrong)
     (result,) = run_checks([3])
     print(format_result(result))
     assert not result.passed

@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zetaodd.bernoulli import _row_terms, gen_bernoulli, gen_bernoulli_poly, series_oracle
-from zetaodd.cli import MAX_WEIGHTS_M
+from zetaodd.bernoulli import gen_bernoulli, gen_bernoulli_poly, gen_bernoulli_row, series_oracle
 
 # classical Bernoulli numbers, the l = 1 column
 CLASSICAL = [
@@ -43,19 +42,16 @@ class TestClosedForm:
             gen_bernoulli(-1, 1)
         with pytest.raises(ValueError):
             gen_bernoulli(0, 0)
-
-    def test_memo_is_bounded_above_the_largest_weight_solve(self):
-        # the row memo is the only one; it is bounded, yet holds the m rows
-        # n = 0..m-1 that solve_weights(m) reads at the CLI's largest degree
-        assert not hasattr(gen_bernoulli, "cache_info")
-        rows = _row_terms.cache_info().maxsize
-        assert rows is not None
-        assert rows >= MAX_WEIGHTS_M
+        with pytest.raises(ValueError):
+            gen_bernoulli_row(3, (2, 0, 5))
+        with pytest.raises(ValueError):
+            gen_bernoulli_row(-1, ())
+        assert gen_bernoulli_row(4, ()) == []
 
 
 def _double_sum(n, l):
     # the closed-form double sum written out in full for every (n, l),
-    # with no state shared between calls: the oracle for the row memo
+    # with no state shared between entries: the oracle for the row reader
     common = math.factorial(2 * n)
     acc = 0
     for k in range(n + 1):
@@ -71,28 +67,21 @@ def _double_sum(n, l):
     return Fraction(acc * math.factorial(n), common)
 
 
-class TestRowMemo:
-    def _check(self, entries, cold_orders):
-        expected = {(n, l): _double_sum(n, l) for n, l in entries}
-        # entries from a cold start, their row not in the memo yet
-        for n, l in entries:
-            if l in cold_orders:
-                _row_terms.cache_clear()
-                assert gen_bernoulli(n, l) == expected[n, l]
-        # every entry with its row already in the memo
-        _row_terms.cache_clear()
-        for n in {n for n, _ in entries}:
-            _row_terms(n)
-        assert {key: gen_bernoulli(*key) for key in entries} == expected
-        _row_terms.cache_clear()
+class TestRowReader:
+    def _check(self, n, orders, single_orders):
+        expected = {l: _double_sum(n, l) for l in orders}
+        assert gen_bernoulli_row(n, orders) == list(expected.values())
+        # an entry read on its own builds its row for itself
+        for l in single_orders:
+            assert gen_bernoulli(n, l) == expected[l]
 
     def test_bit_identical_on_the_grid(self):
-        grid = [(n, l) for n in range(61) for l in range(1, 62)]
-        self._check(grid, cold_orders={1, 2, 31, 61})
+        for n in range(61):
+            self._check(n, range(1, 62), single_orders=(1, 2, 31, 61))
 
     def test_bit_identical_on_the_deepest_row(self):
         orders = (1, 2, 50, 101, 300)
-        self._check([(100, l) for l in orders], cold_orders=set(orders))
+        self._check(100, orders, single_orders=orders)
 
 
 class TestSeriesOracle:

@@ -7,9 +7,9 @@ from pathlib import Path
 import pytest
 
 import zetaodd
+import zetaodd.bernoulli as bernoulli
 import zetaodd.cli as cli
 import zetaodd.verify as verify
-from zetaodd.bernoulli import _row_terms
 from zetaodd.cli import (
     MAX_BERNOULLI_GRID,
     MAX_BERNOULLI_N,
@@ -95,16 +95,22 @@ class TestBernoulli:
             "2,2,5/6\n"
         )
 
-    def test_grid_at_the_limit_builds_each_row_once(self, capsys):
-        # the grid at its limit has more degrees than the row memo holds,
-        # yet each degree's l-independent terms are built once, not once
-        # per order
-        _row_terms.cache_clear()
+    def test_grid_at_the_limit_builds_each_row_once(self, capsys, monkeypatch):
+        # each degree's l-independent terms are built once, not once per
+        # order
+        built = []
+        real = bernoulli._row_terms
+
+        def counted(n):
+            built.append(n)
+            return real(n)
+
+        monkeypatch.setattr(bernoulli, "_row_terms", counted)
         rc, _, _ = run(
             capsys, "bernoulli", "--max-n", str(MAX_BERNOULLI_GRID), "--max-l", "2"
         )
         assert rc == 0
-        assert _row_terms.cache_info().misses == MAX_BERNOULLI_GRID + 1
+        assert built == list(range(MAX_BERNOULLI_GRID + 1))
 
     def test_mode_flags_are_exclusive(self, capsys):
         rc, _, err = run(capsys, "bernoulli", "--n", "2")
@@ -342,9 +348,11 @@ class TestVerify:
         payload = json.loads(out)
         assert payload["all_passed"] is True
         assert [r["id"] for r in payload["results"]] == [1, 2]
-        for r in payload["results"]:
+        for r, (_, _, budget, _) in zip(payload["results"], verify.CHECKS):
             assert r["passed"] is True
-            assert "elapsed" not in r  # keeps JSON deterministic
+            assert r["budget"] == budget
+            assert r["within_budget"] is True
+            assert 0 <= r["elapsed"] < budget
 
     @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
     def test_over_budget_reason_in_every_format(self, capsys, monkeypatch, fmt):
@@ -398,7 +406,7 @@ class TestInputLimits:
         for name in (
             "integral_In", "zeta_report", "zeta_reference",
             "zeta_via_exp_kernel", "zeta_via_asech_kernel",
-            "solve_weights", "gen_bernoulli", "tau_row",
+            "solve_weights", "gen_bernoulli", "gen_bernoulli_row", "tau_row",
             "dimension_scan", "linear_form",
         ):
             monkeypatch.setattr(cli, name, started)

@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from zetaodd.bernoulli import _row_terms
+import zetaodd.bernoulli as bernoulli
 from zetaodd.weights import (
+    back_substitute,
     coeff_b,
     d_coefficients,
     s_constant,
@@ -121,14 +122,31 @@ class TestSolve:
         with pytest.raises(KeyError):
             system[(3, 2)]
 
-    def test_cold_solve_past_the_row_memo_builds_each_row_once(self):
+    def test_cold_solve_builds_each_row_once(self, monkeypatch):
         # the system is built diagonal by diagonal, so a degree-103 solve
-        # builds each of its 103 Bernoulli rows once although the row
-        # memo keeps 101, and its entries are the column-by-column
-        # build's
-        _row_terms.cache_clear()
+        # builds each of its 103 Bernoulli rows once, and its entries
+        # are the entry-by-entry build's (whole columns, from the first,
+        # a middle and the last)
+        built = []
+        real = bernoulli._row_terms
+
+        def counted(n):
+            built.append(n)
+            return real(n)
+
+        monkeypatch.setattr(bernoulli, "_row_terms", counted)
         wv = solve_weights(103)
-        assert _row_terms.cache_info().misses == 103
+        assert sorted(built) == list(range(103))
         assert wv.weight(103) == -s_constant(103)
-        want = {(j, l): coeff_b(j, l) for l in range(1, 104) for j in range(1, l + 1)}
-        assert triangular_system(103) == want
+        system = triangular_system(103)
+        for l in (1, 2, 52, 103):
+            assert [system[(j, l)] for j in range(1, l + 1)] == [
+                coeff_b(j, l) for j in range(1, l + 1)
+            ]
+
+    def test_one_system_serves_every_smaller_degree(self):
+        system = triangular_system(24)
+        for m in range(1, 25):
+            assert back_substitute(system, m) == solve_weights(m)
+        with pytest.raises(KeyError):
+            back_substitute(triangular_system(5), 6)

@@ -25,7 +25,7 @@ from zetaodd.quadrature import (
     neglog_stable,
 )
 from zetaodd.verify import _kernel_by_weights
-from zetaodd.weights import solve_weights
+from zetaodd.weights import back_substitute, solve_weights, triangular_system
 from zetaodd.zeta import (
     dimension_scan,
     in_sequence_report,
@@ -325,9 +325,11 @@ class TestIntegralRoutes:
     def test_eulerian_kernel_matches_weights_beyond_check_11(self):
         # verify check 11 covers odd m <= 61; the Eulerian C_m must equal
         # the Horner pass over the triangular solve's weights up to the
-        # largest degree the CLI admits
+        # largest degree the CLI admits, every degree back-substituted
+        # from one system
+        system = triangular_system(101)
         for m in range(63, 102, 2):
-            want = _kernel_by_weights(solve_weights(m).weights)
+            want = _kernel_by_weights(back_substitute(system, m).weights)
             assert zeta_mod.exp_kernel_polynomial(m) == want, m
 
     @pytest.mark.parametrize("m", [2, 4, 1, 0])
@@ -470,6 +472,21 @@ class TestLinearForm:
         cfg = PrecisionConfig(100, 120)
         assert linear_form_residual(linear_form(20), cfg) <= mp.mpf(10) ** -95
 
+    @pytest.mark.parametrize(
+        "n,digits",
+        [(50, 30), (200, 30), (200, 100), (400, 60),
+         pytest.param(400, 300, marks=pytest.mark.slow)],
+    )
+    def test_theta_sum_is_a_second_route_to_the_moment(self, n, digits):
+        # I_n = sum_K theta_K zeta(2K+1)/pi^(2K) reads zeta_reference and
+        # the closed thetas, no node and no tau; every theta is positive,
+        # so the sum does not cancel.  Relative to I_n, at 30..300 digits
+        # (5.7e-33, 7.4e-33, 6.7e-103, 5.5e-63 measured at the first four)
+        cfg = PrecisionConfig(digits, digits + 20)
+        residual = linear_form_residual(linear_form(n), cfg)
+        with mp.workdps(cfg.eval_digits):
+            assert residual / integral_In(n, cfg).value <= mp.mpf(10) ** -digits
+
     def test_thetas_positive(self):
         # proved (linear_form's docstring): |e_(K-1)| is an elementary
         # symmetric sum of the positive 4j^2, so no zeta sum for I_n
@@ -519,23 +536,27 @@ class TestMomentSequence:
 
 class TestNoWeightSolve:
     """The zeta routes, tau_row and linear_form read integer closed forms
-    only: no weight solve and no generalized Bernoulli number.  Every
-    zetaodd module that holds solve_weights or gen_bernoulli is wrapped."""
+    only: no weight solve and no generalized Bernoulli row.  Every
+    zetaodd module that holds solve_weights is wrapped, and so is the
+    row builder that every Bernoulli number goes through."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
         calls = []
-        for name in ("solve_weights", "gen_bernoulli"):
-            real = getattr(zetaodd, name)
 
-            def counted(*args, _name=name, _real=real):
-                calls.append((_name, args))
-                return _real(*args)
+        def counting(name, real):
+            def counted(*args):
+                calls.append((name, args))
+                return real(*args)
+            return counted
 
-            for module in (zetaodd, zetaodd.bernoulli, zetaodd.weights, zetaodd.hyperbolic,
-                           zetaodd.zeta, zetaodd.verify, zetaodd.cli):
-                if getattr(module, name, None) is real:
-                    monkeypatch.setattr(module, name, counted)
+        real = zetaodd.solve_weights
+        for module in (zetaodd, zetaodd.weights, zetaodd.zeta, zetaodd.verify, zetaodd.cli):
+            if getattr(module, "solve_weights", None) is real:
+                monkeypatch.setattr(module, "solve_weights", counting("solve_weights", real))
+        monkeypatch.setattr(
+            zetaodd.bernoulli, "_row_terms", counting("_row_terms", zetaodd.bernoulli._row_terms)
+        )
         return calls
 
     @pytest.mark.parametrize(
@@ -557,4 +578,4 @@ class TestNoWeightSolve:
     def test_the_wrapper_sees_a_weight_solve(self, calls):
         zetaodd.weights.solve_weights(3)
         assert ("solve_weights", (3,)) in calls
-        assert ("gen_bernoulli", (2, 3)) in calls
+        assert ("_row_terms", (2,)) in calls
