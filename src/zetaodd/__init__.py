@@ -6,8 +6,7 @@ coefficients, telescoping linear forms) runs entirely in integer and
 :class:`fractions.Fraction` arithmetic: nothing rounds until a value is
 explicitly handed to mpmath for evaluation.  The numeric layer
 evaluates the associated singular integrals with double-exponential
-quadrature and cross-checks every route against an independent series
-oracle.
+quadrature and cross-checks every route against mpmath's own zeta.
 """
 
 from .bernoulli import gen_bernoulli, gen_bernoulli_poly, series_oracle
@@ -23,7 +22,6 @@ from .quadrature import (
     integrate_01_singular,
     neglog_stable,
 )
-from .verify import CheckResult, run_checks
 from .weights import (
     WeightVector,
     coeff_b,
@@ -92,7 +90,4 @@ __all__ = [
     "ScanReport",
     "dimension_scan",
     "in_sequence_report",
-    # self checks
-    "CheckResult",
-    "run_checks",
 ]

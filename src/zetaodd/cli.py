@@ -34,7 +34,6 @@ import mpmath as mp
 from .bernoulli import gen_bernoulli, gen_bernoulli_row
 from .hyperbolic import tau_row
 from .quadrature import NonConvergenceError, PrecisionConfig, integral_In
-from .verify import format_result, run_checks
 from .weights import solve_weights
 from .zeta import (
     dimension_scan,
@@ -325,6 +324,9 @@ def _cmd_linform(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    # imported here so that no other command compiles or loads the checks
+    from .verify import format_result, run_checks
+
     if args.suite == "all":
         ids = None
     else:

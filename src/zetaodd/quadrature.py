@@ -70,17 +70,16 @@ The columns u, Fe = w (1-u)/ln(1/u) and Fa = w u/asech(u) are within
 one unit of 2^-P of their exact values (a truncation, after arithmetic
 that errs by less than 2^-16 units), 1/(1+u) within two and u^2 within
 three, both from the integer u (:func:`_ts_level_columns` derives the
-bound).  The
-centre node u = 1/2 is outside the table: its columns come from mpf
-arguments (:func:`_fixed_columns`), so its Fe and Fa carry one rounding
-at the working precision, about 2^20 units.  The kernel turns one
-member's columns into one integer term by integer products and right
-shifts, and the level's terms go through the same _tail_sum against the
-cutoff in the same units, so the tail rule sees the same terms; the
-level total and the outermost term become mpf once per level.  Each
-right shift truncates by less than one unit, so a term errs by at most
-2^-P times the kernel's count of truncations and column units, each
-scaled by how much the rest of the term can magnify it
+bound).  The centre node u = 1/2 (t = 0) is outside the table but
+comes from the same generator, :func:`_pair_columns` at 2s = 0, where
+the pair's two members coincide, so it meets the same bounds.  The
+kernel turns one member's columns into one integer term by integer
+products and right shifts, and the level's terms go through the same
+_tail_sum against the cutoff in the same units, so the tail rule sees
+the same terms; the level total and the outermost term become mpf once
+per level.  Each right shift truncates by less than one unit, so a term
+errs by at most 2^-P times the kernel's count of truncations and column
+units, each scaled by how much the rest of the term can magnify it
 (:func:`zetaodd.zeta._degree_setup` bounds this for the routes,
 :func:`integral_In` for the moments).  The guard puts a unit at or
 below 10^-(eval_digits + _TAIL_EPS_SHIFT + 1), so the tail cutoff is at
@@ -282,8 +281,10 @@ def _fixed_columns(u, d, log_recip, asech, w, prec: int) -> tuple[int, ...]:
     """One node member's integer columns at ``prec`` fractional bits from
     its mpf arguments, all in [0, 1]: u, 1/(1+u), w (1-u)/ln(1/u), u^2
     and w u/asech(u).  The weighted columns are formed in mpf at the
-    working precision and then truncated.  The centre node's columns, and
-    the tests' oracle for :func:`_ts_level_columns`."""
+    working precision and then truncated, so they carry that rounding,
+    about 2^20 units at P = :func:`_fixed_bits` (eval_dps); 20 digits
+    higher they are the tests' oracle for :func:`_ts_level_columns` and
+    for the centre node of :func:`integrate_01_fixed`."""
     return _member_columns(
         to_fixed(u._mpf_, prec),
         to_fixed((w * d / log_recip)._mpf_, prec),
@@ -632,8 +633,10 @@ def integrate_01_fixed(kernel, cfg: PrecisionConfig = DEFAULT_PRECISION) -> Quad
     term = kernel(prec)
 
     def centre():
-        columns = _fixed_columns(*_centre(), mp.pi / 4, prec)
-        return mp.ldexp(term(columns), -prec)
+        # t = 0: 2s = 0, pi cosh t = pi, and the pair's two members coincide
+        wp = prec + _COLUMN_GUARD_BITS
+        minus, _ = _pair_columns(0, pi_fixed(wp), wp, prec)
+        return mp.ldexp(term(minus), -prec)
 
     def level_sum(nodes, eps):
         total, count, outermost = _tail_sum(

@@ -2,10 +2,10 @@
 
 Routes to zeta(m):
 
-* :func:`zeta_reference` sums the Dirichlet series with an
-  Euler-Maclaurin tail.  It touches none of this package's exact
-  tables (the tail constants come from mpmath's own bernoulli), so it
-  can serve as an independent oracle for the other two routes.
+* :func:`zeta_reference` is the Dirichlet series' value as mpmath
+  computes it (``mpmath.zeta``).  It touches none of this package's
+  exact tables or nodes, so it serves as the independent oracle for the
+  other two routes.
 * :func:`zeta_via_exp_kernel` collapses the degree-m weight system
   into a single integrand on (0, infinity), whose numerator is one
   integer polynomial per degree, built from Eulerian numbers
@@ -79,47 +79,16 @@ __all__ = [
 
 
 def zeta_reference(m: int, digits: int = 30) -> mp.mpf:
-    """zeta(m) by Dirichlet series plus Euler-Maclaurin tail.
-
-    Deliberately independent of the weight/tau machinery: the only
-    inputs are integer powers and mpmath's classical Bernoulli numbers.
-    The cutoff N and the tail order adapt until the first omitted tail
-    term is below 10^-(digits + 10); the tail is asymptotic, so if its
-    terms stop shrinking before that point the cutoff is doubled and
-    the sum restarts.
-    """
+    """zeta(m) by ``mpmath.zeta`` at digits + 15: an Euler product or
+    Borwein's algorithm on integers (P. Borwein, "An efficient algorithm
+    for the Riemann zeta function", CMS Conf. Proc. 27, 2000).  It reads
+    none of this package's exact tables or nodes, so route 1 stays
+    independent of routes 2 and 3.  mpmath caches that work per s and
+    per precision (``zeta_int_cache``, ``borwein_cache``); no memo here."""
     if m < 2:
         raise ValueError(f"zeta_reference needs m >= 2, got {m}")
     with mp.workdps(digits + 15):
-        s = mp.mpf(m)
-        want = mp.mpf(10) ** (-(digits + 10))
-        N = max(10, digits)
-        while True:
-            acc = mp.mpf(0)
-            for v in range(1, N):
-                acc += mp.mpf(v) ** (-s)
-            acc += mp.mpf(N) ** (-s) / 2
-            acc += mp.mpf(N) ** (1 - s) / (s - 1)
-            rising = s
-            npow = mp.mpf(N) ** (-s - 1)
-            n_inv_sq = mp.mpf(N) ** (-2)
-            prev = mp.inf
-            converged = False
-            for k in range(1, 200):
-                term = mp.bernoulli(2 * k) / math.factorial(2 * k) * rising * npow
-                if abs(term) <= want:
-                    acc += term
-                    converged = True
-                    break
-                if abs(term) >= prev:
-                    break  # asymptotic tail turned around; need larger N
-                acc += term
-                prev = abs(term)
-                rising *= (s + 2 * k - 1) * (s + 2 * k)
-                npow *= n_inv_sq
-            if converged:
-                return +acc
-            N *= 2
+        return +mp.zeta(m)
 
 
 def zeta3_exp_integral(cfg: PrecisionConfig = DEFAULT_PRECISION) -> mp.mpf:
@@ -435,10 +404,7 @@ def linear_form_residual(form: LinearForm, cfg: PrecisionConfig = DEFAULT_PRECIS
     summed at ``cfg.eval_digits``, the precision I_n is integrated at."""
     with mp.workdps(cfg.eval_digits):
         acc = mp.mpf(0)
-        for k in range(1, form.n + 1):
-            th = form.thetas[k - 1]
-            if th == 0:
-                continue
+        for k, th in enumerate(form.thetas, start=1):
             z = zeta_reference(2 * k + 1, cfg.target_digits + 10)
             acc += mp.mpf(th.numerator) / th.denominator * z / mp.pi ** (2 * k)
         tn = form.theta_next

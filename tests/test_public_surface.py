@@ -1,4 +1,8 @@
 import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -27,3 +31,24 @@ def test_removed_names_are_gone(name):
 def test_exact_module_is_gone():
     with pytest.raises(ModuleNotFoundError):
         importlib.import_module("zetaodd.exact")
+
+
+def test_verify_stays_off_the_cold_import_path():
+    # only the verify command loads the checks; every other command, and
+    # `import zetaodd`, compiles and runs none of them
+    src = str(Path(zetaodd.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    code = "import sys, zetaodd, zetaodd.cli; print('zetaodd.verify' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
+@pytest.mark.parametrize("name", ["CheckResult", "run_checks"])
+def test_checks_live_in_verify_only(name):
+    assert name not in zetaodd.__all__
+    assert not hasattr(zetaodd, name)
+    assert name in importlib.import_module("zetaodd.verify").__all__

@@ -629,6 +629,27 @@ class TestNodeColumns:
         finally:
             _ts_level_columns.cache_clear()
 
+    @pytest.mark.parametrize("cfg", [QUICK, PrecisionConfig(110, 130)])
+    def test_centre_node_matches_the_mpf_oracle(self, cfg):
+        # the centre u = 1/2 is outside the table; the kernel sees its
+        # columns once, as the member whose u column is 2^(P-1)
+        prec = _fixed_bits(cfg.eval_digits)
+        seen = []
+
+        def kernel(bits):
+            def term(columns):
+                seen.append(columns)
+                return columns[4]
+
+            return term
+
+        integrate_01_fixed(kernel, cfg)
+        (centre,) = [c for c in seen if c[0] == 1 << prec - 1]
+        with mp.workdps(cfg.eval_digits + 20):
+            want = _fixed_columns(*quadrature._centre(), mp.pi / 4, prec)
+        for column, (a, b, bound) in enumerate(zip(centre, want, _COLUMN_BOUND)):
+            assert abs(a - b) <= bound, (column, a - b)
+
     @pytest.mark.slow
     def test_library_precision_above_the_cli(self):
         # 800 digits, past the CLI's 300: same columns as the oracle
