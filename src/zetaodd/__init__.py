@@ -16,11 +16,8 @@ from .quadrature import (
     NonConvergenceError,
     PrecisionConfig,
     QuadratureResult,
-    asech_stable,
     integral_In,
     integral_In_crosscheck,
-    integrate_01_singular,
-    neglog_stable,
 )
 from .weights import (
     WeightVector,
@@ -71,9 +68,6 @@ __all__ = [
     "DEFAULT_PRECISION",
     "QuadratureResult",
     "NonConvergenceError",
-    "asech_stable",
-    "neglog_stable",
-    "integrate_01_singular",
     "integral_In",
     "integral_In_crosscheck",
     # zeta routes and exact forms

@@ -1,15 +1,15 @@
 """Tanh-sinh quadrature on (0, 1), the one integrator of this package.
 
-The integrator refines a trapezoid sum over the tanh-sinh change of
-variable by halving the step, and stops once an extrapolated error
-estimate clears the target (see Stopping rule), summing mpf integrands
-(:func:`integrate_01_singular`) or integer kernels
-(:func:`integrate_01_fixed`) in one level loop.  It is built for
-integrands with an inverse-square-root blowup at u = 1 and anything
-milder at u = 0 (a logarithm, an inverse square root).
-Integrals over (0, infinity) come here too, through q = e^-u: the
-exp-kernel route of :mod:`zetaodd.zeta` integrates in q, reading
-ln(1/q) from the node table.
+:func:`integrate_01_fixed` refines a trapezoid sum over the tanh-sinh
+change of variable by halving the step, and stops once an extrapolated
+error estimate clears the target (see Stopping rule).  It sums integer
+kernels on one node table of integer columns (:func:`_ts_level_columns`),
+and it is built for the one integral type the zeta routes and the
+moments need: a fixed-sign kernel with an inverse-square-root blowup at
+u = 1 (u/asech(u) ~ 1/sqrt(2 (1-u))) and at most a logarithmic factor
+at u = 0 ((1-u)/ln(1/u)).  Integrals over (0, infinity) come here too,
+through q = e^-u: the exp-kernel route of :mod:`zetaodd.zeta` integrates
+in q, reading w (1-q)/ln(1/q) from the node table.
 
 It is not a general-purpose integrator: the tail rule assumes the
 transformed terms rise to a peak and then fall monotonically, which
@@ -39,56 +39,42 @@ adds, to the estimate times 1 + |T_k|, the outermost summed term times
 the step: the mass beyond the outermost node, which no level difference
 sees and the node depth, not refinement, sets.
 
-Integrand contract.  Nodes come in pairs (u_minus, u_plus) with
+Kernel contract.  Nodes come in pairs (u_minus, u_plus) with
 u_minus + u_plus = 1, both computed from 2s = pi sinh t and
-q = exp(-2s) without any 1 - x subtraction.  The integrand is called as
-f(u, 1 - u, ln(1/u), asech(u)), with the complement taken from the
-other member of the pair, so it never re-derives 1 - u, and deep nodes
-whose u_plus rounds to exactly 1 still carry their exact, nonzero
-complement.  ln(1/u) (the exp route's ln(1/q)) and asech(u) are
-computed once per node from q and 2s (:func:`_ts_level_nodes`, the mpf
-node table; production reads the same quantities as integer columns,
-see Integer level sums); :func:`neglog_stable` and
-:func:`asech_stable` are the tests' oracles for them.  Nothing tells
-one integrand from another: the integrator calls f and reads no type
-or attribute of it.
+q = exp(-2s) without any 1 - x subtraction.  Each node member carries
+five integer columns in units of 2^-P, P = mp.prec + _FIXED_GUARD_BITS:
+u, 1/(1+u), Fe = w (1-u)/ln(1/u), u^2 and Fa = w u/asech(u), w the node
+weight, all in [0, 1].  The weight and the transcendentals ln(1/u) and
+asech(u) enter only through Fe and Fa, computed from q and 2s, so the
+deep nodes whose u_plus truncates to exactly 1 still carry their
+nonzero weighted columns.  The u column is absolute: below 2^-P it
+truncates to 0, so a kernel factor singular at u = 0, such as
+u^(-1/2), is only as accurate as those members' weighted columns are
+small.  The columns u, Fe and Fa are within one unit of 2^-P of their
+exact values, 1/(1+u) within two and u^2 within three
+(:func:`_ts_level_columns` derives the bound); the tests check them
+against textbook formulas in s = (pi/2) sinh t, 20 digits higher.  The
+centre node u = 1/2 (t = 0) is outside the table but comes from the
+same generator, :func:`_pair_columns` at 2s = 0, where the pair's two
+members coincide, so it meets the same bounds.  Nothing tells one
+kernel from another: the integrator calls it and reads no type or
+attribute of it.
 
-Integer level sums.  :func:`integrate_01_fixed` runs the same loop,
-nodes, tail rule, stopping rule and error estimate, but takes each
-level's sum in Python integers.  Every production integral goes through
-it: the zeta routes' polynomial kernels and the moments I_n
-(:func:`integral_In`), where mpf overhead (a power, a division,
-conversions, the adds of the sum) costs more than the polynomial
-itself.  Its node table (:func:`_ts_level_columns`) holds, per node
-member, only integer columns in units of 2^-P, with
-P = mp.prec + _FIXED_GUARD_BITS: u, 1/(1+u), w (1-u)/ln(1/u), u^2 and
-w u/asech(u), w the node weight, all in [0, 1].  They are computed in
-integers, each node at its own precision, and nothing in the table is
-an mpf; the mpf table of :func:`integrate_01_singular`, through
-:func:`_fixed_columns` at 20 digits more, is their oracle in the tests.
-The columns u, Fe = w (1-u)/ln(1/u) and Fa = w u/asech(u) are within
-one unit of 2^-P of their exact values (a truncation, after arithmetic
-that errs by less than 2^-16 units), 1/(1+u) within two and u^2 within
-three, both from the integer u (:func:`_ts_level_columns` derives the
-bound).  The centre node u = 1/2 (t = 0) is outside the table but
-comes from the same generator, :func:`_pair_columns` at 2s = 0, where
-the pair's two members coincide, so it meets the same bounds.  The
-kernel turns one member's columns into one integer term by integer
-products and right shifts, and the level's terms go through the same
-_tail_sum against the cutoff in the same units, so the tail rule sees
-the same terms; the level total and the outermost term become mpf once
-per level.  Each right shift truncates by less than one unit, so a term
-errs by at most 2^-P times the kernel's count of truncations and column
-units, each scaled by how much the rest of the term can magnify it
-(:func:`zetaodd.zeta._degree_setup` bounds this for the routes,
-:func:`integral_In` for the moments).  The guard puts a unit at or
-below 10^-(eval_digits + _TAIL_EPS_SHIFT + 1), so the tail cutoff is at
-least ten units, and 2^20 units make one unit in the last place of a
-term near 1 at the working precision.  :func:`integrate_01_singular` is
-the general mpf integrator, for integrands that are no integer kernel
-on these columns (fixed point has no relative precision), and the
-tests' reference for the integer sums; nothing on the production path
-calls it.
+Integer level sums.  The kernel turns one member's columns into one
+integer term by integer products and right shifts, and each level's
+terms go through _tail_sum against the cutoff in the same units; the
+level total and the outermost term become mpf once per level.  Every
+production integral goes through here: the zeta routes' polynomial
+kernels and the moments I_n (:func:`integral_In`), where mpf overhead (a
+power, a division, conversions, the adds of the sum) would cost more
+than the polynomial itself.  Each right shift truncates by less than one
+unit, so a term errs by at most 2^-P times the kernel's count of
+truncations and column units, each scaled by how much the rest of the
+term can magnify it (:func:`zetaodd.zeta._degree_setup` bounds this for
+the routes, :func:`integral_In` for the moments).  The guard puts a unit
+at or below 10^-(eval_digits + _TAIL_EPS_SHIFT + 1), so the tail cutoff
+is at least ten units, and 2^20 units make one unit in the last place of
+a term near 1 at the working precision.
 
 One precision, separate depth.  Arithmetic runs at
 PrecisionConfig.eval_digits: working_digits rounded up to a multiple of
@@ -98,10 +84,10 @@ set apart from it: the outermost nodes reach 1 - u ~ 10^-(2 target + 7)
 1/sqrt(1 - u) singularity is the square root of the gap (about
 10^-(target + 3.5) there).  Deep nodes cost
 less, not more: a node's q needs only about P - log2(1/q)/2 bits of
-relative precision, since its columns shrink like sqrt(q).  Both node
-tables are keyed by (eval precision, depth, level), and each holds at
-most _NODE_TABLES_KEPT levels at once, so a session that sweeps
-precisions keeps bounded state.
+relative precision, since its columns shrink like sqrt(q).  The node
+table is keyed by (eval precision, depth, level) and holds at most
+_NODE_TABLES_KEPT levels at once, so a session that sweeps precisions
+keeps bounded state.
 
 Tail rule.  Each level sums its terms outward from the centre and stops
 after _TAIL_RUN consecutive terms at or below 10^-(eval_digits + 5)
@@ -125,9 +111,6 @@ __all__ = [
     "DEFAULT_PRECISION",
     "QuadratureResult",
     "NonConvergenceError",
-    "asech_stable",
-    "neglog_stable",
-    "integrate_01_singular",
     "integrate_01_fixed",
     "integral_In",
     "integral_In_crosscheck",
@@ -212,49 +195,13 @@ class NonConvergenceError(ArithmeticError):
         self.error_estimate = error_estimate
 
 
-def asech_stable(u, d=None) -> mp.mpf:
-    """asech(u) on (0, 1], accurate through the u -> 1 boundary layer.
-
-    Uses asech(u) = log1p((r + d)/u) with d = 1 - u and
-    r = sqrt(d (1 + u)).  Near u = 1 both r and d vanish, so the log1p
-    argument is small and carries the full precision of d; near u = 0
-    the argument is ~2/u and log1p reproduces the ln(2/u) growth.
-    Identical to the textbook ln((1 + sqrt(1-u^2))/u) in exact
-    arithmetic.  Pass the exact complement ``d`` when it is known (the
-    integrator's node pairs carry it); otherwise it is formed as 1 - u.
-    Off the production path: the node tables carry asech(u) for the
-    integrands, and this is the tests' oracle for them.
-    """
-    u = mp.mpf(u)
-    d = 1 - u if d is None else mp.mpf(d)
-    if not (0 < u <= 1 and d >= 0):
-        raise ValueError("asech_stable is defined on (0, 1]")
-    r = mp.sqrt(d * (1 + u))
-    return mp.log1p((r + d) / u)
-
-
-def neglog_stable(q, d=None) -> mp.mpf:
-    """ln(1/q) on (0, 1], accurate at both ends: -log1p(-d) with
-    d = 1 - q when d < 1/2, -log(q) otherwise.  This is the half-line
-    abscissa u of the node q = e^-u.  As for :func:`asech_stable`, pass
-    the exact complement ``d`` when it is known; and as it, this is the
-    tests' oracle for the ln(1/u) the node tables carry."""
-    q = mp.mpf(q)
-    d = 1 - q if d is None else mp.mpf(d)
-    if not (0 < q <= 1 and d >= 0):
-        raise ValueError("neglog_stable is defined on (0, 1]")
-    return -mp.log1p(-d) if 2 * d < 1 else -mp.log(q)
-
-
 # -- node tables ---------------------------------------------------------
 #
-# Two tables of the same nodes, both keyed by (eval_dps, depth, level):
-# the integer columns production sums (_ts_level_columns) and the mpf
-# nodes of the general integrator, their oracle (_ts_level_nodes).  Level 0
-# holds t = 1 .. t_max step 1 (the t = 0 centre node is handled by the
-# caller); level k >= 1 holds the odd multiples of 2^-k in (0, t_max].  All
-# node data is derived from q = exp(-2s) and 2s itself, so no subtraction
-# ever forms the boundary gap.
+# One table, keyed by (eval_dps, depth, level): the integer columns the
+# level sums read (_ts_level_columns).  Level 0 holds t = 1 .. t_max step 1
+# (the t = 0 centre node is built by the integrator); level k >= 1 holds
+# the odd multiples of 2^-k in (0, t_max].  All node data is derived from
+# q = exp(-2s) and 2s itself, so no subtraction ever forms the boundary gap.
 
 def _node_depth(cfg: PrecisionConfig) -> int:
     """Digits of the smallest boundary gap 1 - u the nodes reach: 2 target
@@ -275,22 +222,6 @@ def _member_columns(fixed_u: int, fe: int, fa: int, prec: int) -> tuple[int, ...
     columns: 1/(1+u) >= 1/2 and u^2 come from the integer u."""
     one = 1 << prec
     return fixed_u, (one << prec) // (one + fixed_u), fe, fixed_u * fixed_u >> prec, fa
-
-
-def _fixed_columns(u, d, log_recip, asech, w, prec: int) -> tuple[int, ...]:
-    """One node member's integer columns at ``prec`` fractional bits from
-    its mpf arguments, all in [0, 1]: u, 1/(1+u), w (1-u)/ln(1/u), u^2
-    and w u/asech(u).  The weighted columns are formed in mpf at the
-    working precision and then truncated, so they carry that rounding,
-    about 2^20 units at P = :func:`_fixed_bits` (eval_dps); 20 digits
-    higher they are the tests' oracle for :func:`_ts_level_columns` and
-    for the centre node of :func:`integrate_01_fixed`."""
-    return _member_columns(
-        to_fixed(u._mpf_, prec),
-        to_fixed((w * d / log_recip)._mpf_, prec),
-        to_fixed((w * u / asech)._mpf_, prec),
-        prec,
-    )
 
 
 def _power_fixed(x: int, n: int, prec: int) -> int:
@@ -316,41 +247,6 @@ def _level_indices(eval_dps: int, depth: int, level: int) -> range:
     return range(1, k_max + 1, 1 if level == 0 else 2)
 
 
-@lru_cache(maxsize=_NODE_TABLES_KEPT)
-def _ts_level_nodes(eval_dps: int, depth: int, level: int) -> tuple:
-    """Tanh-sinh nodes new at this level, in mpf: tuples (minus, plus, w),
-    each member of the pair the integrand's arguments (u, 1 - u, ln(1/u),
-    asech(u)), with u_minus = q/(1+q) ~ 10^-depth at the outermost node.
-    The nodes of :func:`integrate_01_singular`, and through
-    :func:`_fixed_columns` the oracle for :func:`_ts_level_columns`.
-
-    With 2s = pi sinh t and q = exp(-2s): u_plus = 1/(1+q),
-    u_minus = q u_plus and w = pi cosh(t) q u_plus^2; sinh t and cosh t
-    both come from one exp(t).  The transcendentals follow from q and 2s
-    without a cancelling subtraction: ln(1/u_plus) = log1p(q),
-    ln(1/u_minus) = 2s + log1p(q), asech(u_plus) = log1p(q + sqrt(q (2+q)))
-    and asech(u_minus) = 2s + ln(1 + q + sqrt(1 + 2q)).
-    """
-    with mp.workdps(eval_dps):
-        h = mp.mpf(1) / 2**level
-        half_pi = mp.pi / 2
-        out = []
-        for k in _level_indices(eval_dps, depth, level):
-            e_t = mp.exp(k * h)
-            e_neg = 1 / e_t
-            two_s = half_pi * (e_t - e_neg)
-            q = mp.exp(-two_s)
-            u_plus = 1 / (1 + q)
-            u_minus = q * u_plus
-            w = half_pi * (e_t + e_neg) * u_minus * u_plus
-            log_plus = mp.log1p(q)
-            minus = (u_minus, u_plus, two_s + log_plus,
-                     two_s + mp.log(1 + q + mp.sqrt(1 + 2 * q)))
-            plus = (u_plus, u_minus, log_plus, mp.log1p(q + mp.sqrt(q * (2 + q))))
-            out.append((minus, plus, w))
-        return tuple(out)
-
-
 @lru_cache(maxsize=4)
 def _log_sixteenths(prec: int) -> tuple[int, ...]:
     """ln(j/16) for j = 16 .. 31, in units of 2^-prec."""
@@ -359,7 +255,9 @@ def _log_sixteenths(prec: int) -> tuple[int, ...]:
 
 def _log_fixed(x: int, prec: int) -> int:
     """ln(x) for x >= 1, x and the result integers in units of 2^-prec,
-    within three units (one each from r, its log and ln(j/16)).
+    within six units while x < e^2, which covers every x the node table
+    passes (at most 2 + sqrt 3): one from r, and two from ln(j/16) and
+    three from the log of 2^e r, each rounded and then truncated.
     x = 2^e (j/16) r with 16 <= j < 32 its leading five bits and
     1 <= r < 17/16, so mpf_log, whose table is indexed by a mantissa's
     leading nine bits and filled one entry per new index, sees only the
@@ -465,10 +363,18 @@ def _pair_columns(two_s: int, cosh_pi: int, wp: int, prec: int) -> tuple:
 
 @lru_cache(maxsize=_NODE_TABLES_KEPT)
 def _ts_level_columns(eval_dps: int, depth: int, level: int) -> tuple:
-    """The production node table: the nodes of :func:`_ts_level_nodes`
-    as pairs (minus, plus) of five integer columns each, the
-    :func:`_fixed_columns` at P = :func:`_fixed_bits` (eval_dps)
-    fractional bits, computed in integers with no mpf kept.
+    """The node table: the tanh-sinh nodes new at this level, as pairs
+    (minus, plus) of five integer columns each at P = :func:`_fixed_bits`
+    (eval_dps) fractional bits (:func:`_member_columns`), computed in
+    integers with no mpf kept.
+
+    With 2s = pi sinh t and q = exp(-2s): u_plus = 1/(1+q),
+    u_minus = q u_plus and w = pi cosh(t) q u_plus^2, so that
+    u_minus ~ 10^-depth at the outermost node.  The transcendentals follow
+    from q and 2s without a cancelling subtraction:
+    ln(1/u_plus) = log1p(q), ln(1/u_minus) = 2s + log1p(q),
+    asech(u_plus) = acosh(1+q) and
+    asech(u_minus) = 2s + ln(1 + q + sqrt(1 + 2q)).
 
     Per level, e^t comes from one exp and then one product per node, at
     W = P + _COLUMN_GUARD_BITS + bits(N) for the level's N nodes; 2s and
@@ -490,14 +396,14 @@ def _ts_level_columns(eval_dps: int, depth: int, level: int) -> tuple:
     unit of the node precision.  Through the relative error, the columns
     move by at most C^2 q or C^2 sqrt(q) times it, both below 10 on every
     node; through the unit, by at most C/sqrt(q) units of the node
-    precision, which its extra L/2 + log2 C bits cancel.  With one unit
-    of the node precision per series term or log, the arithmetic errs by
-    less than 2^-16 units before the last truncation to P bits.  Hence
-    u_minus, Fe and Fa are within one unit (and 2^-16) of their exact
-    values, and u_plus too (it lies above, u_minus below); 1/(1+u) is
-    within two and u^2 within three, from the integer u as in
-    :func:`_fixed_columns`.  The tests compare every column with
-    :func:`_fixed_columns` of :func:`_ts_level_nodes` 20 digits higher.
+    precision, which its extra L/2 + log2 C bits cancel.  With a unit of
+    the node precision per series term and six per log, the arithmetic
+    errs by less than 2^-16 units before the last truncation to P bits.
+    Hence u_minus, Fe and Fa are within one unit (and 2^-16) of their
+    exact values, and u_plus too (it lies above, u_minus below); 1/(1+u)
+    is within two and u^2 within three, from the integer u.  The tests
+    compare every column with textbook formulas in s = (pi/2) sinh t, 20
+    digits higher.
     """
     prec = _fixed_bits(eval_dps)
     indices = _level_indices(eval_dps, depth, level)
@@ -557,20 +463,24 @@ def _error_estimate(sums, eval_dps: int) -> mp.mpf:
     return mp.mpf(10) ** max(D1 * D1 / D2, 2 * D1, -eval_dps)
 
 
-def _centre() -> tuple:
-    """The integrand's arguments at the centre node u = 1/2."""
-    half = mp.mpf(1) / 2
-    return half, half, mp.log(2), mp.log(2 + mp.sqrt(3))
+def integrate_01_fixed(kernel, cfg: PrecisionConfig = DEFAULT_PRECISION) -> QuadratureResult:
+    """Tanh-sinh integral over (0, 1) of an integer kernel, the level
+    sums taken in integers ("Integer level sums" in the module
+    docstring): halve the step until the stopping rule holds.
 
-
-def _refine(table, centre, level_sum, cfg: PrecisionConfig) -> QuadratureResult:
-    """The level loop: halve the step until the stopping rule holds.
-    ``table(eval_dps, depth, level)`` is the node table,
-    ``centre()`` pi/4 times the integrand at u = 1/2, and
-    ``level_sum(nodes, eps)`` the :func:`_tail_sum` of one level's pair
-    terms at cutoff eps, as mpf; both run at eval_digits."""
+    ``kernel(prec)`` returns ``term(columns)``: w times the integrand at
+    one node member, as an integer in units of 2^-prec, from that
+    member's integer columns (u, 1/(1+u), w (1-u)/ln(1/u), u^2,
+    w u/asech(u)) at prec fractional bits.  Runs at ``cfg.eval_digits``
+    with node depth :func:`_node_depth` (cfg).
+    """
     eval_dps = cfg.eval_digits
     depth = _node_depth(cfg)
+    prec = _fixed_bits(eval_dps)
+    term = kernel(prec)
+    # the centre, t = 0: 2s = 0, pi cosh t = pi, and the pair's two members coincide
+    wp = prec + _COLUMN_GUARD_BITS
+    centre, _ = _pair_columns(0, pi_fixed(wp), wp, prec)
     with mp.workdps(eval_dps):
         tol = mp.mpf(10) ** (-(cfg.target_digits + _STOP_HEADROOM))
         base_eps = mp.mpf(10) ** (-(eval_dps + _TAIL_EPS_SHIFT))
@@ -579,18 +489,21 @@ def _refine(table, centre, level_sum, cfg: PrecisionConfig) -> QuadratureResult:
         used = 0
         for level in range(_MAX_LEVELS):
             scale = 1 + abs(sums[-1]) if sums else mp.mpf(1)
-            nodes = table(eval_dps, depth, level)
-            new, count, outermost = level_sum(nodes, base_eps * scale)
+            total, count, outermost = _tail_sum(
+                (term(lo) + term(hi) for lo, hi in _ts_level_columns(eval_dps, depth, level)),
+                to_fixed((base_eps * scale)._mpf_, prec),
+            )
             used += 2 * count
+            new = mp.ldexp(total, -prec)
             h = mp.mpf(1) / 2**level
             if level == 0:
-                sums.append(h * (centre() + new))
+                sums.append(h * (mp.ldexp(term(centre), -prec) + new))
                 used += 1
                 continue
             current = sums[-1] / 2 + h * new
             sums = sums[-2:] + [current]
             relative = _error_estimate(sums, eval_dps)
-            err = relative * (1 + abs(current)) + h * abs(outermost)
+            err = relative * (1 + abs(current)) + h * abs(mp.ldexp(outermost, -prec))
             if relative <= tol:
                 return QuadratureResult(current, err, used, level + 1)
         raise NonConvergenceError(
@@ -599,52 +512,6 @@ def _refine(table, centre, level_sum, cfg: PrecisionConfig) -> QuadratureResult:
             best_value=sums[-1],
             error_estimate=err,
         )
-
-
-def integrate_01_singular(f, cfg: PrecisionConfig = DEFAULT_PRECISION) -> QuadratureResult:
-    """Tanh-sinh integral over (0, 1) of the integrand f(u, 1 - u, ...).
-
-    f is called at strictly interior nodes only, as
-    f(u, d, log_recip, asech) with d the exact complement 1 - u taken
-    from the node pair, never re-derived, log_recip = ln(1/u) and
-    asech = asech(u), both carried by the node table; an integrand reads
-    the arguments it needs.  u may round to 1 at the deepest nodes, d
-    never rounds to 0.  Runs at ``cfg.eval_digits``; see the module
-    docstring for the accuracy model.
-    """
-
-    def level_sum(nodes, eps):
-        return _tail_sum((w * (f(*lo) + f(*hi)) for lo, hi, w in nodes), eps)
-
-    return _refine(_ts_level_nodes, lambda: mp.pi / 4 * f(*_centre()), level_sum, cfg)
-
-
-def integrate_01_fixed(kernel, cfg: PrecisionConfig = DEFAULT_PRECISION) -> QuadratureResult:
-    """:func:`integrate_01_singular` with the level sums taken in
-    integers ("Integer level sums" in the module docstring).
-
-    ``kernel(prec)`` returns ``term(columns)``: w times the integrand at
-    one node member, as an integer in units of 2^-prec, from that
-    member's integer columns (u, 1/(1+u), w (1-u)/ln(1/u), u^2,
-    w u/asech(u)) at prec fractional bits.  Same nodes, tail rule,
-    stopping rule, error estimate and node count as the mpf path.
-    """
-    prec = _fixed_bits(cfg.eval_digits)
-    term = kernel(prec)
-
-    def centre():
-        # t = 0: 2s = 0, pi cosh t = pi, and the pair's two members coincide
-        wp = prec + _COLUMN_GUARD_BITS
-        minus, _ = _pair_columns(0, pi_fixed(wp), wp, prec)
-        return mp.ldexp(term(minus), -prec)
-
-    def level_sum(nodes, eps):
-        total, count, outermost = _tail_sum(
-            (term(lo) + term(hi) for lo, hi in nodes), to_fixed(eps._mpf_, prec)
-        )
-        return mp.ldexp(total, -prec), count, mp.ldexp(outermost, -prec)
-
-    return _refine(_ts_level_columns, centre, level_sum, cfg)
 
 
 # -- the inverse-asech moment integrals ----------------------------------

@@ -21,12 +21,14 @@ Routes to zeta(m):
 What agreement between routes 2 and 3 tests (verify check 6, and the
 2-vs-3 difference in :func:`zeta_report`): two exact families, C_m
 from Eulerian numbers against the tau row from central factorial
-numbers (:func:`~zetaodd.hyperbolic.tau_row`), and two node sets, the
-same tanh-sinh nodes read as q and as u, whose transcendentals ln(1/q)
-and asech(u) come from one node generator.  It does not test two
+numbers (:func:`~zetaodd.hyperbolic.tau_row`), and two readings of one
+node table, the same tanh-sinh nodes read as q and as u, through its
+columns w (1-q)/ln(1/q) and w u/asech(u)
+(:func:`~zetaodd.quadrature._ts_level_columns`).  It does not test two
 analytic representations: with u = sech(v) and q = e^(-2v) the two
 integrands, constants included, are one integrand in v (checked
-numerically at m = 3, 5, 13, 41, not proved here).  Only route 1 is independent of the quadrature.
+numerically at m = 3, 5, 13, 41, not proved here).  Only route 1 is
+independent of the quadrature.
 
 The exact side of the same pairing is :func:`linear_form`: for each n
 a rational combination of zeta(3)/pi^2, zeta(5)/pi^4, ...,
@@ -146,28 +148,6 @@ def _digits(n: int) -> int:
     return len(str(abs(n)))
 
 
-def _horner_fixed(coeffs, x) -> mp.mpf:
-    """sum_k c_k x^k for integer ``coeffs`` (highest first) and
-    0 <= x <= 1, by Horner's rule in fixed point on x truncated to
-    p = mp.mp.prec fractional bits.  Truncating x costs at most
-    |P'(x)| 2^-p and every later step at most 2^-p."""
-    prec = mp.mp.prec
-    x = int(mp.ldexp(x, prec))
-    acc = 0
-    for c in coeffs:
-        acc = (acc * x >> prec) + (c << prec)
-    return mp.ldexp(acc, -prec)
-
-
-def _exp_kernel(q, d, log_recip, coeffs) -> mp.mpf:
-    """-(d / L) D_m(q) / (1 + q)^m at the node q with complement d and
-    L = ln(1/q).  ``coeffs`` are the integer coefficients of
-    D_m = C_m / q, highest first.  Off the production path, which sums
-    :func:`_exp_term`'s integers: this mpf form is the tests' oracle for
-    them."""
-    return -(d / log_recip) * _horner_fixed(coeffs, q) / (1 + q) ** (len(coeffs) + 1)
-
-
 def _horner_int(shifted, x: int, prec: int) -> int:
     """Horner's rule on integers at ``prec`` fractional bits: x and the
     result in units of 2^-prec, ``shifted`` the coefficients highest
@@ -180,12 +160,15 @@ def _horner_int(shifted, x: int, prec: int) -> int:
 
 def _exp_term(coeffs, prec: int):
     """The exp route's term for
-    :func:`~zetaodd.quadrature.integrate_01_fixed`:
-    -(Fe D_m(U) G^m) from the columns U = q, G = 1/(1+q) and
-    Fe = w (1-q)/ln(1/q), all integers at ``prec`` fractional bits.
-    G^m is taken as (2G)^m 2^-m (:func:`~zetaodd.quadrature._power_fixed`),
-    since 2G >= 1 keeps every truncation of the power relative; one
-    shift rounds the product back to prec bits."""
+    :func:`~zetaodd.quadrature.integrate_01_fixed`: w times the q-form
+    kernel -(d/L) D_m(q)/(1+q)^m at the node q, with d = 1 - q,
+    L = ln(1/q) and ``coeffs`` the integer coefficients of D_m = C_m / q,
+    highest first.  It is -(Fe D_m(U) G^m) from the columns U = q,
+    G = 1/(1+q) and Fe = w (1-q)/ln(1/q), all integers at ``prec``
+    fractional bits.  D_m(U) is :func:`_horner_int`; G^m is taken as
+    (2G)^m 2^-m (:func:`~zetaodd.quadrature._power_fixed`), since
+    2G >= 1 keeps every truncation of the power relative; one shift
+    rounds the product back to prec bits."""
     m = len(coeffs) + 1
     shifted = [c << prec for c in coeffs]
     shift = 2 * prec + m
@@ -246,8 +229,9 @@ def _degree_setup(m: int, cfg: PrecisionConfig) -> tuple[PrecisionConfig, tuple,
     costs at most 2^-P relative, and G^m errs by at most
     (4m + 2 log2 m) 2^-P relative, which digits(m) covers.  Truncating
     G^m itself to P bits would cost up to m log10(2) digits at q = 1,
-    where G = 1/2 and the kernel peaks.  The tests compare both routes
-    with their mpf kernels on the precision grid.
+    where G = 1/2 and the kernel peaks.  The tests check both terms node
+    by node against their mpf kernels at textbook nodes, and both routes
+    against ``mpmath.zeta`` on the precision grid.
 
     Guard and kernels depend on m alone and are built on every call,
     with no memo: both are integer closed forms, about 1.6 ms at

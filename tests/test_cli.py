@@ -9,6 +9,7 @@ import pytest
 import zetaodd
 import zetaodd.bernoulli as bernoulli
 import zetaodd.cli as cli
+import zetaodd.quadrature as quadrature
 import zetaodd.verify as verify
 from zetaodd.cli import (
     MAX_BERNOULLI_GRID,
@@ -176,6 +177,22 @@ class TestIntegral:
         rc, out, _ = run(capsys, "integral", "--n", "180", "--format", "json")
         assert rc == 0
         assert json.loads(out)["value"].startswith("0.0660401717814")
+
+
+class TestNonConvergence:
+    @pytest.mark.parametrize(
+        "argv",
+        [["integral", "--n", "1"], ["zeta", "--m", "3", "--method", "asech"]],
+        ids=["integral", "zeta-asech"],
+    )
+    def test_exit_3(self, capsys, monkeypatch, argv):
+        # with two levels allowed no integral meets the stopping rule: exit
+        # 3, the reason on stderr, nothing on stdout
+        monkeypatch.setattr(quadrature, "_MAX_LEVELS", 2)
+        rc, out, err = run(capsys, *argv)
+        assert rc == 3
+        assert out == ""
+        assert err.startswith("quadrature did not converge: ")
 
 
 class TestZeta:

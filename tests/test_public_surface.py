@@ -18,10 +18,18 @@ def test_every_exported_name_resolves(name):
     assert missing == []
 
 
-@pytest.mark.parametrize("name", ["tau", "binomial", "factorial", "format_rational", "ExactRational"])
+@pytest.mark.parametrize(
+    "name",
+    [
+        "tau", "binomial", "factorial", "format_rational", "ExactRational",
+        "integrate_01_singular", "asech_stable", "neglog_stable",
+    ],
+)
 def test_removed_names_are_gone(name):
     # tau_row is the one tau accessor; the stdlib's math.comb,
-    # math.factorial, Fraction and str stand in for the rest
+    # math.factorial, Fraction and str stand in for the rest; integer
+    # kernels on integrate_01_fixed, whose node table carries ln(1/u) and
+    # asech(u) inside its columns, replace the mpf integrator
     assert not hasattr(zetaodd, name)
     assert name not in zetaodd.__all__
     for sub in _SUBMODULES:

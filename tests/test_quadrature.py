@@ -1,8 +1,9 @@
-from fractions import Fraction
+import math
 from functools import partial
 
 import mpmath as mp
 import pytest
+from mpmath.libmp import pi_fixed, to_fixed
 
 import zetaodd.quadrature as quadrature
 import zetaodd.zeta as zeta_mod
@@ -10,21 +11,25 @@ from zetaodd.quadrature import (
     DEFAULT_PRECISION,
     NonConvergenceError,
     PrecisionConfig,
+    _COLUMN_GUARD_BITS,
     _NODE_TABLES_KEPT,
     _TAIL_EPS_SHIFT,
+    _acosh_ratio,
     _fixed_bits,
-    _fixed_columns,
+    _log1p_ratio,
+    _log_fixed,
+    _log_ratios,
     _node_depth,
+    _pair_columns,
+    _power_fixed,
+    _series_ratios,
     _tail_sum,
     _ts_level_columns,
-    _ts_level_nodes,
-    asech_stable,
     integral_In,
     integral_In_crosscheck,
     integrate_01_fixed,
-    integrate_01_singular,
-    neglog_stable,
 )
+from zetaodd.zeta import linear_form, linear_form_residual
 
 QUICK = PrecisionConfig(target_digits=20, working_digits=35)
 
@@ -44,11 +49,74 @@ def _close(a, b, eps):
     return abs(mp.mpf(a) - mp.mpf(b)) < mp.mpf(eps)
 
 
-def _half_line(g, cfg):
-    """The integral of g over (0, infinity), as the exp route takes it:
-    substitute q = e^-u and integrate g(ln(1/q)) / q over (0, 1), with
-    ln(1/q) from the node table."""
-    return integrate_01_singular(lambda q, d, log_recip, _: g(log_recip) / q, cfg)
+# -- integer kernels with closed-form integrals ---------------------------
+#
+# A kernel sees one node member's columns (u, 1/(1+u), Fe, u^2, Fa), with
+# Fe = w (1-u)/ln(1/u) and Fa = w u/asech(u).  Frullani's integral gives
+# the integral over (0, 1) of (u^(a-1) - u^(b-1))/ln(1/u) as ln(b/a), so
+# Fe u^k integrates to ln((k+2)/(k+1)); Fa u^(2n-2) integrates to I_n.
+
+
+def _fe_power(k):
+    """w (1-u) u^k / ln(1/u), integral ln((k+2)/(k+1))."""
+
+    def kernel(prec):
+        def term(columns):
+            u, _, fe, _, _ = columns
+            return fe * _power_fixed(u, k, prec) >> prec
+
+        return term
+
+    return kernel
+
+
+def _fe_inverse_sqrt(factor_g=False):
+    """w (1-u) u^(-1/2) / ln(1/u), times 1/(1+u) if ``factor_g``.  Members
+    whose u column truncates to 0 (u < 2^-P) give 0: their true term is
+    about sqrt(u) < 2^(-P/2)."""
+
+    def kernel(prec):
+        def term(columns):
+            u, g, fe, _, _ = columns
+            if not u:
+                return 0
+            t = (fe << prec) // math.isqrt(u << prec)
+            return t * g >> prec if factor_g else t
+
+        return term
+
+    return kernel
+
+
+def _fa_kernel(scale=1):
+    """scale * w u/asech(u), integral scale * I_1."""
+
+    def kernel(prec):
+        def term(columns):
+            return scale * columns[4]
+
+        return term
+
+    return kernel
+
+
+def _fa_x_kernel(prec):
+    """w u^3/asech(u), integral I_2."""
+
+    def term(columns):
+        _, _, _, x, fa = columns
+        return fa * x >> prec
+
+    return term
+
+
+def _moment_sum(n):
+    """I_n as sum_K theta_K zeta(2K+1)/pi^(2K) (linear_form), at the
+    ambient precision."""
+    return sum(
+        mp.mpf(th.numerator) / th.denominator * mp.zeta(2 * k + 1) / mp.pi ** (2 * k)
+        for k, th in enumerate(linear_form(n).thetas, start=1)
+    )
 
 
 class TestPrecisionConfig:
@@ -79,63 +147,74 @@ class TestPrecisionConfig:
 
 
 class TestUnitInterval:
+    """Integer kernels on (0, 1) with closed-form integrals."""
+
     def test_polynomial(self):
-        res = integrate_01_singular(lambda u, d, *_: u, QUICK)
-        assert _close(res.value, mp.mpf(1) / 2, "1e-20")
+        res = integrate_01_fixed(_fe_power(1), QUICK)
+        assert _close(res.value, mp.log(mp.mpf(3) / 2), "1e-20")
         assert res.nodes_used > 0
         assert res.levels >= 2
 
     def test_inverse_sqrt_right_endpoint(self):
-        res = integrate_01_singular(lambda u, d, *_: 1 / mp.sqrt(d), QUICK)
-        assert _close(res.value, 2, "1e-19")
+        # u/asech(u) ~ 1/sqrt(2 (1-u)) at u = 1
+        res = integrate_01_fixed(_fa_kernel(), QUICK)
+        assert _close(res.value, 7 * mp.zeta(3) / mp.pi**2, "1e-19")
 
     def test_inverse_sqrt_left_endpoint(self):
-        res = integrate_01_singular(lambda u, d, *_: 1 / mp.sqrt(u), QUICK)
-        assert _close(res.value, 2, "1e-19")
-
-    def test_beta_both_endpoints(self):
-        res = integrate_01_singular(lambda u, d, *_: mp.sqrt(u / d), QUICK)
-        assert _close(res.value, mp.pi / 2, "1e-19")
+        # (1-u) u^(-1/2)/ln(1/u) integrates to ln 3; the u column is
+        # absolute, so the members below 2^-P are dropped (about 10^-23
+        # each here, against the 10^-19 asked)
+        res = integrate_01_fixed(_fe_inverse_sqrt(), QUICK)
+        assert _close(res.value, mp.log(3), "1e-19")
 
     def test_log_singularity(self):
-        res = integrate_01_singular(lambda u, d, *_: mp.log(u), QUICK)
-        assert _close(res.value, -1, "1e-19")
+        # (1-u)/ln(1/u): every derivative blows up at u = 0
+        res = integrate_01_fixed(_fe_power(0), QUICK)
+        assert _close(res.value, mp.ln2, "1e-19")
 
     def test_divergent_integrand_raises(self, monkeypatch):
+        # (1-u)/ln(1/u) / (1-u) ~ 1/(1-u) at u = 1: no integral
         monkeypatch.setattr(quadrature, "_MAX_LEVELS", 4)
         small = PrecisionConfig(target_digits=15, working_digits=30)
+
+        def kernel(prec):
+            return lambda columns: (columns[2] << prec) // max((1 << prec) - columns[0], 1)
+
         with pytest.raises(NonConvergenceError) as exc:
-            integrate_01_singular(lambda u, d, *_: 1 / d, small)
+            integrate_01_fixed(kernel, small)
         assert exc.value.best_value is not None
 
     def test_error_estimate_is_honest(self):
-        res = integrate_01_singular(lambda u, d, *_: 1 / mp.sqrt(d), DEFAULT_PRECISION)
-        assert _close(res.value, 2, res.error_estimate + mp.mpf("1e-30"))
+        res = integrate_01_fixed(_fa_kernel(), DEFAULT_PRECISION)
+        assert _close(res.value, 7 * mp.zeta(3) / mp.pi**2, res.error_estimate + mp.mpf("1e-30"))
 
 
-def _levels_until_two_agree(f, cfg):
+def _levels_until_two_agree(kernel, cfg):
     """The stopping rule the extrapolated estimate replaced, as an
-    oracle: the integrator's level sums from the same node tables and
-    tail rule, returned at the first level k >= 1 with
+    oracle: the integrator's level sums from the same node table, kernel
+    and tail rule, returned at the first level k >= 1 with
     |T_k - T_(k-1)| <= 10^-target (1 + |T_k|).  Returns the level count
     and the level sums."""
     eval_dps = cfg.eval_digits
     depth = _node_depth(cfg)
+    prec = _fixed_bits(eval_dps)
+    term = kernel(prec)
+    wp = prec + _COLUMN_GUARD_BITS
+    centre, _ = _pair_columns(0, pi_fixed(wp), wp, prec)
     with mp.workdps(eval_dps):
         tol = mp.mpf(10) ** (-cfg.target_digits)
         eps = mp.mpf(10) ** (-(eval_dps + _TAIL_EPS_SHIFT))
-        half = mp.mpf(1) / 2
-        centre = (half, half, mp.log(2), mp.log(2 + mp.sqrt(3)))
         sums = []
         for level in range(quadrature._MAX_LEVELS):
             scale = 1 + abs(sums[-1]) if sums else mp.mpf(1)
-            nodes = _ts_level_nodes(eval_dps, depth, level)
             new, _, _ = _tail_sum(
-                (w * (f(*lo) + f(*hi)) for lo, hi, w in nodes), eps * scale
+                (term(lo) + term(hi) for lo, hi in _ts_level_columns(eval_dps, depth, level)),
+                to_fixed((eps * scale)._mpf_, prec),
             )
+            new = mp.ldexp(new, -prec)
             h = mp.mpf(1) / 2**level
             if level == 0:
-                sums.append(h * (mp.pi / 4 * f(*centre) + new))
+                sums.append(h * (mp.ldexp(term(centre), -prec) + new))
                 continue
             sums.append(sums[-1] / 2 + h * new)
             if abs(sums[-1] - sums[-2]) <= tol * (1 + abs(sums[-1])):
@@ -144,12 +223,12 @@ def _levels_until_two_agree(f, cfg):
 
 
 def _moment_one(cfg):
-    return lambda u, d, _, asech: u / asech, cfg
+    return _fa_kernel(), cfg
 
 
 def _exp_route_m3(cfg):
     cfg, coeffs, _, _ = zeta_mod._degree_setup(3, cfg)
-    return lambda q, d, log_recip, _: zeta_mod._exp_kernel(q, d, log_recip, coeffs), cfg
+    return partial(zeta_mod._exp_term, coeffs), cfg
 
 
 class TestStoppingRule:
@@ -169,40 +248,33 @@ class TestStoppingRule:
     def test_one_level_before_two_levels_agree(self, integrand, target, saved):
         # each level doubles the correct digits, so the level the old
         # test returned usually only confirmed the one before it
-        f, cfg = integrand(PrecisionConfig(target, target + 20))
-        got = integrate_01_singular(f, cfg)
-        old_levels, sums = _levels_until_two_agree(f, cfg)
+        kernel, cfg = integrand(PrecisionConfig(target, target + 20))
+        got = integrate_01_fixed(kernel, cfg)
+        old_levels, sums = _levels_until_two_agree(kernel, cfg)
         assert got.levels == old_levels - saved
         assert got.value == sums[got.levels - 1]
 
     @pytest.mark.parametrize("target", [15, 30, 100, 300])
     @pytest.mark.parametrize(
-        "f, exact, missing",
+        "kernel, exact",
         [
-            (lambda u, d: 1 / mp.sqrt(d), Fraction(2), lambda g: 2 * mp.sqrt(g) + 2 * g),
-            (lambda u, d: u**3 / mp.sqrt(d), Fraction(32, 35), lambda g: 2 * mp.sqrt(g) + 2 * g),
-            (lambda u, d: -mp.log(u), Fraction(1), lambda g: g * (2 - mp.log(g))),
+            (_fa_kernel(), lambda: 7 * mp.zeta(3) / mp.pi**2),
+            (_fa_x_kernel, lambda: _moment_sum(2)),
+            (_fe_power(0), lambda: mp.ln2),
         ],
         ids=["inv-sqrt", "cube-inv-sqrt", "neg-log"],
     )
-    def test_estimate_bounds_error_against_closed_forms(self, f, exact, missing, target):
-        # the estimate covers the discretization error; no level
-        # difference sees the mass beyond the outermost node, at gap g
-        # from either end.  missing(g) bounds that mass: 2 sqrt(g) for a
-        # 1/sqrt(1 - u) singularity, about 10^-(target + 2) at the node
-        # depth, and g (1 - ln g) for a logarithm.
+    def test_estimate_bounds_error_against_closed_forms(self, kernel, exact, target):
+        # u/asech(u) and u^3/asech(u), inverse square roots at u = 1
+        # (I_1 and I_2), and (1-u)/ln(1/u), logarithmic at u = 0 (ln 2).
+        # The estimate covers the discretization error and, through the
+        # outermost term times the step, the mass beyond the outermost
+        # node; 10^-eval_digits covers the rounding
         cfg = PrecisionConfig(target, target + 20)
-        gaps = []
-
-        def seen(u, d, *_):
-            gaps.append(d)
-            return f(u, d)
-
-        res = integrate_01_singular(seen, cfg)
+        res = integrate_01_fixed(kernel, cfg)
         with mp.workdps(cfg.eval_digits + 10):
-            err = abs(res.value - mp.mpf(exact.numerator) / exact.denominator)
-            bound = res.error_estimate + missing(min(gaps)) + mp.mpf(10) ** -cfg.eval_digits
-            assert err <= bound
+            err = abs(res.value - exact())
+            assert err <= res.error_estimate + mp.mpf(10) ** -cfg.eval_digits
 
     def test_stop_does_not_depend_on_scale(self):
         # the estimate works on the level sums divided by 1 + |T_k|, so a
@@ -211,7 +283,7 @@ class TestStoppingRule:
         cfg = PrecisionConfig(30, 50)
         stops = set()
         for scale in (1, 10**10, 10**30):
-            res = integrate_01_singular(lambda u, d, _, asech: scale * u / asech, cfg)
+            res = integrate_01_fixed(_fa_kernel(scale), cfg)
             stops.add((res.levels, res.nodes_used))
         assert len(stops) == 1
 
@@ -224,30 +296,41 @@ class TestStoppingRule:
             assert abs(got - mp.zeta(3)) > mp.mpf(10) ** -25
 
 
+def _half_line(h):
+    """The integral of h over (0, infinity) by mpmath's own quadrature."""
+    return mp.quad(h, [0, 1, mp.inf])
+
+
 class TestHalfLine:
-    """Integrals over (0, infinity) through q = e^-u on the (0, 1) core,
-    the way the exp route takes its kernel."""
+    """Integrals over (0, infinity) through q = e^-x on the (0, 1) core,
+    the way the exp route takes its kernel: the member's u column is q,
+    and Fe = w (1-q)/ln(1/q) carries 1/x, so a kernel Fe f(q) integrates
+    h(x) = (1 - e^-x) f(e^-x) e^-x / x."""
 
     def test_exponential(self):
-        res = _half_line(lambda u: mp.exp(-u), QUICK)
-        assert _close(res.value, 1, "1e-20")
-
-    def test_gamma_three(self):
-        res = _half_line(lambda u: u * u * mp.exp(-u), QUICK)
-        assert _close(res.value, 2, "1e-19")
+        # h = (e^-3x - e^-4x)/x, Frullani: ln(4/3)
+        res = integrate_01_fixed(_fe_power(2), QUICK)
+        assert _close(res.value, mp.log(mp.mpf(4) / 3), "1e-20")
 
     def test_slow_exponential_rate(self):
-        # q^(-1/2) ln(1/q) after the substitution: singular at q = 0
-        res = _half_line(lambda u: u * mp.exp(-u / 2), QUICK)
-        assert _close(res.value, 4, "1e-19")
-
-    def test_gaussian(self):
-        res = _half_line(lambda u: mp.exp(-u * u), QUICK)
-        assert _close(res.value, mp.sqrt(mp.pi) / 2, "1e-19")
+        # h = tanh(x/2) e^(-x/2) / x: q^(-1/2), singular at q = 0, after
+        # the substitution
+        res = integrate_01_fixed(_fe_inverse_sqrt(factor_g=True), QUICK)
+        want = _half_line(lambda x: mp.tanh(x / 2) * mp.exp(-x / 2) / x)
+        assert _close(res.value, want, "1e-19")
 
     def test_sech(self):
-        res = _half_line(mp.sech, QUICK)
-        assert _close(res.value, mp.pi / 2, "1e-19")
+        # h = (1 - e^-x) sech(x) / x, with sech x = 2q/(1+q^2)
+        def kernel(prec):
+            def term(columns):
+                u, _, fe, _, _ = columns
+                return fe * ((2 << 2 * prec) // ((1 << prec) + (u * u >> prec))) >> prec
+
+            return term
+
+        res = integrate_01_fixed(kernel, QUICK)
+        want = _half_line(lambda x: -mp.expm1(-x) * mp.sech(x) / x)
+        assert _close(res.value, want, "1e-19")
 
     def test_runs_at_eval_digits(self):
         # the exp route's half-line kernel, summed in integers, builds its
@@ -263,87 +346,147 @@ class TestHalfLine:
         assert _ts_level_columns.cache_info().currsize == built
 
     def test_growing_integrand_raises(self, monkeypatch):
+        # h = (e^x - 1)/x grows: Fe/q^2 in q
         monkeypatch.setattr(quadrature, "_MAX_LEVELS", 4)
         small = PrecisionConfig(target_digits=15, working_digits=30)
+
+        def kernel(prec):
+            return lambda columns: (columns[2] << 2 * prec) // max(columns[0] ** 2, 1)
+
         with pytest.raises(NonConvergenceError):
-            _half_line(lambda u: u / (1 + u), small)
+            integrate_01_fixed(kernel, small)
+
+
+_RATIO_PREC = 200  # bits: the integer forms below at about 60 digits
+
+
+def _fixed(x, prec=_RATIO_PREC):
+    return int(mp.floor(mp.ldexp(x, prec)))
+
+
+def _real(n, prec=_RATIO_PREC):
+    return mp.ldexp(n, -prec)
 
 
 class TestAsech:
+    """asech(u) as the node table computes it, in integers from q: at the
+    plus member u = 1/(1+q), asech(u) = acosh(1+q) = sqrt(2q) times
+    acosh(1+q)/sqrt(2q); at the minus member u = q/(1+q),
+    asech(u) = 2s + ln(1 + q + sqrt(1 + 2q)) with 2s = ln(1/q).  Series
+    (_series_ratios) on the outer nodes, logs (_log_ratios) on the inner."""
+
+    @staticmethod
+    def _ratios(q, forms=(_series_ratios, _log_ratios)):
+        one = 1 << _RATIO_PREC
+        fq = _fixed(q)
+        root = math.isqrt((one + 2 * fq) << _RATIO_PREC)
+        return [form(fq, root, _RATIO_PREC) for form in forms]
+
     def test_branch_point_value(self):
-        with mp.workdps(40):
-            assert asech_stable(1) == 0
+        # acosh(1+q)/sqrt(2q) -> 1 as u -> 1
+        assert _acosh_ratio(0, _RATIO_PREC) == 1 << _RATIO_PREC
 
     def test_matches_library_on_grid(self):
-        with mp.workdps(50):
-            for i in range(1, 100):
-                u = mp.mpf(i) / 100
-                assert abs(asech_stable(u) - mp.asech(u)) < mp.mpf("1e-48")
+        # both forms, every ratio within 2^8 units of 2^-prec over q: a
+        # series errs by about a unit per term, and the logs' form divides
+        # by q and sqrt(2q)
+        with mp.workdps(80):
+            for i in range(1, 101):
+                q = _real(_fixed(mp.mpf(i) / 100))
+                unit = mp.ldexp(256, -_RATIO_PREC) / q
+                want = (mp.log1p(q) / q, mp.acosh(1 + q) / mp.sqrt(2 * q),
+                        mp.log(1 + q + mp.sqrt(1 + 2 * q)))
+                for ratios in self._ratios(q):
+                    for got, ref in zip(ratios, want):
+                        assert abs(_real(got) - ref) <= unit, (i, got)
 
     def test_near_one_expansion(self):
-        # asech(1 - d) = sqrt(2d) (1 + 5d/12 + 43 d^2/160 + O(d^3))
-        with mp.workdps(60):
-            d = mp.mpf("1e-10")
-            got = asech_stable(1 - d)
-            series = mp.sqrt(2 * d) * (1 + 5 * d / 12 + 43 * d**2 / 160)
-            assert abs(got - series) / got < mp.mpf("1e-28")
+        # acosh(1+q)/sqrt(2q) = 1 - q/12 + 3 q^2/160 - O(q^3): u = 1/(1+q)
+        with mp.workdps(80):
+            q = mp.mpf("1e-10")
+            got = _real(_acosh_ratio(_fixed(q), _RATIO_PREC))
+            assert abs(got - (1 - q / 12 + 3 * q**2 / 160)) < mp.mpf("1e-28")
 
     def test_near_zero_expansion(self):
-        # asech(u) = ln(2/u) - u^2/4 - 3 u^4/32 - O(u^6)
-        with mp.workdps(60):
-            u = mp.mpf("1e-6")
-            got = asech_stable(u)
-            series = mp.log(2 / u) - u**2 / 4 - 3 * u**4 / 32
-            assert abs(got - series) < mp.mpf("1e-30")
+        # asech(u) = ln(2/u) - u^2/4 - 3 u^4/32 - O(u^6) at u = q/(1+q)
+        with mp.workdps(80):
+            q = mp.mpf("1e-6")
+            u = q / (1 + q)
+            (_, _, rest), = self._ratios(q, (_series_ratios,))
+            got = mp.log(1 / q) + _real(rest)
+            assert abs(got - (mp.log(2 / u) - u**2 / 4 - 3 * u**4 / 32)) < mp.mpf("1e-30")
 
     def test_domain(self):
-        for bad in (0, -1, mp.mpf("1.001")):
-            with pytest.raises(ValueError):
-                asech_stable(bad)
+        # the table's q run over (0, 1]; at q = 1, the centre u = 1/2,
+        # both forms give asech(1/2) = ln(2 + sqrt 3) on both members
+        # (within 2^8 units, as on the grid)
+        with mp.workdps(80):
+            want = mp.log(2 + mp.sqrt(3))
+            unit = mp.ldexp(256, -_RATIO_PREC)
+            for _, acosh_ratio, rest in self._ratios(mp.mpf(1)):
+                assert abs(_real(acosh_ratio) * mp.sqrt(2) - want) <= 2 * unit
+                assert abs(_real(rest) - want) <= unit
 
     def test_exact_complement_beyond_precision(self):
-        # u rounds to 1 at 50 digits; the complement still fixes the value
-        # asech(1 - d) = sqrt(2d) (1 + 5d/12 + ...)
-        with mp.workdps(50):
-            d = mp.mpf("1e-70")
-            assert 1 - d == 1
-            got = asech_stable(1 - d, d)
-            assert abs(got / mp.sqrt(2 * d) - 1) < mp.mpf("1e-48")
-            assert asech_stable(1 - d) == 0
+        # the outermost node of a 30-digit target at 40 digits, q = 1e-67,
+        # lies far below 2^-P: u_plus truncates to exactly 1, yet its
+        # Fa = w u/asech(u), with asech(u) = acosh(1+q) ~ sqrt(2q), is
+        # built from q and stays within one unit of the textbook value
+        prec = _fixed_bits(40)
+        wp = prec + _COLUMN_GUARD_BITS
+        with mp.workdps(200):
+            two_s = 67 * mp.ln10
+            t = mp.asinh(two_s / mp.pi)
+            q = mp.exp(-two_s)
+            minus, plus = _pair_columns(
+                _fixed(two_s, wp), _fixed(mp.pi * mp.cosh(t), wp), wp, prec
+            )
+            assert minus[0] == 0 and plus[0] == 1 << prec
+            w = mp.pi * mp.cosh(t) * q / (1 + q) ** 2
+            want = w / (1 + q) / mp.acosh(1 + q)
+            assert plus[4] > 0
+            assert abs(plus[4] - mp.ldexp(want, prec)) <= 1
 
 
 class TestNegLog:
+    """ln(1/u) as the node table computes it, in integers: log1p(q)/q
+    (_log1p_ratio) on the outer nodes, _log_fixed on the inner."""
+
     def test_matches_library_on_grid(self):
-        with mp.workdps(50):
+        # _log_fixed within six units on [1, 2 + sqrt 3], the x the node
+        # table passes it; log1p(x)/x within 2^8, about a unit per series
+        # term
+        with mp.workdps(80):
+            unit = mp.ldexp(1, -_RATIO_PREC)
+            for i in range(101):
+                x = _real(_fixed(1 + (1 + mp.sqrt(3)) * i / 100))
+                got = _real(_log_fixed(_fixed(x), _RATIO_PREC))
+                assert abs(got - mp.log(x)) <= 6 * unit, x
             for i in range(1, 100):
-                q = mp.mpf(i) / 100
-                assert abs(neglog_stable(q) + mp.log(q)) <= mp.mpf("1e-48") * -mp.log(q)
+                x = _real(_fixed(mp.mpf(i) / 100))
+                got = _real(_log1p_ratio(_fixed(x), _RATIO_PREC))
+                assert abs(got - mp.log1p(x) / x) <= 256 * unit, x
 
     def test_exact_complement_beyond_precision(self):
-        # -log(1 - d) = d + d^2/2 + ... even where 1 - d rounds to 1
-        with mp.workdps(50):
-            d = mp.mpf("1e-70")
-            assert abs(neglog_stable(1 - d, d) / d - 1) < mp.mpf("1e-48")
-            assert abs(neglog_stable(mp.mpf("1e-300")) / (300 * mp.ln10) - 1) < mp.mpf("1e-48")
+        # log1p(x)/x = 1 - x/2 + x^2/3 - ... never forms 1 + x, so x far
+        # below the precision of 1 + x still shows: x = 1e-40 at 60 digits
+        with mp.workdps(80):
+            x = mp.mpf("1e-40")
+            got = _real(_log1p_ratio(_fixed(x), _RATIO_PREC))
+            assert abs(got - (1 - x / 2)) <= mp.ldexp(2, -_RATIO_PREC)
+            assert got != 1
 
     def test_domain(self):
-        for bad in (0, -1, mp.mpf("1.001")):
-            with pytest.raises(ValueError):
-                neglog_stable(bad)
-
-
-def _moment_integrand(n):
-    """u^(2n-1)/asech(u), the mpf reference for integral_In."""
-    return lambda u, d, _, asech: u ** (2 * n - 1) / asech
-
-
-def _assert_matches_mpf(got, want, cfg):
-    """Same levels and node count, and the value within
-    10^-(eval_digits - 5) relative."""
-    assert (got.levels, got.nodes_used) == (want.levels, want.nodes_used)
-    with mp.workdps(cfg.eval_digits + 10):
-        tol = mp.mpf(10) ** (5 - cfg.eval_digits)
-        assert abs(got.value - want.value) <= tol * want.value
+        # _log_fixed takes any x >= 1: ln 1 = 0 exactly, and the edges of
+        # its 16-entry table (leading bits j = 16 and 31) below x = 4 stay
+        # within six units
+        assert _log_fixed(1 << _RATIO_PREC, _RATIO_PREC) == 0
+        with mp.workdps(80):
+            for e in (0, 1):
+                for j in (16, 31):
+                    x = mp.mpf(j) / 16 * 2**e
+                    got = _real(_log_fixed(_fixed(x), _RATIO_PREC))
+                    assert abs(got - mp.log(x)) <= mp.ldexp(6, -_RATIO_PREC), (e, j)
 
 
 # Digits x moment index; the 300-digit corners run only with --run-slow.
@@ -405,37 +548,34 @@ class TestMomentIntegrals:
         assert again == first
 
     def test_asech_table_matches_direct_integrand(self):
-        # integral_In sums the node table's integer columns; the mpf
-        # integrand reading the table's asech(u) column agrees with it,
-        # and that column agrees with asech_stable at every node, within
-        # 10^(2 - dps) relative.  Warm and cold tables, and two
-        # precisions in one session, so a table shared across
-        # precisions fails.
+        # integral_In sums the node table's integer columns; the direct
+        # integrand u^(2n-1)/asech(u), by Gauss-Legendre after u = 1 - t^2
+        # (integral_In_crosscheck), agrees with it to the target.  Cold
+        # and warm tables give the same bits, with two precisions in one
+        # session, so a table shared across precisions fails
         configs = [PrecisionConfig(d, d + 20) for d in (30, 100)]
+        first = {}
         for _ in range(2):
+            _ts_level_columns.cache_clear()
             for cfg in configs:
                 for n in range(1, 7):
-                    seen = []
-
-                    def f(u, d, _, asech, e=2 * n - 1):
-                        seen.append((u, d, asech))
-                        return u**e / asech
-
-                    _assert_matches_mpf(integral_In(n, cfg), integrate_01_singular(f, cfg), cfg)
-                    with mp.workdps(cfg.eval_digits):
-                        tol = mp.mpf(10) ** (2 - cfg.eval_digits)
-                        for u, d, asech in seen:
-                            want = asech_stable(u, d)
-                            assert abs(asech - want) <= tol * want
-            _ts_level_nodes.cache_clear()
+                    got = integral_In(n, cfg)
+                    assert first.setdefault((cfg, n), got) == got
+        for (cfg, n), got in first.items():
+            cross, _ = integral_In_crosscheck(n, dps=cfg.target_digits + 10)
+            with mp.workdps(cfg.target_digits + 10):
+                assert abs(got.value - cross) <= mp.mpf(10) ** -cfg.target_digits * cross
 
     @pytest.mark.parametrize("digits, n", _MOMENT_GRID)
     def test_integer_sums_match_mpf_reference(self, digits, n):
-        # integral_In sums Fa X^(n-1) in integers; the mpf integrand
-        # u^(2n-1)/asech(u) on integrate_01_singular is the reference
+        # the reference is the theta sum, I_n = sum_K theta_K
+        # zeta(2K+1)/pi^(2K) in mpf from linear_form and mpmath.zeta (no
+        # node); all 20 points measured inside 10^-digits relative, from
+        # 1.15e-18 at (15, 1) to 7.34e-303 at (300, 400)
         cfg = PrecisionConfig(digits, digits + 20)
-        want = integrate_01_singular(_moment_integrand(n), cfg)
-        _assert_matches_mpf(integral_In(n, cfg), want, cfg)
+        residual = linear_form_residual(linear_form(n), cfg)
+        with mp.workdps(cfg.eval_digits):
+            assert residual / integral_In(n, cfg).value <= mp.mpf(10) ** -digits
 
     @pytest.mark.parametrize("digits", [15, 30, 100])
     @pytest.mark.parametrize("n", [140, 180, 400])
@@ -463,71 +603,66 @@ class TestMomentIntegrals:
 
 
 class TestNodeTables:
-    # depth 87 reaches past 45 digits, so the deepest u_plus round to 1
+    # depth 87 reaches past 45 digits (P = 170 bits, about 51 digits), so
+    # the deepest u_minus truncate to 0 and their u_plus to exactly 1
+    PREC = _fixed_bits(45)
+
     def test_unit_interval_nodes_strictly_interior(self):
+        # every pair lies on either side of 1/2, and every plus member
+        # carries its node through Fa = w u/asech(u) > 0
+        one = 1 << self.PREC
         for level in (0, 1, 3):
-            for minus, plus, w in _ts_level_nodes(45, 87, level):
-                assert 0 < minus[0] < plus[0] <= 1
-                assert w > 0
+            for minus, plus in _ts_level_columns(45, 87, level):
+                assert 0 <= minus[0] < one // 2 < plus[0] <= one
+                assert plus[4] > 0
 
     def test_unit_interval_nodes_are_mirror_pairs(self):
-        # each member's complement is the other member
-        with mp.workdps(45):
-            eps = mp.mpf("1e-43")
-            for minus, plus, _ in _ts_level_nodes(45, 87, 1):
-                assert minus[:2] == plus[1::-1]
-                assert abs((minus[0] + plus[0]) - 1) < eps
+        # each member's u column is the exact complement of the other's
+        for minus, plus in _ts_level_columns(45, 87, 1):
+            assert minus[0] + plus[0] == 1 << self.PREC
 
     def test_depth_only_extends_the_range(self):
-        # a deeper table holds the shallower one as its prefix, and no
-        # boundary gap falls below 10^-depth
-        for level in (2, 3):
-            shallow = _ts_level_nodes(45, 47, level)
-            deep = _ts_level_nodes(45, 87, level)
-            assert deep[: len(shallow)] == shallow
-            assert len(deep) > len(shallow)
-            for depth, nodes in ((47, shallow), (87, deep)):
-                assert min(minus[0] for minus, _, _ in nodes) >= mp.mpf(10) ** -depth
+        # a deeper table holds the shallower one as its prefix, bit for
+        # bit, and no boundary gap falls below 10^-depth
+        for eval_dps in (45, 130):
+            floor = int(mp.ldexp(mp.mpf(10) ** -47, _fixed_bits(eval_dps)))
+            for level in range(4):
+                shallow = _ts_level_columns(eval_dps, 47, level)
+                deep = _ts_level_columns(eval_dps, 87, level)
+                assert deep[: len(shallow)] == shallow
+                assert len(deep) > len(shallow) or level == 0
+                assert min(minus[0] for minus, _ in shallow) >= floor
 
     def test_half_line_nodes_positive_and_split(self):
-        # read as half-line nodes u = ln(1/q), the minus side lies beyond
-        # ln 2 and the plus side below it, all positive
-        with mp.workdps(45):
-            for minus, plus, _ in _ts_level_nodes(45, 87, 0):
-                assert minus[2] > mp.ln2
-                assert 0 < plus[2] < mp.ln2
+        # read as half-line nodes x = ln(1/q), q the member's u column,
+        # the minus side lies beyond ln 2 (q < 1/2) and the plus side
+        # below it, and x > 0 carries weight: Fe = w (1-q)/x > 0
+        half = 1 << self.PREC - 1
+        for minus, plus in _ts_level_columns(45, 87, 0):
+            assert minus[0] < half < plus[0]
+            assert plus[2] > 0
 
     def test_refinement_levels_are_disjoint(self):
-        level0 = _ts_level_nodes(45, 87, 0)
-        level1 = _ts_level_nodes(45, 87, 1)
-        coarse = {(minus[0], plus[0]) for minus, plus, _ in level0}
-        fine = {(minus[0], plus[0]) for minus, plus, _ in level1}
-        assert coarse and fine
-        assert not coarse & fine
+        level0 = set(_ts_level_columns(45, 87, 0))
+        level1 = set(_ts_level_columns(45, 87, 1))
+        assert level0 and level1
+        assert not level0 & level1
 
     def test_deep_nodes_pass_exact_complements(self):
-        # at 70 digits and depth 127 the deepest u_plus round to exactly 1;
-        # the integrand must still see distinct nonzero 1 - u, and the
-        # carried ln(1/u) and asech(u) must match the oracles built from
-        # that complement, within 10^(2 - dps) relative, at every node
+        # at 70 digits and depth 127 the deepest u_plus round to exactly
+        # 1; their weighted columns still carry distinct nonzero
+        # 1 - u, through Fa ~ w/sqrt(2 (1-u)), on the 6 levels I_1 takes
         cfg = PrecisionConfig(60, 70)
-        seen = []
-
-        def f(u, d, log_recip, asech):
-            seen.append((u, d, log_recip, asech))
-            return 1 / mp.sqrt(d)
-
-        integrate_01_singular(f, cfg)
-        deep = [node for node in seen if node[0] == 1]
+        one = 1 << _fixed_bits(cfg.eval_digits)
+        deep = [
+            plus
+            for level in range(integral_In(1, cfg).levels)
+            for minus, plus in _ts_level_columns(cfg.eval_digits, _node_depth(cfg), level)
+            if minus[0] == 0
+        ]
         assert len(deep) >= 10
-        assert all(node[1] > 0 for node in deep)
-        for column in (1, 2, 3):
-            assert len({node[column] for node in deep}) == len(deep)
-        with mp.workdps(cfg.eval_digits):
-            tol = mp.mpf(10) ** (2 - cfg.eval_digits)
-            for u, d, log_recip, asech in seen:
-                for got, want in ((log_recip, neglog_stable(u, d)), (asech, asech_stable(u, d))):
-                    assert abs(got - want) <= tol * want
+        assert all(plus[0] == plus[3] == one and plus[4] > 0 for plus in deep)
+        assert len({plus[4] for plus in deep}) == len(deep)
 
     def test_node_state_is_bounded(self):
         # a session that sweeps precisions (hypothesis, zeta_sweep) must
@@ -538,14 +673,50 @@ class TestNodeTables:
             zeta_mod.zeta_via_exp_kernel(3, PrecisionConfig(target, target + 10))
         assert _ts_level_columns.cache_info().currsize <= maxsize
 
-    def test_mpf_node_state_is_bounded(self):
-        # the tests' mpf node tables keep the same bound
-        maxsize = _ts_level_nodes.cache_info().maxsize
-        assert maxsize == _NODE_TABLES_KEPT
-        for target in range(1, maxsize + 2):
-            cfg = PrecisionConfig(target, target + 10)
-            integrate_01_singular(lambda u, d, *_: u, cfg)
-        assert _ts_level_nodes.cache_info().currsize <= maxsize
+
+def _textbook_nodes(dps: int, depth: int, level: int):
+    """The nodes from textbook formulas, each quantity on its own, with
+    s = (pi/2) sinh t: u_minus = e^-s / (2 cosh s), u_plus = e^s / (2 cosh s),
+    w = pi cosh(t) / (4 cosh(s)^2), the half-line abscissae
+    ln(1/u_minus) = 2s + log1p(e^-2s), ln(1/u_plus) = log1p(e^-2s), and
+    asech(u) = acosh(1/u) with 1/u_minus = 1 + e^2s and
+    1/u_plus = 1 + e^-2s, taken at depth more digits so that 1 + e^-2s
+    does not round to 1.  Returns, per pair, the minus and the plus
+    member as (u, 1 - u, w, ln(1/u), asech(u))."""
+    with mp.workdps(dps):
+        t_max = mp.asinh(depth * mp.log(10) / mp.pi)
+        h = mp.mpf(1) / 2**level
+        step = 1 if level == 0 else 2
+        out = []
+        k = 1
+        t = k * h
+        while t <= t_max:
+            s = mp.pi * mp.sinh(t) / 2
+            tail = mp.log1p(mp.exp(-2 * s))
+            with mp.workdps(dps + depth):
+                s_wide = mp.pi * mp.sinh(t) / 2
+                asech_minus = mp.acosh(1 + mp.exp(2 * s_wide))
+                asech_plus = mp.acosh(1 + mp.exp(-2 * s_wide))
+            u_minus = mp.exp(-s) / (2 * mp.cosh(s))
+            u_plus = mp.exp(s) / (2 * mp.cosh(s))
+            w = mp.pi * mp.cosh(t) / (4 * mp.cosh(s) ** 2)
+            out.append((
+                (u_minus, u_plus, w, 2 * s + tail, +asech_minus),
+                (u_plus, u_minus, w, tail, +asech_plus),
+            ))
+            k += step
+            t = k * h
+        return out
+
+
+def _textbook_columns(member, prec: int) -> tuple[int, ...]:
+    """A member's five columns from its exact values, each truncated to
+    prec fractional bits: u, 1/(1+u), w (1-u)/ln(1/u), u^2, w u/asech(u)."""
+    u, d, w, log_recip, asech = member
+    return tuple(
+        int(mp.floor(mp.ldexp(x, prec)))
+        for x in (u, 1 / (1 + u), w * d / log_recip, u * u, w * u / asech)
+    )
 
 
 # (eval digits, target digits): production depth 2 target + 7 puts the
@@ -565,14 +736,14 @@ _COLUMN_BOUND = (1, 2, 1, 3, 1)
 
 
 def _assert_columns_match_oracle(eval_dps: int, depth: int, level: int):
-    """The production columns against _fixed_columns of the mpf node
-    table 20 digits higher, at the production P; returns them."""
+    """The production columns against the textbook nodes 20 digits
+    higher, truncated to the production P; returns them."""
     prec = _fixed_bits(eval_dps)
     got = _ts_level_columns(eval_dps, depth, level)
     with mp.workdps(eval_dps + 20):
         want = [
-            (_fixed_columns(*minus, w, prec), _fixed_columns(*plus, w, prec))
-            for minus, plus, w in _ts_level_nodes(eval_dps + 20, depth, level)
+            tuple(_textbook_columns(member, prec) for member in pair)
+            for pair in _textbook_nodes(eval_dps + 20, depth, level)
         ]
     assert len(got) == len(want)
     for k, (pair, ref) in enumerate(zip(got, want)):
@@ -584,8 +755,8 @@ def _assert_columns_match_oracle(eval_dps: int, depth: int, level: int):
 
 
 class TestNodeColumns:
-    """The production node table (_ts_level_columns, integers only)
-    against its oracle, the mpf table 20 digits higher."""
+    """The node table (_ts_level_columns, integers only) against its
+    oracle, the textbook formulas in mpf 20 digits higher."""
 
     @pytest.mark.parametrize("eval_dps, target", _COLUMN_GRID)
     def test_match_the_mpf_oracle(self, eval_dps, target):
@@ -632,7 +803,8 @@ class TestNodeColumns:
     @pytest.mark.parametrize("cfg", [QUICK, PrecisionConfig(110, 130)])
     def test_centre_node_matches_the_mpf_oracle(self, cfg):
         # the centre u = 1/2 is outside the table; the kernel sees its
-        # columns once, as the member whose u column is 2^(P-1)
+        # columns once, as the member whose u column is 2^(P-1).  Its
+        # oracle: w = pi/4, ln(1/u) = ln 2, asech(1/2) = ln(2 + sqrt 3)
         prec = _fixed_bits(cfg.eval_digits)
         seen = []
 
@@ -646,7 +818,9 @@ class TestNodeColumns:
         integrate_01_fixed(kernel, cfg)
         (centre,) = [c for c in seen if c[0] == 1 << prec - 1]
         with mp.workdps(cfg.eval_digits + 20):
-            want = _fixed_columns(*quadrature._centre(), mp.pi / 4, prec)
+            half = mp.mpf(1) / 2
+            member = (half, half, mp.pi / 4, mp.ln2, mp.log(2 + mp.sqrt(3)))
+            want = _textbook_columns(member, prec)
         for column, (a, b, bound) in enumerate(zip(centre, want, _COLUMN_BOUND)):
             assert abs(a - b) <= bound, (column, a - b)
 
@@ -675,68 +849,21 @@ class TestTailRule:
         assert last == terms[-1]
 
 
-def _half_line_nodes_by_sinh(eval_dps: int, depth: int, level: int):
-    """The nodes from textbook formulas, each quantity on its own, with
-    s = (pi/2) sinh t: u_minus = e^-s / (2 cosh s),
-    w = pi cosh(t) / (4 cosh(s)^2), the half-line abscissae
-    ln(1/u_minus) = 2s + log1p(e^-2s), ln(1/u_plus) = log1p(e^-2s), and
-    asech(u) = acosh(1/u) with 1/u_minus = 1 + e^2s and
-    1/u_plus = 1 + e^-2s, taken at depth more digits so that 1 + e^-2s
-    does not round to 1."""
-    with mp.workdps(eval_dps):
-        t_max = mp.asinh(depth * mp.log(10) / mp.pi)
-        h = mp.mpf(1) / 2**level
-        step = 1 if level == 0 else 2
-        out = []
-        k = 1
-        t = k * h
-        while t <= t_max:
-            s = mp.pi * mp.sinh(t) / 2
-            tail = mp.log1p(mp.exp(-2 * s))
-            with mp.workdps(eval_dps + depth):
-                s_wide = mp.pi * mp.sinh(t) / 2
-                asech_minus = mp.acosh(1 + mp.exp(2 * s_wide))
-                asech_plus = mp.acosh(1 + mp.exp(-2 * s_wide))
-            out.append((
-                mp.exp(-s) / (2 * mp.cosh(s)),
-                mp.pi * mp.cosh(t) / (4 * mp.cosh(s) ** 2),
-                2 * s + tail,
-                tail,
-                +asech_minus,
-                +asech_plus,
-            ))
-            k += step
-            t = k * h
-        return out
-
-
 class TestHalfLineNodes:
-    """The (0, 1) nodes read as half-line nodes u = ln(1/q), the
-    abscissae the exp route evaluates its kernel at, and the asech(u)
-    the moments and the asech route divide by."""
+    """The (0, 1) nodes read as half-line nodes x = ln(1/q), the abscissae
+    the exp route evaluates its kernel at, and the asech(u) the moments
+    and the asech route divide by: the columns at depth twice the
+    precision, past every production depth, against the textbook nodes."""
 
     @pytest.mark.parametrize("dps", [45, 212, 330])
     @pytest.mark.parametrize("level", [0, 1, 2, 3])
     def test_match_sinh_cosh_formulas(self, dps, level):
-        depth = 2 * dps
-        got = _ts_level_nodes(dps, depth, level)
-        want = _half_line_nodes_by_sinh(dps, depth, level)
-        assert len(got) == len(want)
-        with mp.workdps(dps):
-            tol = mp.mpf(10) ** (3 - dps)
-            for (minus, plus, w), ref in zip(got, want):
-                um_ref, w_ref, x_minus, x_plus, a_minus, a_plus = ref
-                assert abs(minus[0] - um_ref) <= tol * um_ref
-                assert abs(w - w_ref) <= tol * w_ref
-                assert abs(minus[2] - x_minus) <= tol * x_minus
-                assert abs(plus[2] - x_plus) <= tol * x_plus
-                assert abs(minus[3] - a_minus) <= tol * a_minus
-                assert abs(plus[3] - a_plus) <= tol * a_plus
+        _assert_columns_match_oracle(dps, 2 * dps, level)
 
     @pytest.mark.parametrize("dps", [45, 212])
     def test_sides_are_complements_at_shared_t(self, dps):
-        # e^-x on the two sides of one t adds up to 1
-        with mp.workdps(dps):
-            tol = mp.mpf(10) ** (1 - dps)
-            for minus, plus, _ in _ts_level_nodes(dps, dps, 2):
-                assert abs(mp.exp(-minus[2]) + mp.exp(-plus[2]) - 1) <= tol
+        # e^-x on the two sides of one t adds up to 1: the q columns of
+        # the pair sum to exactly 2^P
+        one = 1 << _fixed_bits(dps)
+        for minus, plus in _ts_level_columns(dps, dps, 2):
+            assert minus[0] + plus[0] == one

@@ -17,12 +17,8 @@ from zetaodd.quadrature import (
     _fixed_bits,
     _node_depth,
     _ts_level_columns,
-    _ts_level_nodes,
     integral_In,
     integral_In_crosscheck,
-    integrate_01_fixed,
-    integrate_01_singular,
-    neglog_stable,
 )
 from zetaodd.verify import _kernel_by_weights
 from zetaodd.weights import back_substitute, solve_weights, triangular_system
@@ -37,6 +33,8 @@ from zetaodd.zeta import (
     zeta_via_asech_kernel,
     zeta_via_exp_kernel,
 )
+
+from test_quadrature import _textbook_nodes
 
 
 @pytest.fixture(autouse=True)
@@ -204,39 +202,59 @@ class TestIntegralRoutes:
 
     @pytest.mark.parametrize("m", [3, 13, 41])
     def test_exp_kernel_one_exponential_form(self, m):
-        # the q-form kernel -(d/L) D_m(q)/(1+q)^m at a node (q, d) must
-        # equal the half-line weight-sum form it came from, K(u)/q at
-        # u = L, on both sides of L's switch at q = 1/2 (u = ln 2).  The
-        # oracle runs with the old weight-cancellation guard on top of
-        # the route's precision, plus log10(1/q) digits: at large u its
-        # sum_l w_l = 0 cancels to O(q).  The tolerance is relative to
-        # Horner's rounding envelope sum |c_k| q^(k-1) plus the
-        # fixed-point bound (m + sum (k-1) |c_k|) 2^-prec, both times
-        # (d/L)/(1+q)^m.
+        # the route's integer term, fed the columns of a node q with
+        # w = 1 (U = q, G = 1/(1+q), Fe = (1-q)/ln(1/q) at P bits), is the
+        # q-form kernel -(d/L) D_m(q)/(1+q)^m; it must equal the
+        # half-line weight-sum form it came from, K(u)/q at u = L, on
+        # both sides of q = 1/2 (u = ln 2).  The oracle runs with the old
+        # weight-cancellation guard on top of the route's precision, plus
+        # log10(1/q) digits: at large u its sum_l w_l = 0 cancels to
+        # O(q).  The tolerance is relative to Horner's rounding envelope
+        # sum |c_k| q^(k-1) times (d/L)/(1+q)^m, widened by the columns'
+        # and the integer Horner's truncation (_term_error_bound)
         cfg, coeffs, _, _ = zeta_mod._degree_setup(m, DEFAULT_PRECISION)
         eval_dps = cfg.eval_digits
-        c = zeta_mod.exp_kernel_polynomial(m)
-        abs_coeffs = [abs(x) for x in reversed(c[1:])]
-        fixed = m + sum((k - 1) * abs(x) for k, x in enumerate(c) if k)
+        prec = _fixed_bits(eval_dps)
+        term = zeta_mod._exp_term(coeffs, prec)
+        abs_coeffs = [abs(x) for x in coeffs]
         wv = solve_weights(m).weights
         old_guard = len(str(int(max(abs(w) for w in wv) * m))) + 2
-        with mp.workdps(eval_dps):
-            tol = mp.mpf(10) ** (5 - eval_dps)
-            for u in (
+        with mp.workdps(eval_dps + 20):
+            points = (
                 mp.mpf("1e-40"), mp.mpf("1e-3"), mp.mpf("0.5"),
                 mp.ln2 - mp.mpf("1e-30"), mp.ln2, mp.ln2 + mp.mpf("1e-30"),
                 mp.mpf(7), mp.mpf(10) ** 4,
-            ):
+            )
+        for u in points:
+            with mp.workdps(eval_dps + 20):
                 q, d = mp.exp(-u), -mp.expm1(-u)
-                log_recip = neglog_stable(q, d)
-                got = zeta_mod._exp_kernel(q, d, log_recip, coeffs)
-                envelope = d / log_recip / (1 + q) ** m * (
-                    mp.polyval(abs_coeffs, q) + fixed * mp.ldexp(1, -mp.mp.prec)
-                )
-                with mp.workdps(eval_dps + old_guard + int(u / mp.ln10)):
-                    weights = tuple(mp.mpf(w.numerator) / w.denominator for w in wv)
-                    want = _exp_kernel_two_exponentials(u, weights) / mp.exp(-u)
-                assert abs(got - want) <= tol * envelope
+                member = (q, d, mp.mpf(1), u, mp.asech(q))
+                got = mp.ldexp(term(_exact_columns(member, prec)), -prec)
+                envelope = d / u / (1 + q) ** m * mp.polyval(abs_coeffs, q)
+                truncation = mp.ldexp(_term_error_bound("exp", coeffs, member), -prec)
+            with mp.workdps(eval_dps + old_guard + int(u / mp.ln10)):
+                weights = tuple(mp.mpf(w.numerator) / w.denominator for w in wv)
+                want = _exp_kernel_two_exponentials(u, weights) / mp.exp(-u)
+            with mp.workdps(eval_dps):
+                tol = mp.mpf(10) ** (5 - eval_dps)
+                assert abs(got - want) <= tol * envelope + truncation, u
+
+    @pytest.mark.parametrize("m", [3, 13, 41])
+    def test_asech_term_matches_its_kernel(self, m):
+        # the route's integer term, fed the columns of a node u with
+        # w = 1 (X = u^2, Fa = u/asech(u) at P bits), is
+        # u A_m(u^2)/asech(u), within the columns' truncation and
+        # Horner's (_term_error_bound)
+        cfg, _, coeffs, _ = zeta_mod._degree_setup(m, DEFAULT_PRECISION)
+        prec = _fixed_bits(cfg.eval_digits)
+        term = zeta_mod._asech_term(coeffs, prec)
+        for u in ("1e-30", "1e-3", "0.5", "0.9", "0.999", "0.999999"):
+            with mp.workdps(cfg.eval_digits + 20):
+                u = mp.mpf(u)
+                member = (u, 1 - u, mp.mpf(1), -mp.log(u), mp.asech(u))
+                got = term(_exact_columns(member, prec))
+                want = mp.ldexp(u * mp.polyval(list(coeffs), u * u) / mp.asech(u), prec)
+                assert abs(got - want) <= _term_error_bound("asech", coeffs, member), u
 
     def test_exp_guard_covers_fixed_point_horner(self):
         # D_m's fixed-point error at q is at most
@@ -293,18 +311,13 @@ class TestIntegralRoutes:
         # keeps the caller's node depth, so it misses the mass beyond the
         # outermost node, about 0.4 m sqrt(2) 10^-(target + 3.5) relative.
         # integral_In sums the same integer columns as the route, so the
-        # moments come from the mpf integrand u^(2n-1)/asech(u) instead
+        # moments come from Gauss-Legendre (integral_In_crosscheck), which
+        # shares no node with it
         got = zeta_via_asech_kernel(m, PrecisionConfig(digits, digits + 20))
-        oracle_cfg = PrecisionConfig(digits + 30, digits + 50)
-
-        def moment(n):
-            return integrate_01_singular(
-                lambda u, d, _, asech: u ** (2 * n - 1) / asech, oracle_cfg
-            ).value
-
-        with mp.workdps(oracle_cfg.eval_digits):
+        dps = digits + 40
+        with mp.workdps(dps):
             want = mp.pi ** (m - 1) * sum(
-                mp.mpf(t.numerator) / t.denominator * moment(j - 1)
+                mp.mpf(t.numerator) / t.denominator * integral_In_crosscheck(j - 1, dps)[0]
                 for j, t in tau_row(m).items()
             )
             assert abs(got - want) <= m * mp.mpf(10) ** -(digits + 3) * want
@@ -386,50 +399,82 @@ class TestZetaReport:
             zeta_report(4)
 
 
-def _route_pair(route, m, cfg):
-    """The route's degree precision, its integer kernel and the mpf
-    integrand that kernel stands for: _exp_kernel, or u A_m(u^2)/asech(u)
-    as the asech route summed it in mpf."""
-    cfg, exp_coeffs, asech_coeffs, _ = zeta_mod._degree_setup(m, cfg)
-    if route == "exp":
-        return cfg, partial(zeta_mod._exp_term, exp_coeffs), (
-            lambda q, d, log_recip, _: zeta_mod._exp_kernel(q, d, log_recip, exp_coeffs)
-        )
-    return cfg, partial(zeta_mod._asech_term, asech_coeffs), (
-        lambda u, d, _, asech: u * zeta_mod._horner_fixed(asech_coeffs, u * u) / asech
+def _exact_columns(member, prec):
+    """The five columns of a node member (u, 1 - u, w, ln(1/u), asech(u)),
+    each truncated to prec fractional bits."""
+    u, d, w, log_recip, asech = member
+    return tuple(
+        int(mp.floor(mp.ldexp(x, prec)))
+        for x in (u, 1 / (1 + u), w * d / log_recip, u * u, w * u / asech)
     )
 
 
+def _term_error_bound(route, coeffs, member):
+    """Units of 2^-P by which a route's integer term at a node member may
+    differ from w times its mpf kernel there: each column's bound (one
+    unit for U, Fe and Fa, two for G, three for X) times the term's slope
+    in it, one unit per Horner step, the power's relative error for G^m
+    (at most (4m + 2 log2 m) 2^-P, _degree_setup) and two for the last
+    shifts.  ``coeffs`` are the route's polynomial, highest first."""
+    u, d, w, log_recip, asech = member
+    k = len(coeffs)
+    value = mp.polyval([abs(c) for c in coeffs], u if route == "exp" else u * u)
+    slope = mp.polyval([abs(c) * (k - 1 - i) for i, c in enumerate(coeffs[:-1])] or [0],
+                       u if route == "exp" else u * u)
+    if route == "exp":
+        m = k + 1
+        fe, g_power = w * d / log_recip, (1 + u) ** -m
+        return g_power * (value * (1 + fe * (8 * m + 2)) + fe * (slope + k)) + 2
+    fa = w * u / asech
+    return value + fa * (3 * slope + k) + 2
+
+
+def _route_pair(route, m, cfg):
+    """The route's degree precision, its integer kernel and polynomial."""
+    cfg, exp_coeffs, asech_coeffs, _ = zeta_mod._degree_setup(m, cfg)
+    if route == "exp":
+        return cfg, partial(zeta_mod._exp_term, exp_coeffs), exp_coeffs
+    return cfg, partial(zeta_mod._asech_term, asech_coeffs), asech_coeffs
+
+
 class TestIntegerLevelSums:
-    """The routes sum their levels in integers (integrate_01_fixed); the
-    mpf kernels on integrate_01_singular are the oracle."""
+    """The routes sum their levels in integers (integrate_01_fixed); their
+    mpf kernels at the textbook nodes are the oracle, term by term."""
 
     @pytest.mark.parametrize("route", ["exp", "asech"])
     @pytest.mark.parametrize("digits, m", _PRECISION_GRID)
     def test_matches_mpf_path(self, route, digits, m):
-        # same levels and node count, and the value within
-        # 10^-(eval_digits - 5) relative
-        cfg, kernel, f = _route_pair(route, m, PrecisionConfig(digits, digits + 20))
-        got = integrate_01_fixed(kernel, cfg)
-        want = integrate_01_singular(f, cfg)
-        assert (got.levels, got.nodes_used) == (want.levels, want.nodes_used)
-        with mp.workdps(cfg.eval_digits + 10):
-            tol = mp.mpf(10) ** (5 - cfg.eval_digits)
-            assert abs(got.value - want.value) <= tol * abs(want.value)
+        # at each member of levels 0 and 1 of the route's own node table,
+        # the integer term against w times the mpf kernel at the textbook
+        # node 20 digits higher, within _term_error_bound
+        cfg, kernel, coeffs = _route_pair(route, m, PrecisionConfig(digits, digits + 20))
+        prec = _fixed_bits(cfg.eval_digits)
+        term = kernel(prec)
+        depth = _node_depth(cfg)
+        for level in (0, 1):
+            got = _ts_level_columns(cfg.eval_digits, depth, level)
+            want = _textbook_nodes(cfg.eval_digits + 20, depth, level)
+            assert len(got) == len(want)
+            with mp.workdps(cfg.eval_digits + 20):
+                for pair, exact in zip(got, want):
+                    for columns, (u, d, w, log_recip, asech) in zip(pair, exact):
+                        if route == "exp":
+                            value = -w * d / log_recip * mp.polyval(list(coeffs), u) * (1 + u) ** -m
+                        else:
+                            value = w * u / asech * mp.polyval(list(coeffs), u * u)
+                        bound = _term_error_bound(route, coeffs, (u, d, w, log_recip, asech))
+                        assert abs(term(columns) - mp.ldexp(value, prec)) <= bound, (level, u)
 
     def test_node_memo_holds_the_integer_columns(self):
-        # after zeta_report at three precisions the production node memo
-        # is within its bound and holds only integer columns, and no mpf
-        # node table was built
+        # after zeta_report at three precisions the node memo is within
+        # its bound and holds only integer columns
         _ts_level_columns.cache_clear()
-        _ts_level_nodes.cache_clear()
         configs = [PrecisionConfig(d, d + 20) for d in (15, 30, 100)]
         for cfg in configs:
             zeta_report(13, cfg)
         info = _ts_level_columns.cache_info()
         assert info.currsize <= quadrature._NODE_TABLES_KEPT
         assert info.currsize == info.misses
-        assert _ts_level_nodes.cache_info().misses == 0
         cfg, _, _, _ = zeta_mod._degree_setup(13, configs[-1])
         one = 1 << _fixed_bits(cfg.eval_digits)
         for level in range(3):
