@@ -156,7 +156,8 @@ def tau_row(m: int) -> dict[int, Fraction]:
     j = 1 is left out because the paper's tau(1, m) = front * sum_l
     w_l q(1, l) = front * sum_l w_l = 0: the weights sum to zero
     (verify check 4 tests it for m <= 41; with the Stirling form of
-    check 11 the sum is the z^m coefficient of log(1 + (e^z - 1)) = z).
+    :func:`~zetaodd.weights.solve_weights` the sum is the z^m coefficient
+    of log(1 + (e^z - 1)) = z).
     Were it nonzero, the pairing with the moments would need I_0, which
     diverges at u = 0.
     """

@@ -330,8 +330,15 @@ def _pair_columns(two_s: int, cosh_pi: int, wp: int, prec: int) -> tuple:
     # W + L/2 + log2 C bits: Fa ~ C sqrt(q/2) divides by sqrt(q)
     lift = log2_recip // 2 + 1 + cosh_pi.bit_length() - wp
     node_prec = wp + lift
-    # q to 8 bits below a unit of node_prec: node_prec - L bits relative
-    q = to_fixed(mpf_exp(from_man_exp(-two_s, -wp), node_prec - log2_recip + 8), node_prec)
+    # q to 8 bits below a unit of node_prec: node_prec - L bits relative;
+    # mpf_exp never returns at a precision <= 0
+    exp_prec = node_prec - log2_recip + 8
+    if exp_prec <= 0:
+        raise ValueError(
+            f"tanh-sinh node at u ~ 10^-{log2_recip * math.log10(2):.0f} is deeper "
+            f"than {prec}-bit node columns resolve"
+        )
+    q = to_fixed(mpf_exp(from_man_exp(-two_s, -wp), exp_prec), node_prec)
     two_s <<= lift
     one = 1 << node_prec
     u_plus = (one << node_prec) // (one + q)

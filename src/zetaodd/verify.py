@@ -126,7 +126,7 @@ def _check_integer_rows() -> tuple[bool, str]:
 # -- 3 ---------------------------------------------------------------------
 
 def _check_bernoulli_routes() -> tuple[bool, str]:
-    # n <= l-1 covers every entry solve_weights(41) reads
+    # n <= l-1 covers every entry triangular_system(41) reads
     columns = {l: series_oracle(l, max(12, l - 1)) for l in range(1, 42)}
     for n in range(41):
         orders = [l for l, column in columns.items() if n < len(column)]
@@ -267,22 +267,14 @@ def _check_dimension_scan() -> tuple[bool, str]:
 
 # -- 11 --------------------------------------------------------------------
 #
-# The weights are checked against the Stirling recurrence: no Bernoulli
-# number or triangular solve goes into the expected values.  q_coeff,
-# tau_row, tau_top, linear_form and exp_kernel_polynomial return closed
-# forms, so for them the direction flips: the expected values come from
-# the paper's pipeline, the q recursion and the weight solve mixed into
-# tau, with the thetas telescoped against that tau and C_m by a Horner
-# pass over the weights.
-
-def _stirling2_rows(m_max: int) -> list[list[int]]:
-    """rows[m][l] = S(m, l), Stirling numbers of the second kind."""
-    rows = [[1]]
-    for m in range(1, m_max + 1):
-        prev = rows[-1] + [0]
-        rows.append([0] + [l * prev[l] + prev[l - 1] for l in range(1, m + 1)])
-    return rows
-
+# The weights are checked against the paper's pipeline: solve_weights
+# returns the Stirling closed form, and the expected values come from
+# the Bernoulli triangular system, back-substituted.  q_coeff, tau_row,
+# tau_top, linear_form and exp_kernel_polynomial return closed forms
+# too, so their expected values come from the same pipeline, the q
+# recursion and the back-substituted weights mixed into tau, with the
+# thetas telescoped against that tau and C_m by a Horner pass over the
+# weights.
 
 def _kernel_by_weights(weights) -> tuple:
     """C_m(q) = sum_l w_l (1 + q + ... + q^(l-1)) (1 + q)^(m-l) by a Horner
@@ -341,18 +333,13 @@ def _check_integer_closed_forms() -> tuple[bool, str]:
         for j, expected in enumerate(row, start=1):
             if q_coeff(j, l) != expected:
                 return False, f"q({j},{l}) differs from the paper's recursion"
-    stirling = _stirling2_rows(61)
     system = triangular_system(101)
     taus = {}
-    for m in [*range(1, 62), *range(63, 102, 2)]:
-        weights = back_substitute(system, m).weights
-        if m <= 61:
-            expected = tuple(
-                Fraction((-1) ** (m // 2 + l) * math.factorial(l - 1) * stirling[m][l])
-                for l in range(1, m + 1)
-            )
-            if weights != expected:
-                return False, f"weights differ from (-1)^(m//2+l) (l-1)! S(m,l) at m={m}"
+    for m in range(1, 102):
+        solved = back_substitute(system, m)
+        if solve_weights(m) != solved:
+            return False, f"solve_weights differs from the Bernoulli triangular solve at m={m}"
+        weights = solved.weights
         if m < 3 or m % 2 == 0:
             continue
         if m <= 61:
@@ -370,7 +357,7 @@ def _check_integer_closed_forms() -> tuple[bool, str]:
         if where is not None:
             return False, f"linear_form({n}) does not telescope against the paper's tau: {where}"
     return True, (
-        "w = (-1)^(m//2+l) (l-1)! S(m,l) for m<=61; "
+        "Stirling weights == Bernoulli triangular solve for m<=101; "
         "q(j,l) = (-1)^(j-1) C(l-j,j-1) == recursion for l<=119; "
         "central factorial tau == weight-solve tau for odd m<=101; "
         "tau_top(n) = 1/(2^(2n+1)-1) == its top entry for n<=50; "

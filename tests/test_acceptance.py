@@ -44,8 +44,8 @@ def test_suite_is_complete():
 _ORIGINAL = {
     name: getattr(verify, name)
     for name in (
-        "back_substitute", "q_coeff", "tau_row", "tau_top", "linear_form",
-        "exp_kernel_polynomial",
+        "back_substitute", "solve_weights", "q_coeff", "tau_row", "tau_top",
+        "linear_form", "exp_kernel_polynomial",
     )
 }
 
@@ -56,6 +56,16 @@ def _perturbed_weights(system, m):
         return wv
     weights = list(wv.weights)
     weights[5] += 1
+    return replace(wv, weights=tuple(weights))
+
+
+def _perturbed_closed_form(m):
+    # an even degree above 61, which check 11 once left to the closed form
+    wv = _ORIGINAL["solve_weights"](m)
+    if m != 84:
+        return wv
+    weights = list(wv.weights)
+    weights[40] *= 2
     return replace(wv, weights=tuple(weights))
 
 
@@ -100,6 +110,7 @@ def _perturbed_kernel_polynomial(m):
     "name,fake,where",
     [
         ("back_substitute", _perturbed_weights, "at m=17"),
+        ("solve_weights", _perturbed_closed_form, "at m=84"),
         ("q_coeff", _perturbed_q, "q(30,101)"),
         ("q_coeff", _off_by_one_q, "q(1,1)"),
         ("tau_row", _perturbed_tau_row, "tau_row(87)"),
@@ -107,7 +118,7 @@ def _perturbed_kernel_polynomial(m):
         ("linear_form", _perturbed_linear_form, "linear_form(37)"),
         ("exp_kernel_polynomial", _perturbed_kernel_polynomial, "at m=23, q^7"),
     ],
-    ids=["solve_weights", "q_coeff", "q_closed_form_off_by_one", "tau_row", "tau_top",
+    ids=["solve_weights", "solve_weights_closed_form", "q_coeff", "q_closed_form_off_by_one", "tau_row", "tau_top",
          "linear_form", "exp_kernel_polynomial"],
 )
 def test_check_11_catches_one_wrong_entry(monkeypatch, name, fake, where):

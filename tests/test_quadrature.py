@@ -1,4 +1,5 @@
 import math
+import signal
 from functools import partial
 
 import mpmath as mp
@@ -823,6 +824,29 @@ class TestNodeColumns:
             want = _textbook_columns(member, prec)
         for column, (a, b, bound) in enumerate(zip(centre, want, _COLUMN_BOUND)):
             assert abs(a - b) <= bound, (column, a - b)
+
+    def test_node_beyond_the_columns_raises_at_once(self):
+        # at u ~ 10^-161 with 40-digit columns the node's exp would run at
+        # a precision <= 0, where mpf_exp never returns; the alarm turns
+        # such a hang into a failure
+        prec = _fixed_bits(40)
+        wp = prec + _COLUMN_GUARD_BITS
+        with mp.workdps(200):
+            two_s = 161 * mp.ln10
+            cosh_pi = mp.pi * mp.cosh(mp.asinh(two_s / mp.pi))
+            args = (_fixed(two_s, wp), _fixed(cosh_pi, wp), wp, prec)
+
+        def hung(signum, frame):
+            raise AssertionError("_pair_columns did not return within 5 s")
+
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(5)
+        try:
+            with pytest.raises(ValueError, match=r"10\^-161"):
+                _pair_columns(*args)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
 
     @pytest.mark.slow
     def test_library_precision_above_the_cli(self):

@@ -106,8 +106,11 @@ class TestSolve:
             assert sum(solve_weights(m).weights) == 0
 
     def test_last_weight_is_minus_s(self):
-        for m in range(1, 16):
-            assert solve_weights(m).weight(m) == -s_constant(m)
+        # both parities, up to the CLI's limit
+        for m in [*range(1, 16), 100, 101]:
+            wv = solve_weights(m)
+            assert wv.s_m == s_constant(m)
+            assert wv.weight(m) == -wv.s_m
 
     def test_weight_accessor_bounds(self):
         wv = solve_weights(5)
@@ -123,10 +126,10 @@ class TestSolve:
             system[(3, 2)]
 
     def test_cold_solve_builds_each_row_once(self, monkeypatch):
-        # the system is built diagonal by diagonal, so a degree-103 solve
-        # builds each of its 103 Bernoulli rows once, and its entries
-        # are the entry-by-entry build's (whole columns, from the first,
-        # a middle and the last)
+        # the paper's system is built diagonal by diagonal, so a degree-103
+        # system builds each of its 103 Bernoulli rows once, and its
+        # entries are the entry-by-entry build's (whole columns, from the
+        # first, a middle and the last)
         built = []
         real = bernoulli._row_terms
 
@@ -135,18 +138,36 @@ class TestSolve:
             return real(n)
 
         monkeypatch.setattr(bernoulli, "_row_terms", counted)
-        wv = solve_weights(103)
-        assert sorted(built) == list(range(103))
-        assert wv.weight(103) == -s_constant(103)
         system = triangular_system(103)
+        assert sorted(built) == list(range(103))
+        assert back_substitute(system, 103).weight(103) == -s_constant(103)
         for l in (1, 2, 52, 103):
             assert [system[(j, l)] for j in range(1, l + 1)] == [
                 coeff_b(j, l) for j in range(1, l + 1)
             ]
 
+    def test_closed_form_reads_no_bernoulli_row(self, monkeypatch):
+        def unexpected(n):
+            raise AssertionError(f"Bernoulli row {n} read")
+
+        monkeypatch.setattr(bernoulli, "_row_terms", unexpected)
+        wv = solve_weights(101)
+        assert wv.weight(101) == -math.factorial(100)
+
+    @pytest.mark.slow
+    def test_closed_form_matches_the_paper_solve_to_101(self):
+        system = triangular_system(101)
+        for m in range(1, 102):
+            assert solve_weights(m) == back_substitute(system, m), m
+
+    def test_domain(self):
+        with pytest.raises(ValueError):
+            solve_weights(0)
+
     def test_one_system_serves_every_smaller_degree(self):
-        system = triangular_system(24)
-        for m in range(1, 25):
-            assert back_substitute(system, m) == solve_weights(m)
+        # and the paper's solve agrees with the closed form at each degree
+        system = triangular_system(41)
+        for m in range(1, 42):
+            assert back_substitute(system, m) == solve_weights(m), m
         with pytest.raises(KeyError):
             back_substitute(triangular_system(5), 6)
