@@ -56,25 +56,33 @@ exact values, 1/(1+u) within two and u^2 within three
 against textbook formulas in s = (pi/2) sinh t, 20 digits higher.  The
 centre node u = 1/2 (t = 0) is outside the table but comes from the
 same generator, :func:`_pair_columns` at 2s = 0, where the pair's two
-members coincide, so it meets the same bounds.  Nothing tells one
-kernel from another: the integrator calls it and reads no type or
-attribute of it.
+members coincide, so it meets the same bounds; it is built once per
+precision.
 
-Integer level sums.  The kernel turns one member's columns into one
-integer term by integer products and right shifts, and each level's
-terms go through _tail_sum against the cutoff in the same units; the
-level total and the outermost term become mpf once per level.  Every
-production integral goes through here: the zeta routes' polynomial
-kernels and the moments I_n (:func:`integral_In`), where mpf overhead (a
-power, a division, conversions, the adds of the sum) would cost more
-than the polynomial itself.  Each right shift truncates by less than one
-unit, so a term errs by at most 2^-P times the kernel's count of
-truncations and column units, each scaled by how much the rest of the
-term can magnify it (:func:`zetaodd.zeta._degree_setup` bounds this for
-the routes, :func:`integral_In` for the moments).  The guard puts a unit
-at or below 10^-(eval_digits + _TAIL_EPS_SHIFT + 1), so the tail cutoff
-is at least ten units, and 2^20 units make one unit in the last place of
-a term near 1 at the working precision.
+Integer level sums.  Every production integral sums its levels in
+integers, where mpf overhead (a power, a division, conversions, the adds
+of the sum) would cost more than the polynomial itself; the level total
+and the outermost term become mpf once per level.  A kernel is one of
+two kinds.  A term kernel (the moments I_n, :func:`integral_In`) turns
+one member's columns into one integer term by integer products and right
+shifts, and each level's terms go through _tail_sum against the cutoff
+in the same units.  A :class:`PowerSumKernel` (the zeta routes) is a
+polynomial base * sum_i c_i point^i, with (base, point) read from the
+member's columns by its reading.  Its level total is sum_i c_i S_i,
+exact in integers, over the power sums S_i = sum over the level's
+members of base * point^i, each power the one before times the point,
+rounded.  The sums sit on the node table, one list per reading, and grow
+to the largest degree asked for: a later degree, or the other route's
+call at the same degree, reuses every power already built, and no value
+depends on which degrees ran before.  Each right shift truncates by less
+than one unit (a rounded power by half a unit), so a term errs by at
+most 2^-P times the kernel's count of truncations and column units, each
+scaled by how much the rest of the term can magnify it
+(:func:`zetaodd.zeta._degree_setup` bounds this for the routes,
+:func:`integral_In` for the moments).  The guard puts a unit at or below
+10^-(eval_digits + _TAIL_EPS_SHIFT + 1), so the tail cutoff is at least
+ten units, and 2^20 units make one unit in the last place of a term near
+1 at the working precision.
 
 One precision, separate depth.  Arithmetic runs at
 PrecisionConfig.eval_digits: working_digits rounded up to a multiple of
@@ -86,22 +94,27 @@ set apart from it: the outermost nodes reach 1 - u ~ 10^-(2 target + 7)
 less, not more: a node's q needs only about P - log2(1/q)/2 bits of
 relative precision, since its columns shrink like sqrt(q).  The node
 table is keyed by (eval precision, depth, level) and holds at most
-_NODE_TABLES_KEPT levels at once, so a session that sweeps precisions
-keeps bounded state.
+_NODE_TABLES_KEPT levels at once, each with its power sums, which are
+evicted with it, so a session that sweeps precisions keeps bounded
+state.
 
-Tail rule.  Each level sums its terms outward from the centre and stops
-after _TAIL_RUN consecutive terms at or below 10^-(eval_digits + 5)
-times the running scale, but only once some term has exceeded that
-cutoff: at level k >= 1 the first nodes sit near u = 1/2, where an
-integrand such as u^(2n-1) is negligible long before its mass near
-1 - u ~ 1/n is reached.
+Tail rule.  A term kernel's level sums its terms outward from the centre
+and stops after _TAIL_RUN consecutive terms at or below
+10^-(eval_digits + 5) times the running scale, but only once some term
+has exceeded that cutoff: at level k >= 1 the first nodes sit near
+u = 1/2, where an integrand such as u^(2n-1) is negligible long before
+its mass near 1 - u ~ 1/n is reached.  The rule sets ``nodes_used``,
+which the ``integral`` command prints.  A power-sum kernel's level
+covers every member: its sums are shared by degrees whose tails would
+stop at different members.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import mpmath as mp
 from mpmath.libmp import dps_to_prec, from_man_exp, ln2_fixed, mpf_exp, mpf_log, pi_fixed, to_fixed
@@ -111,6 +124,7 @@ __all__ = [
     "DEFAULT_PRECISION",
     "QuadratureResult",
     "NonConvergenceError",
+    "PowerSumKernel",
     "integrate_01_fixed",
     "integral_In",
     "integral_In_crosscheck",
@@ -120,7 +134,9 @@ _TAIL_EPS_SHIFT = 5   # tail cutoff sits 10^-5 below eval precision
 _TAIL_RUN = 3         # consecutive negligible terms before truncating
 _STOP_HEADROOM = 10   # the error estimate must clear the target by 10^-10
 _MAX_LEVELS = 12      # step-halving refinements before NonConvergenceError
-_NODE_TABLES_KEPT = 32  # levels each node memo keeps; a zeta_report sweep of m <= 41 builds 13
+# node tables kept, each with its power sums; a zeta_report sweep of m <= 41
+# at 30 digits builds 13, at two eval precisions
+_NODE_TABLES_KEPT = 32
 # integer columns carry this many bits past the working precision: one
 # digit more than the tail cutoff sits below it, so the cutoff is >= 10 units
 _FIXED_GUARD_BITS = math.ceil((_TAIL_EPS_SHIFT + 1) * math.log2(10))
@@ -368,8 +384,19 @@ def _pair_columns(two_s: int, cosh_pi: int, wp: int, prec: int) -> tuple:
     return minus, plus
 
 
+class _NodeLevel(tuple):
+    """One level's node pairs, a tuple of (minus, plus), carrying in
+    ``power_sums`` the :class:`_PowerSums` read from them, keyed by
+    reading: the sums live, and are evicted, with their table."""
+
+    def __new__(cls, pairs):
+        table = super().__new__(cls, pairs)
+        table.power_sums = {}
+        return table
+
+
 @lru_cache(maxsize=_NODE_TABLES_KEPT)
-def _ts_level_columns(eval_dps: int, depth: int, level: int) -> tuple:
+def _ts_level_columns(eval_dps: int, depth: int, level: int) -> _NodeLevel:
     """The node table: the tanh-sinh nodes new at this level, as pairs
     (minus, plus) of five integer columns each at P = :func:`_fixed_bits`
     (eval_dps) fractional bits (:func:`_member_columns`), computed in
@@ -424,7 +451,84 @@ def _ts_level_columns(eval_dps: int, depth: int, level: int) -> tuple:
         two_s = pi * (e_t - e_inv) >> wp + 1
         out.append(_pair_columns(two_s, pi * (e_t + e_inv) >> wp + 1, wp, prec))
         e_t = e_t * step >> wp
-    return tuple(out)
+    return _NodeLevel(out)
+
+
+@lru_cache(maxsize=4)
+def _centre_columns(prec: int) -> tuple[int, ...]:
+    """The centre node's columns, t = 0: 2s = 0, pi cosh t = pi, and the
+    pair's two members coincide."""
+    wp = prec + _COLUMN_GUARD_BITS
+    return _pair_columns(0, pi_fixed(wp), wp, prec)[0]
+
+
+def _next_powers(powers: list, points: list, prec: int) -> list:
+    """Each member's next power, power * point, rounded to prec bits."""
+    half = 1 << prec - 1
+    return [p * x + half >> prec for p, x in zip(powers, points)]
+
+
+def _member_powers(base: int, point: int, degree: int, prec: int) -> list[int]:
+    """base * point^i for i = 0..degree at one member, each power from the
+    one before and rounded as :func:`_next_powers` rounds it."""
+    half = 1 << prec - 1
+    powers = [base]
+    for _ in range(degree):
+        powers.append(powers[-1] * point + half >> prec)
+    return powers
+
+
+class _PowerSums:
+    """S_i = sum over a level's members of base * point^i, with
+    (base, point) = reading(columns, prec) per member, grown on demand:
+    ``powers`` holds each member's highest power so far, so a larger
+    degree extends the list and reuses every power already built.
+    ``outer`` holds the same powers of the outermost pair alone, for the
+    integrator's outermost term."""
+
+    def __init__(self, table: _NodeLevel, reading, prec: int):
+        read = [reading(columns, prec) for pair in table for columns in pair]
+        self.points = [point for _, point in read]
+        self.powers = [base for base, _ in read]
+        self.sums = [sum(self.powers)]
+        self.outer = [self.powers[-2] + self.powers[-1]]
+
+    def up_to(self, degree: int, prec: int) -> tuple[list[int], list[int]]:
+        while len(self.sums) <= degree:
+            self.powers = _next_powers(self.powers, self.points, prec)
+            self.sums.append(sum(self.powers))
+            self.outer.append(self.powers[-2] + self.powers[-1])
+        return self.sums, self.outer
+
+
+@dataclass(frozen=True)
+class PowerSumKernel:
+    """The polynomial kernel base * sum_i coeffs[i] point^i, lowest power
+    first, with (base, point) = ``reading(columns, prec)`` from one node
+    member's integer columns, both in units of 2^-prec and point <= 1 up
+    to a few units.  :func:`integrate_01_fixed` takes a level's total as
+    sum_i coeffs[i] S_i over that table's power sums (:class:`_PowerSums`,
+    shared by every kernel with the same reading), exact in integers."""
+
+    reading: Callable[[tuple, int], tuple[int, int]]
+    coeffs: tuple[int, ...]
+
+    def member(self, columns: tuple, prec: int) -> int:
+        """The kernel at one member, from that member's powers alone."""
+        base, point = self.reading(columns, prec)
+        powers = _member_powers(base, point, len(self.coeffs) - 1, prec)
+        return sum(c * p for c, p in zip(self.coeffs, powers))
+
+    def level(self, table: _NodeLevel, prec: int) -> tuple[int, int]:
+        """The kernel summed over every member of ``table``, and over its
+        outermost pair alone."""
+        sums = table.power_sums.get(self.reading)
+        if sums is None:
+            sums = table.power_sums[self.reading] = _PowerSums(table, self.reading, prec)
+        return tuple(
+            sum(c * s for c, s in zip(self.coeffs, column))
+            for column in sums.up_to(len(self.coeffs) - 1, prec)
+        )
 
 
 def _tail_sum(terms, eps):
@@ -475,19 +579,31 @@ def integrate_01_fixed(kernel, cfg: PrecisionConfig = DEFAULT_PRECISION) -> Quad
     sums taken in integers ("Integer level sums" in the module
     docstring): halve the step until the stopping rule holds.
 
-    ``kernel(prec)`` returns ``term(columns)``: w times the integrand at
+    ``kernel`` is one of two kinds.  A term kernel is a callable:
+    ``kernel(prec)`` returns ``term(columns)``, w times the integrand at
     one node member, as an integer in units of 2^-prec, from that
     member's integer columns (u, 1/(1+u), w (1-u)/ln(1/u), u^2,
-    w u/asech(u)) at prec fractional bits.  Runs at ``cfg.eval_digits``
-    with node depth :func:`_node_depth` (cfg).
+    w u/asech(u)) at prec fractional bits; its levels are summed under
+    the tail rule.  A :class:`PowerSumKernel` is summed over every
+    member of a level from the table's power sums, and its
+    :meth:`~PowerSumKernel.member` serves the centre.  Runs at ``cfg.eval_digits`` with node depth
+    :func:`_node_depth` (cfg).
     """
     eval_dps = cfg.eval_digits
     depth = _node_depth(cfg)
     prec = _fixed_bits(eval_dps)
-    term = kernel(prec)
-    # the centre, t = 0: 2s = 0, pi cosh t = pi, and the pair's two members coincide
-    wp = prec + _COLUMN_GUARD_BITS
-    centre, _ = _pair_columns(0, pi_fixed(wp), wp, prec)
+    if isinstance(kernel, PowerSumKernel):
+        term = partial(kernel.member, prec=prec)
+
+        def level_sum(table, cutoff):
+            total, outermost = kernel.level(table, prec)
+            return total, len(table), outermost
+    else:
+        term = kernel(prec)
+
+        def level_sum(table, cutoff):
+            return _tail_sum((term(lo) + term(hi) for lo, hi in table), cutoff)
+
     with mp.workdps(eval_dps):
         tol = mp.mpf(10) ** (-(cfg.target_digits + _STOP_HEADROOM))
         base_eps = mp.mpf(10) ** (-(eval_dps + _TAIL_EPS_SHIFT))
@@ -496,15 +612,15 @@ def integrate_01_fixed(kernel, cfg: PrecisionConfig = DEFAULT_PRECISION) -> Quad
         used = 0
         for level in range(_MAX_LEVELS):
             scale = 1 + abs(sums[-1]) if sums else mp.mpf(1)
-            total, count, outermost = _tail_sum(
-                (term(lo) + term(hi) for lo, hi in _ts_level_columns(eval_dps, depth, level)),
+            total, count, outermost = level_sum(
+                _ts_level_columns(eval_dps, depth, level),
                 to_fixed((base_eps * scale)._mpf_, prec),
             )
             used += 2 * count
             new = mp.ldexp(total, -prec)
             h = mp.mpf(1) / 2**level
             if level == 0:
-                sums.append(h * (mp.ldexp(term(centre), -prec) + new))
+                sums.append(h * (mp.ldexp(term(_centre_columns(prec)), -prec) + new))
                 used += 1
                 continue
             current = sums[-1] / 2 + h * new

@@ -36,6 +36,8 @@ from .quadrature import (
 )
 from .weights import back_substitute, d_coefficients, s_constant, solve_weights, triangular_system
 from .zeta import (
+    _sech_row,
+    asech_kernel_polynomial,
     dimension_scan,
     exp_kernel_polynomial,
     in_sequence_report,
@@ -274,7 +276,8 @@ def _check_dimension_scan() -> tuple[bool, str]:
 # too, so their expected values come from the same pipeline, the q
 # recursion and the back-substituted weights mixed into tau, with the
 # thetas telescoped against that tau and C_m by a Horner pass over the
-# weights.
+# weights.  Route 2's row in z = 4q/(1+q)^2 is peeled from C_m; it is
+# checked by rebuilding C_m from it and against route 3's numerator row.
 
 def _kernel_by_weights(weights) -> tuple:
     """C_m(q) = sum_l w_l (1 + q + ... + q^(l-1)) (1 + q)^(m-l) by a Horner
@@ -327,6 +330,35 @@ def _telescoping_failure(n: int, taus: dict[int, dict[int, Fraction]]) -> str | 
     return None
 
 
+def _peel_failure(m: int, c_ms: set) -> str | None:
+    """Where route 2's z-basis row (:func:`~zetaodd.zeta._sech_row`)
+    fails ROADMAP item 2's identity at odd m: with r_0 = 0 and
+    r_(i+1) = 4^i s_i, (1+q)^(m-1) sum_i r_i y^i, y = q/(1+q)^2, must
+    rebuild C_m, and one c_m must give r_(i+1) = c_m 4^i a_i against the
+    asech row a; that c_m goes into ``c_ms``."""
+    c = exp_kernel_polynomial(m)
+    coeffs, denom = _sech_row(c)
+    r = [0]
+    for i, n in enumerate(coeffs):
+        ri, rest = divmod(-n * 4**i, denom)
+        if rest:
+            return f"r_{i + 1} = 4^{i} s_{i} is not an integer"
+        r.append(ri)
+    rebuilt = [0] * m
+    for i, ri in enumerate(r):
+        n = m - 1 - 2 * i
+        for j in range(n + 1):
+            rebuilt[i + j] += ri * math.comb(n, j)
+    if tuple(rebuilt) != c:
+        return "(1+q)^(m-1) sum r_i y^i does not rebuild C_m"
+    a, _ = asech_kernel_polynomial(m)
+    ratios = {Fraction(r[i + 1], 4**i * a_i) for i, a_i in enumerate(a) if a_i}
+    if len(ratios) != 1 or any(r[i + 1] for i, a_i in enumerate(a) if not a_i):
+        return f"r_(i+1) / (4^i a_i) takes the values {sorted(ratios)}"
+    c_ms |= ratios
+    return None
+
+
 def _check_integer_closed_forms() -> tuple[bool, str]:
     q_rows = {l: _q_recursion_row(l) for l in range(1, 120)}
     for l, row in q_rows.items():
@@ -335,6 +367,7 @@ def _check_integer_closed_forms() -> tuple[bool, str]:
                 return False, f"q({j},{l}) differs from the paper's recursion"
     system = triangular_system(101)
     taus = {}
+    c_ms: set = set()
     for m in range(1, 102):
         solved = back_substitute(system, m)
         if solve_weights(m) != solved:
@@ -356,13 +389,18 @@ def _check_integer_closed_forms() -> tuple[bool, str]:
         where = _telescoping_failure(n, taus)
         if where is not None:
             return False, f"linear_form({n}) does not telescope against the paper's tau: {where}"
+        where = _peel_failure(m, c_ms)
+        if where is not None:
+            return False, f"route 2's sech^2 row at m={m}: {where}"
     return True, (
         "Stirling weights == Bernoulli triangular solve for m<=101; "
         "q(j,l) = (-1)^(j-1) C(l-j,j-1) == recursion for l<=119; "
         "central factorial tau == weight-solve tau for odd m<=101; "
         "tau_top(n) = 1/(2^(2n+1)-1) == its top entry for n<=50; "
         "closed thetas telescope against it for n<=50; "
-        "Eulerian C_m == Horner over the weights for odd m<=61"
+        "Eulerian C_m == Horner over the weights for odd m<=61; "
+        "(1+q)^(m-1) sum r_i y^i == C_m and r_(i+1) = c_m 4^i a_i for odd m<=101, "
+        f"c_m in {{{', '.join(str(c) for c in sorted(c_ms))}}}"
     )
 
 

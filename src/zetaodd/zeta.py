@@ -9,7 +9,9 @@ Routes to zeta(m):
 * :func:`zeta_via_exp_kernel` collapses the degree-m weight system
   into a single integrand on (0, infinity), whose numerator is one
   integer polynomial per degree, built from Eulerian numbers
-  (:func:`exp_kernel_polynomial`), and integrates it in q = e^-u.
+  (:func:`exp_kernel_polynomial`), and integrates it in q = e^-u.  The
+  numerator is peeled into z = 4q/(1+q)^2, a polynomial of half the
+  degree (:func:`_sech_row`).
 * :func:`zeta_via_asech_kernel` (odd m only) pairs the exact tau
   coefficients with the singular moment integrals I_n on (0, 1):
 
@@ -18,17 +20,25 @@ Routes to zeta(m):
   summed under the integral sign into one integer polynomial per
   degree (:func:`asech_kernel_polynomial`).
 
-What agreement between routes 2 and 3 tests (verify check 6, and the
-2-vs-3 difference in :func:`zeta_report`): two exact families, C_m
-from Eulerian numbers against the tau row from central factorial
-numbers (:func:`~zetaodd.hyperbolic.tau_row`), and two readings of one
-node table, the same tanh-sinh nodes read as q and as u, through its
-columns w (1-q)/ln(1/q) and w u/asech(u)
+Both integral routes read their polynomial from power sums that every
+degree shares (:class:`~zetaodd.quadrature.PowerSumKernel`): a sweep of
+degrees forms each power of each node once.
+
+Routes 2 and 3 integrate one polynomial.  In the variable v, with
+q = e^(-2v) for route 2 and u = sech(v) for route 3, both points are
+sech^2(v): z = 4q/(1+q)^2 and X = u^2.  Route 2's z-row is c_m times route
+3's numerator row, c_m in {-2, -1, -1/2, -1/4, -1/8}: an exact integer
+identity between the Eulerian and central factorial families, which
+verify check 11 checks for every odd m <= 101.  So what agreement
+between routes 2 and 3 adds (verify check 6, and the 2-vs-3 difference
+in :func:`zeta_report`) is the two readings of one node table: the same
+tanh-sinh nodes read as q and as u, with different bases and points
+(Fe G^3 and 4qG^2, G = 1/(1+q), against Fa and u^2) from different
+columns, w (1-q)/ln(1/q) and w u/asech(u)
 (:func:`~zetaodd.quadrature._ts_level_columns`).  It does not test two
-analytic representations: with u = sech(v) and q = e^(-2v) the two
-integrands, constants included, are one integrand in v (checked
-numerically at m = 3, 5, 13, 41, not proved here).  Only route 1 is
-independent of the quadrature.
+analytic representations: the two integrands, constants included, are
+one integrand in v (checked numerically at m = 3, 5, 13, 41, not proved
+here).  Only route 1 is independent of the quadrature.
 
 The exact side of the same pairing is :func:`linear_form`: for each n
 a rational combination of zeta(3)/pi^2, zeta(5)/pi^4, ...,
@@ -48,15 +58,15 @@ import itertools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache
 
 import mpmath as mp
 
 from .hyperbolic import tau_row, tau_top
 from .quadrature import (
     DEFAULT_PRECISION,
+    PowerSumKernel,
     PrecisionConfig,
-    _power_fixed,
     integral_In,
     integrate_01_fixed,
 )
@@ -148,95 +158,107 @@ def _digits(n: int) -> int:
     return len(str(abs(n)))
 
 
-def _horner_int(shifted, x: int, prec: int) -> int:
-    """Horner's rule on integers at ``prec`` fractional bits: x and the
-    result in units of 2^-prec, ``shifted`` the coefficients highest
-    first, each already shifted left by prec."""
-    acc = 0
-    for c in shifted:
-        acc = (acc * x >> prec) + c
-    return acc
+def _sech_row(c: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
+    """(n_0..n_k, E): the exp kernel's numerator in z = 4q/(1+q)^2, from
+    the Eulerian coefficients ``c`` of C_m (:func:`exp_kernel_polynomial`)
+    by peeling.
+
+    C_m is palindromic of degree m - 1, so it is
+    (1+q)^(m-1) sum_i r_i y^i with y = q/(1+q)^2 = z/4, i <= (m-1)/2:
+    the lowest remaining coefficient is r_i, and r_i q^i (1+q)^(m-1-2i)
+    is subtracted from the rest (r_0 = c_0 = 0).  Only the coefficients
+    up to q^((m-1)/2) are read; verify check 11 rebuilds all of C_m from
+    the row.  Then C_m(q)/(1+q)^m = q G^3 sum_i s_i z^i with
+    G = 1/(1+q) and s_i = r_(i+1)/4^i.  The s_i are dyadic, with
+    denominators at most 8 for m <= 101; E is their common denominator
+    and n_i = -E s_i, the kernel's sign folded in.  No tau goes in:
+    verify check 11 finds r_(i+1) = c_m 4^i a_i against
+    :func:`asech_kernel_polynomial`, with c_m in
+    {-2, -1, -1/2, -1/4, -1/8} for odd m <= 101.
+    """
+    half = (len(c) - 1) // 2
+    rest = list(c[: half + 1])
+    r = []
+    for i, r_i in enumerate(rest):
+        r.append(r_i)
+        n, binomial = len(c) - 1 - 2 * i, 1
+        for j in range(1, half + 1 - i):
+            binomial = binomial * (n + 1 - j) // j
+            rest[i + j] -= r_i * binomial
+    s = [Fraction(r[i + 1], 4**i) for i in range(half)]
+    denom = math.lcm(*(x.denominator for x in s))
+    return tuple(int(-x * denom) for x in s), denom
 
 
-def _exp_term(coeffs, prec: int):
-    """The exp route's term for
-    :func:`~zetaodd.quadrature.integrate_01_fixed`: w times the q-form
-    kernel -(d/L) D_m(q)/(1+q)^m at the node q, with d = 1 - q,
-    L = ln(1/q) and ``coeffs`` the integer coefficients of D_m = C_m / q,
-    highest first.  It is -(Fe D_m(U) G^m) from the columns U = q,
-    G = 1/(1+q) and Fe = w (1-q)/ln(1/q), all integers at ``prec``
-    fractional bits.  D_m(U) is :func:`_horner_int`; G^m is taken as
-    (2G)^m 2^-m (:func:`~zetaodd.quadrature._power_fixed`), since
-    2G >= 1 keeps every truncation of the power relative; one shift
-    rounds the product back to prec bits."""
-    m = len(coeffs) + 1
-    shifted = [c << prec for c in coeffs]
-    shift = 2 * prec + m
-
-    def term(columns):
-        u, g, fe, _, _ = columns
-        power = _power_fixed(g << 1, m, prec)
-        return -(fe * _horner_int(shifted, u, prec) * power >> shift)
-
-    return term
+def _exp_reading(columns, prec: int) -> tuple[int, int]:
+    """The exp route's (base, point) at one member read as q = u:
+    (Fe G^3, z = 4 U G^2) from the columns U = q, G = 1/(1+q) and
+    Fe = w (1-q)/ln(1/q), with G^2 formed once for both."""
+    u, g, fe, _, _ = columns
+    g2 = g * g >> prec
+    return fe * (g2 * g >> prec) >> prec, u * g2 >> prec - 2
 
 
-def _asech_term(coeffs, prec: int):
-    """The asech route's term Fa A_m(X) for
-    :func:`~zetaodd.quadrature.integrate_01_fixed`, from the columns
-    X = u^2 and Fa = w u/asech(u) at ``prec`` fractional bits."""
-    shifted = [c << prec for c in coeffs]
-
-    def term(columns):
-        _, _, _, x, fa = columns
-        return fa * _horner_int(shifted, x, prec) >> prec
-
-    return term
+def _asech_reading(columns, prec: int) -> tuple[int, int]:
+    """The asech route's (base, point): the columns (Fa, X = u^2)."""
+    return columns[4], columns[3]
 
 
-def _degree_setup(m: int, cfg: PrecisionConfig) -> tuple[PrecisionConfig, tuple, tuple, int]:
+@lru_cache(maxsize=1)
+def _degree_setup(
+    m: int, cfg: PrecisionConfig
+) -> tuple[PrecisionConfig, PowerSumKernel, int, PowerSumKernel, int]:
     """The one precision both integral routes run at for degree m, and
     their kernels: cfg with a guard g(m) added to working_digits only,
     so the target and node depth stay the caller's and both routes
-    share every node table.  g(m) is the larger of two guards:
+    share every node table and its power sums.  g(m) is the larger of
+    two guards:
 
-    * exp: digits(sum_k |c_k|) - digits(|C_m(1)|) + digits(m) + 5, the
-      cancellation of C_m at q = 1 (u = 0, where the kernel peaks),
-      digits(m) for the error's growth with the degree and 5 to spare
-      (6, 8, 13, 17 at m = 3, 13, 41, 61).  Fixed-point D_m = C_m / q
-      errs by at most (m + sum_k (k-1) |c_k| q^(k-2)) 2^-p at q; weighted
-      by (1 - q)/(L (1 + q)^m) over the integral that is 2.6, 8.3, 12.3
-      and 20.3 digits at m = 13, 41, 61, 101.
+    * exp: digits(sum_k |c_k|) - digits(|C_m(1)|) + digits(m) + 5, with
+      c_k the coefficients of C_m (6, 8, 13, 17 at m = 3, 13, 41, 61).
     * asech: 1 + ceil(log10(pi^(m-1) (sum_i (2i + 1) |a_i| + k) / D))
-      for A_m of degree k.  The integral is zeta(m) D / pi^(m-1) with
-      zeta(m) > 1 and every I_n < 1, so pi^(m-1) sum_i |a_i| / D bounds
-      the cancellation, and pi^(m-1) (k + 2 sum_i i |a_i|) / D the
-      fixed-point error of A_m at x = u^2 (rounded, then truncated);
-      one digit covers the other roundings.  2, 5, 13, 18, 28 digits at
-      m = 3, 13, 41, 61, 101: above the exp guard at m = 53, 57, >= 61.
+      for A_m of degree k (2, 5, 13, 18, 28 digits at m = 3, 13, 41, 61,
+      101; above the exp guard at m = 53, 57, >= 61).
 
-    tests/test_zeta.py checks both for every odd m <= 101.  Returns the
-    precision, D_m's and A_m's coefficients highest first, and D.
+    Returns the precision, the exp route's :class:`PowerSumKernel` and
+    its denominator E (:func:`_sech_row`), the asech route's kernel and
+    D.  One entry is kept, so :func:`zeta_report`'s two routes build
+    these once.
 
-    The routes sum integer terms (:func:`_exp_term`, :func:`_asech_term`;
-    "Integer level sums" in :mod:`zetaodd.quadrature`) at
-    P = p + 20 bits, so every 2^-p above becomes 2^-P.  Of the columns,
-    U, G and X are within one, two and three units and Fe, Fa within
-    one, each times the term's slope in it: the Horner bounds above for
-    U and X, and the unweighted kernels |D_m G^m| and |A_m|, under the
-    same envelopes, for Fe and Fa.  G^m is formed as (2G)^m 2^-m: 2G
-    lies in [1, 2], so each of the power's at most 2 log2(m) truncations
-    costs at most 2^-P relative, and G^m errs by at most
-    (4m + 2 log2 m) 2^-P relative, which digits(m) covers.  Truncating
-    G^m itself to P bits would cost up to m log10(2) digits at q = 1,
-    where G = 1/2 and the kernel peaks.  The tests check both terms node
-    by node against their mpf kernels at textbook nodes, and both routes
-    against ``mpmath.zeta`` on the precision grid.
+    Error of the power-sum form.  Both routes sum integer terms at
+    P = p + 20 bits, p the bits of eval_digits, and each level total is
+    sum_i c_i S_i with S_i = sum over members of base * point^i
+    (:class:`~zetaodd.quadrature.PowerSumKernel`); the mix is exact, so
+    every error sits in the powers.  Each power is the one before times
+    the point, rounded: half a unit of 2^-P.  For a member with base b
+    (error e_b) and point x <= 1 (error e_x), the i-th power errs by at
+    most x^i e_b + i b x^(i-1) e_x + min(i, 1/(1 - x))/2 units, and the
+    mix by sum_i |c_i| times that.  The readings' errors follow from the
+    columns' (U, Fe, Fa within one unit, G two, X three): asech reads
+    b = Fa and x = X, so e_b = 1 and e_x = 3; exp forms G^2 (at most
+    4G + 1 units), G^3 (6G^2 + G + 1), b = Fe G^3
+    (Fe (6G^2 + G + 1) + G^3 + 1) and z = 4 U G^2
+    (4 U (4G + 1) + 4 G^2 + 1), each product truncated once.  A level
+    sum is h times its members' errors, so the result errs by at most
+    the integral of the member bound over t in [-t_max, t_max],
+    t_max < 8 for targets under 1000.  The parts carrying b or Fe
+    shrink with the node weight; the rest (e_b's terms free of Fe, and
+    the rounding) does not, and dominates.  Over the integral itself,
+    zeta(m) D/pi^(m-1) for asech and zeta(m) (2^m - 1) (m-1)! E /
+    (2 pi)^(m-1) for exp, that is 1.3 and 2.1 digits at m = 3 and 26.9
+    and 27.6 at m = 101, counted in units of 2^-P but held to g(m) as
+    if they were 2^-p, so P's 20 extra bits stay spare.  Both readings
+    stay below g(m) at every odd m <= 101 (tests/test_zeta.py checks
+    each); the closest is exp at m = 83, 22.98 digits against 23.
+    Truncated powers would double the rounding part, which g(m) does not
+    cover for exp at m = 51, 55, ..., 83.  The two guard formulas were
+    derived for Horner evaluation in q and in x; they are kept because
+    this bound stays below them, and with them eval precision, node
+    tables and every output.
 
-    Guard and kernels depend on m alone and are built on every call,
-    with no memo: both are integer closed forms, about 1.6 ms at
-    m = 101.  ``--method exp`` builds the tau row too, since the shared
-    guard keeps one set of node tables.
+    Both rows are integer closed forms, rebuilt for each new m or cfg:
+    about 4 ms at m = 101.  ``--method exp`` builds the tau row too,
+    since the shared guard keeps one set of node tables.
     """
     exp_coeffs = exp_kernel_polynomial(m)
     exp_guard = _digits(sum(map(abs, exp_coeffs))) - _digits(sum(exp_coeffs)) + _digits(m) + 5
@@ -245,7 +267,14 @@ def _degree_setup(m: int, cfg: PrecisionConfig) -> tuple[PrecisionConfig, tuple,
     envelope += len(asech_coeffs) - 1
     asech_guard = 1 + math.ceil(math.log10(math.pi ** (m - 1) * (envelope / denom)))
     cfg = replace(cfg, working_digits=cfg.working_digits + max(exp_guard, asech_guard))
-    return cfg, exp_coeffs[:0:-1], asech_coeffs[::-1], denom
+    sech_coeffs, exp_denom = _sech_row(exp_coeffs)
+    return (
+        cfg,
+        PowerSumKernel(_exp_reading, sech_coeffs),
+        exp_denom,
+        PowerSumKernel(_asech_reading, asech_coeffs),
+        denom,
+    )
 
 
 def zeta_via_exp_kernel(m: int, cfg: PrecisionConfig = DEFAULT_PRECISION) -> mp.mpf:
@@ -256,13 +285,18 @@ def zeta_via_exp_kernel(m: int, cfg: PrecisionConfig = DEFAULT_PRECISION) -> mp.
     P = 1/(1+q), which is -(1 - q)/u * C_m(q) / (1 + q)^m for the
     integer polynomial C_m of :func:`exp_kernel_polynomial`.  With
     q = e^-u it becomes the integral over (0, 1) of
-    -(d / L) D_m(q) / (1 + q)^m, with d = 1 - q, L = ln(1/q) and
-    D_m = C_m / q (exact, since c_0 = 0), with L carried by the node
-    table: no exponential or logarithm per integrand call, and the level
-    sums taken in integers (:func:`_exp_term`).  The designed-in
-    vanishing of sum_l w_l happens exactly, in C_m's integer coefficients; what is left is
-    Horner's own cancellation, which the degree's guard
-    (:func:`_degree_setup`) covers.
+    -(d / L) C_m(q) / (1 + q)^m, with d = 1 - q and L = ln(1/q) carried
+    by the node table: no exponential or logarithm per node.  Peeled
+    into z = 4q/(1+q)^2 = sech^2(u/2) (:func:`_sech_row`), the kernel is
+    -(d/L) q G^3 sum_i s_i z^i with G = 1/(1+q): half the degree, and
+    the q cancels against the node weight's, leaving the base Fe G^3
+    and the point z <= 1 that the level's power sums are read with.
+    The designed-in vanishing of sum_l w_l happens exactly, in C_m's
+    integer coefficients; what is left is the alternation of the s_i,
+    which the degree's guard (:func:`_degree_setup`) covers.  The s_i
+    are c_m times the asech route's numerator row, with
+    c_m in {-2, -1, -1/2, -1/4, -1/8} (verify check 11), so the
+    denominator E <= 8 of the s_i divides the result once, at the end.
 
     Odd m only: for even m the weighted kernel vanishes identically
     (the same cancellation that makes the odd case converge kills the
@@ -270,10 +304,10 @@ def zeta_via_exp_kernel(m: int, cfg: PrecisionConfig = DEFAULT_PRECISION) -> mp.
     """
     if m < 3 or m % 2 == 0:
         raise ValueError(f"degree m must be odd and >= 3, got {m}")
-    cfg, coeffs, _, _ = _degree_setup(m, cfg)
-    res = integrate_01_fixed(partial(_exp_term, coeffs), cfg)
+    cfg, kernel, exp_denom, _, _ = _degree_setup(m, cfg)
+    res = integrate_01_fixed(kernel, cfg)
     with mp.workdps(cfg.eval_digits):
-        front = (2 * mp.pi) ** (m - 1) / ((2**m - 1) * math.factorial(m - 1))
+        front = (2 * mp.pi) ** (m - 1) / ((2**m - 1) * math.factorial(m - 1) * exp_denom)
         return front * res.value
 
 
@@ -281,13 +315,15 @@ def zeta_via_asech_kernel(m: int, cfg: PrecisionConfig = DEFAULT_PRECISION) -> m
     """zeta(m) as one integral of pi^(m-1) u T_m(u^2) / asech(u) over
     (0, 1), the pairing pi^(m-1) sum_j tau(j, m) I_(j-1) summed under the
     integral sign.  Same nodes and precision as the exp route, with
-    asech(u) carried by the node table; A_m = D T_m by fixed-point
-    Horner, the level sums in integers (:func:`_asech_term`), and
-    pi^(m-1) / D applied once, to the result."""
+    asech(u) carried by the node table; A_m = D T_m is mixed from the
+    level's power sums of Fa X^i, X = u^2
+    (:class:`~zetaodd.quadrature.PowerSumKernel`), which are the
+    moments' own terms, and pi^(m-1) / D is applied once, to the
+    result."""
     if m < 3 or m % 2 == 0:
         raise ValueError(f"degree m must be odd and >= 3, got {m}")
-    cfg, _, coeffs, denom = _degree_setup(m, cfg)
-    res = integrate_01_fixed(partial(_asech_term, coeffs), cfg)
+    cfg, _, _, kernel, denom = _degree_setup(m, cfg)
+    res = integrate_01_fixed(kernel, cfg)
     with mp.workdps(cfg.eval_digits):
         return mp.pi ** (m - 1) * res.value / denom
 

@@ -11,6 +11,7 @@ import zetaodd.zeta as zeta_mod
 from zetaodd.quadrature import (
     DEFAULT_PRECISION,
     NonConvergenceError,
+    PowerSumKernel,
     PrecisionConfig,
     _COLUMN_GUARD_BITS,
     _NODE_TABLES_KEPT,
@@ -192,14 +193,25 @@ class TestUnitInterval:
 
 def _levels_until_two_agree(kernel, cfg):
     """The stopping rule the extrapolated estimate replaced, as an
-    oracle: the integrator's level sums from the same node table, kernel
-    and tail rule, returned at the first level k >= 1 with
-    |T_k - T_(k-1)| <= 10^-target (1 + |T_k|).  Returns the level count
-    and the level sums."""
+    oracle: the integrator's level sums from the same node table and
+    kernel, a term kernel under the tail rule and a PowerSumKernel member
+    by member over the whole level, with no power sum shared, returned
+    at the first level k >= 1 with |T_k - T_(k-1)| <= 10^-target
+    (1 + |T_k|).  Returns the level count and the level sums."""
     eval_dps = cfg.eval_digits
     depth = _node_depth(cfg)
     prec = _fixed_bits(eval_dps)
-    term = kernel(prec)
+    if isinstance(kernel, PowerSumKernel):
+        term = partial(kernel.member, prec=prec)
+
+        def level_sum(pairs, eps):
+            return sum(term(lo) + term(hi) for lo, hi in pairs)
+    else:
+        term = kernel(prec)
+
+        def level_sum(pairs, eps):
+            return _tail_sum(((term(lo) + term(hi)) for lo, hi in pairs), eps)[0]
+
     wp = prec + _COLUMN_GUARD_BITS
     centre, _ = _pair_columns(0, pi_fixed(wp), wp, prec)
     with mp.workdps(eval_dps):
@@ -208,9 +220,8 @@ def _levels_until_two_agree(kernel, cfg):
         sums = []
         for level in range(quadrature._MAX_LEVELS):
             scale = 1 + abs(sums[-1]) if sums else mp.mpf(1)
-            new, _, _ = _tail_sum(
-                (term(lo) + term(hi) for lo, hi in _ts_level_columns(eval_dps, depth, level)),
-                to_fixed((eps * scale)._mpf_, prec),
+            new = level_sum(
+                _ts_level_columns(eval_dps, depth, level), to_fixed((eps * scale)._mpf_, prec)
             )
             new = mp.ldexp(new, -prec)
             h = mp.mpf(1) / 2**level
@@ -228,8 +239,8 @@ def _moment_one(cfg):
 
 
 def _exp_route_m3(cfg):
-    cfg, coeffs, _, _ = zeta_mod._degree_setup(3, cfg)
-    return partial(zeta_mod._exp_term, coeffs), cfg
+    cfg, kernel, _, _, _ = zeta_mod._degree_setup(3, cfg)
+    return kernel, cfg
 
 
 class TestStoppingRule:
@@ -337,9 +348,9 @@ class TestHalfLine:
         # the exp route's half-line kernel, summed in integers, builds its
         # node tables at eval_digits and the caller's depth
         cfg = PrecisionConfig(target_digits=20, working_digits=33)
-        _, coeffs, _, _ = zeta_mod._degree_setup(3, cfg)
+        _, kernel, _, _, _ = zeta_mod._degree_setup(3, cfg)
         _ts_level_columns.cache_clear()
-        integrate_01_fixed(partial(zeta_mod._exp_term, coeffs), cfg)
+        integrate_01_fixed(kernel, cfg)
         built = _ts_level_columns.cache_info().currsize
         assert built >= 2
         _ts_level_columns(cfg.eval_digits, _node_depth(cfg), 0)
@@ -824,6 +835,15 @@ class TestNodeColumns:
             want = _textbook_columns(member, prec)
         for column, (a, b, bound) in enumerate(zip(centre, want, _COLUMN_BOUND)):
             assert abs(a - b) <= bound, (column, a - b)
+
+    def test_centre_is_built_once_per_precision(self):
+        # three logs per build (_log_ratios at 2s = 0), so integrals at
+        # one precision share it
+        quadrature._centre_columns.cache_clear()
+        integral_In(1, QUICK)
+        integral_In(2, QUICK)
+        zeta_mod.zeta_via_asech_kernel(3, QUICK)
+        assert quadrature._centre_columns.cache_info().misses == 2
 
     def test_node_beyond_the_columns_raises_at_once(self):
         # at u ~ 10^-161 with 40-digit columns the node's exp would run at

@@ -1,6 +1,7 @@
+import gc
 import math
+import weakref
 from fractions import Fraction
-from functools import partial
 
 import mpmath as mp
 import pytest
@@ -68,67 +69,92 @@ def _exp_kernel_two_exponentials(u, weights):
     return -(d / u) * total
 
 
-def _envelope_condition_digits(m, coeffs, n=500):
-    """log10 of max g(q) sum |c_k| q^k over max g(q) |C_m(q)| on q = i/n,
-    g(q) = (1 - q)/(u (1 + q)^m): how far Horner's rounding envelope
-    rises above the kernel itself.  Polynomial values are exact
-    integers, scaled by n^(m-1)."""
-    pows = [n**j for j in range(m)]
-    envelope_peak = kernel_peak = -math.inf
-    for i in range(1, n):
-        q = i / n
-        log_g = math.log10((1 - q) / (-math.log(q) * (1 + q) ** m))
-        value = envelope = 0
-        for k in range(m - 1, -1, -1):
-            value = value * i + coeffs[k] * pows[m - 1 - k]
-            envelope = envelope * i + abs(coeffs[k]) * pows[m - 1 - k]
-        envelope_peak = max(envelope_peak, math.log10(envelope) + log_g)
-        if value:
-            kernel_peak = max(kernel_peak, math.log10(abs(value)) + log_g)
-    return envelope_peak - kernel_peak
-
-
-def _fixed_point_error_digits(m, coeffs, n=2000):
-    """log10 of the integral of (1 - q)/(L (1 + q)^m) (m + sum (k-1)
-    |c_k| q^(k-2)) over (0, 1), L = ln(1/q), by the midpoint rule on q,
-    over the integral of the exp kernel itself, which is zeta(m)
-    (2^m - 1) (m-1)! / (2 pi)^(m-1)."""
-    weighted = [float((k - 1) * abs(coeffs[k])) for k in range(m - 1, 1, -1)]
-    total = 0.0
-    for i in range(n):
-        q = (i + 0.5) / n
-        p = 0.0
-        for a in weighted:
-            p = p * q + a
-        total += (1 - q) / (-math.log(q) * (1 + q) ** m) * (m + p)
-    log_kernel = (
-        math.log10(mp.zeta(m)) + math.log10(2**m - 1)
-        + math.lgamma(m) / math.log(10) - (m - 1) * math.log10(2 * math.pi)
-    )
-    return math.log10(total / n) - log_kernel
-
-
 def _guard(m):
-    cfg, _, _, _ = zeta_mod._degree_setup(m, DEFAULT_PRECISION)
+    cfg, *_ = zeta_mod._degree_setup(m, DEFAULT_PRECISION)
     return cfg.working_digits - DEFAULT_PRECISION.working_digits
 
 
-def _asech_error_digits(m, moments):
-    """log10 of the asech kernel's error envelope over its integral
-    zeta(m) D / pi^(m-1), with A_m = sum_i a_i x^i and I_n = moments[n]:
-    sum_i |a_i| I_(i+1), the integral of |u A_m(u^2)| / asech(u) that
-    every rounding of the kernel and of the sum scales with, plus the
-    fixed-point Horner error at x = u^2, at most
-    (k + 2 sum_i i |a_i| x^(i-1)) 2^-p for degree k, weighted by
-    u / asech(u) into k I_1 + 2 sum_i i |a_i| I_i."""
-    coeffs, denom = zeta_mod.asech_kernel_polynomial(m)
-    with mp.workdps(20):
-        envelope = sum(abs(a) * moments[i + 1] for i, a in enumerate(coeffs))
-        fixed = (len(coeffs) - 1) * moments[1] + 2 * sum(
-            i * abs(a) * moments[i] for i, a in enumerate(coeffs) if i
-        )
-        integral = mp.zeta(m) * denom / mp.pi ** (m - 1)
-        return float(mp.log10((envelope + fixed) / integral))
+def _reading_bound(route, u, fe, fa):
+    """(b, x, e_b, e_x) of a route's reading at a member with columns
+    u, Fe and Fa: base, point and their errors in units of 2^-P
+    (_degree_setup), the columns' own bounds (U, Fe, Fa one unit, G two,
+    X three) carried through the reading's truncated products."""
+    if route == "asech":
+        return fa, u * u, 1, 3
+    g = 1 / (1 + u)
+    e_b = fe * (6 * g * g + g + 1) + g**3 + 1
+    e_x = 4 * u * (4 * g + 1) + 4 * g * g + 1
+    return fe * g**3, 4 * u * g * g, e_b, e_x
+
+
+def _mix_bound(abs_coeffs, b, x, e_b, e_x):
+    """Units of 2^-P by which sum_i c_i p_i may miss sum_i c_i b x^i,
+    p_i = round(p_(i-1) x) from p_0 = b (_degree_setup):
+    sum_i |c_i| (x^i e_b + i b x^(i-1) e_x + min(i, 1/(1-x))/2)."""
+    bound = 0
+    power = 1  # x^(i-1) for i >= 1
+    cap = 1 / (1 - x) if x < 1 else math.inf
+    for i, c in enumerate(abs_coeffs):
+        if i:
+            bound += c * (power * x * e_b + i * b * power * e_x + min(i, cap) / 2)
+            power *= x
+        else:
+            bound += c * e_b
+    return bound
+
+
+def _member_bound(route, coeffs, member):
+    """_mix_bound at a textbook member (u, 1 - u, w, ln(1/u), asech(u))
+    for the route's kernel coefficients ``coeffs``."""
+    u, d, w, log_recip, asech = member
+    reading = _reading_bound(route, u, w * d / log_recip, w * u / asech)
+    return _mix_bound([abs(c) for c in coeffs], *reading)
+
+
+# t_max < 8 for targets under 1000 (integral_In's bound on h times a level)
+_T_MAX = 8.0
+
+
+def _float_member(t):
+    """(u, Fe, Fa) at the tanh-sinh node t in floats, ln(1/u) and asech(u)
+    from q = exp(-pi sinh |t|) without cancellation; 0 weights once q
+    underflows."""
+    two_s = math.pi * math.sinh(abs(t))
+    q = math.exp(-two_s)
+    w = math.pi * math.cosh(t) * q / (1 + q) ** 2
+    if q == 0.0:
+        return (1.0 if t > 0 else 0.0), 0.0, 0.0
+    if t > 0:
+        u, gap, log_recip = 1 / (1 + q), q / (1 + q), math.log1p(q)
+        asech = 2 * math.asinh(math.sqrt(q / 2))  # acosh(1 + q)
+    else:
+        u, gap, log_recip = q / (1 + q), 1 / (1 + q), two_s + math.log1p(q)
+        asech = log_recip + math.log1p(math.sqrt((1 - u) * (1 + u)))
+    return u, w * gap / log_recip, w * u / asech
+
+
+def _power_sum_error_digits(route, m, n=400):
+    """log10 of the route's power-sum error over a level, counted in
+    units of 2^-P and held to the guard as if they were 2^-p
+    (_degree_setup), over its integral: the step h times _mix_bound summed over a
+    level's members is the integral over t in [-t_max, t_max] of the
+    member bound (midpoint rule, n points), and the integrals are
+    zeta(m) D / pi^(m-1) (asech) and zeta(m) (2^m - 1) (m-1)! E /
+    (2 pi)^(m-1) (exp, coefficients scaled by E)."""
+    cfg, exp_kernel, exp_denom, asech_kernel, denom = zeta_mod._degree_setup(m, DEFAULT_PRECISION)
+    coeffs = [abs(c) for c in (exp_kernel if route == "exp" else asech_kernel).coeffs]
+    step = 2 * _T_MAX / n
+    total = 0.0
+    for k in range(n):
+        u, fe, fa = _float_member(-_T_MAX + (k + 0.5) * step)
+        total += _mix_bound(coeffs, *_reading_bound(route, u, fe, fa))
+    log_zeta = math.log10(float(mp.zeta(m)))
+    if route == "exp":
+        log_integral = (log_zeta + math.log10(2**m - 1) + math.lgamma(m) / math.log(10)
+                        + math.log10(exp_denom) - (m - 1) * math.log10(2 * math.pi))
+    else:
+        log_integral = log_zeta + math.log10(denom) - (m - 1) * math.log10(math.pi)
+    return math.log10(total * step) - log_integral
 
 
 class TestReference:
@@ -202,21 +228,20 @@ class TestIntegralRoutes:
 
     @pytest.mark.parametrize("m", [3, 13, 41])
     def test_exp_kernel_one_exponential_form(self, m):
-        # the route's integer term, fed the columns of a node q with
-        # w = 1 (U = q, G = 1/(1+q), Fe = (1-q)/ln(1/q) at P bits), is the
-        # q-form kernel -(d/L) D_m(q)/(1+q)^m; it must equal the
-        # half-line weight-sum form it came from, K(u)/q at u = L, on
-        # both sides of q = 1/2 (u = ln 2).  The oracle runs with the old
-        # weight-cancellation guard on top of the route's precision, plus
-        # log10(1/q) digits: at large u its sum_l w_l = 0 cancels to
-        # O(q).  The tolerance is relative to Horner's rounding envelope
-        # sum |c_k| q^(k-1) times (d/L)/(1+q)^m, widened by the columns'
-        # and the integer Horner's truncation (_term_error_bound)
-        cfg, coeffs, _, _ = zeta_mod._degree_setup(m, DEFAULT_PRECISION)
+        # the route's member mix, fed the columns of a node q with w = 1
+        # (U = q, G = 1/(1+q), Fe = (1-q)/ln(1/q) at P bits) and divided
+        # by E, is the q-form kernel -(d/L) C_m(q)/(q (1+q)^m); it must
+        # equal the half-line weight-sum form it came from, K(u)/q at
+        # u = L, on both sides of q = 1/2 (u = ln 2).  The oracle runs
+        # with the old weight-cancellation guard on top of the route's
+        # precision, plus log10(1/q) digits: at large u its sum_l w_l = 0
+        # cancels to O(q).  The tolerance is relative to the oracle's
+        # rounding envelope sum |c_k| q^(k-1) times (d/L)/(1+q)^m, widened
+        # by the mix's own error (_member_bound)
+        cfg, kernel, denom, _, _ = zeta_mod._degree_setup(m, DEFAULT_PRECISION)
         eval_dps = cfg.eval_digits
         prec = _fixed_bits(eval_dps)
-        term = zeta_mod._exp_term(coeffs, prec)
-        abs_coeffs = [abs(x) for x in coeffs]
+        abs_coeffs = [abs(x) for x in zeta_mod.exp_kernel_polynomial(m)[:0:-1]]
         wv = solve_weights(m).weights
         old_guard = len(str(int(max(abs(w) for w in wv) * m))) + 2
         with mp.workdps(eval_dps + 20):
@@ -229,51 +254,42 @@ class TestIntegralRoutes:
             with mp.workdps(eval_dps + 20):
                 q, d = mp.exp(-u), -mp.expm1(-u)
                 member = (q, d, mp.mpf(1), u, mp.asech(q))
-                got = mp.ldexp(term(_exact_columns(member, prec)), -prec)
+                got = mp.ldexp(kernel.member(_exact_columns(member, prec), prec), -prec) / denom
                 envelope = d / u / (1 + q) ** m * mp.polyval(abs_coeffs, q)
-                truncation = mp.ldexp(_term_error_bound("exp", coeffs, member), -prec)
+                mix = mp.ldexp(_member_bound("exp", kernel.coeffs, member), -prec) / denom
             with mp.workdps(eval_dps + old_guard + int(u / mp.ln10)):
                 weights = tuple(mp.mpf(w.numerator) / w.denominator for w in wv)
                 want = _exp_kernel_two_exponentials(u, weights) / mp.exp(-u)
             with mp.workdps(eval_dps):
                 tol = mp.mpf(10) ** (5 - eval_dps)
-                assert abs(got - want) <= tol * envelope + truncation, u
+                assert abs(got - want) <= tol * envelope + mix, u
 
     @pytest.mark.parametrize("m", [3, 13, 41])
     def test_asech_term_matches_its_kernel(self, m):
-        # the route's integer term, fed the columns of a node u with
-        # w = 1 (X = u^2, Fa = u/asech(u) at P bits), is
-        # u A_m(u^2)/asech(u), within the columns' truncation and
-        # Horner's (_term_error_bound)
-        cfg, _, coeffs, _ = zeta_mod._degree_setup(m, DEFAULT_PRECISION)
+        # the route's member mix, fed the columns of a node u with w = 1
+        # (X = u^2, Fa = u/asech(u) at P bits), is u A_m(u^2)/asech(u),
+        # within the columns' truncation and the powers' rounding
+        # (_member_bound)
+        cfg, _, _, kernel, _ = zeta_mod._degree_setup(m, DEFAULT_PRECISION)
         prec = _fixed_bits(cfg.eval_digits)
-        term = zeta_mod._asech_term(coeffs, prec)
+        coeffs = zeta_mod.asech_kernel_polynomial(m)[0]
         for u in ("1e-30", "1e-3", "0.5", "0.9", "0.999", "0.999999"):
             with mp.workdps(cfg.eval_digits + 20):
                 u = mp.mpf(u)
                 member = (u, 1 - u, mp.mpf(1), -mp.log(u), mp.asech(u))
-                got = term(_exact_columns(member, prec))
-                want = mp.ldexp(u * mp.polyval(list(coeffs), u * u) / mp.asech(u), prec)
-                assert abs(got - want) <= _term_error_bound("asech", coeffs, member), u
+                got = kernel.member(_exact_columns(member, prec), prec)
+                want = mp.ldexp(u * mp.polyval(coeffs[::-1], u * u) / mp.asech(u), prec)
+                assert abs(got - want) <= _member_bound("asech", coeffs, member), u
 
-    def test_exp_guard_covers_fixed_point_horner(self):
-        # D_m's fixed-point error at q is at most
-        # (m + sum (k-1) |c_k| q^(k-2)) 2^-prec; integrated against the
-        # kernel's weight and divided by the integral itself it must stay
-        # below the guard, for every admitted degree
+    def test_exp_guard_covers_power_sums(self):
+        # the exp reading's power-sum error over a level (its powers'
+        # rounding, its base's and point's truncations, the columns'),
+        # over the integral itself, stays below the degree's guard for
+        # every admitted degree: 2.1 digits at m = 3 and 27.6 at m = 101
+        # against g(m) = 6 and 28, and 22.98 against 23 at m = 83.  The bound takes |s_i|, so it covers
+        # the alternation of the s_i too
         for m in range(3, 102, 2):
-            guard = _guard(m)
-            coeffs = zeta_mod.exp_kernel_polynomial(m)
-            assert guard >= _fixed_point_error_digits(m, coeffs), m
-
-    def test_exp_guard_covers_horner_cancellation(self):
-        # C_m has real roots in (0, 1), so the pointwise ratio
-        # sum |c_k| q^k / |C_m(q)| is unbounded; the guard must cover the
-        # envelope's rise over the kernel's own peak
-        for m in range(3, 62, 2):
-            guard = _guard(m)
-            coeffs = zeta_mod.exp_kernel_polynomial(m)
-            assert guard >= _envelope_condition_digits(m, coeffs), m
+            assert _guard(m) >= _power_sum_error_digits("exp", m), m
 
     @pytest.mark.parametrize("route", ["exp", "asech"])
     @pytest.mark.parametrize("digits, m", _PRECISION_GRID)
@@ -286,12 +302,11 @@ class TestIntegralRoutes:
             assert abs(got - want) <= mp.mpf(10) ** -digits * want
 
     def test_guard_covers_asech_kernel(self):
-        # the one guard per degree must cover the asech kernel's
-        # cancellation and fixed-point Horner error, with the moments
-        # taken from the second scheme
-        moments = {n: integral_In_crosscheck(n, dps=15)[0] for n in range(1, 52)}
+        # the one guard per degree must cover the asech reading's
+        # power-sum error over a level, over the integral itself, as for
+        # exp: 1.3 digits at m = 3 and 26.9 at m = 101
         for m in range(3, 102, 2):
-            assert _guard(m) >= _asech_error_digits(m, moments), m
+            assert _guard(m) >= _power_sum_error_digits("asech", m), m
 
     def test_asech_kernel_polynomial(self):
         # tau(2, 3) = 1/7; tau(2, 5) = -1/93 and tau(3, 5) = 1/31
@@ -383,6 +398,12 @@ class TestZetaReport:
         zeta_report(m, PrecisionConfig(target_digits=digits, working_digits=digits + 20))
         assert _ts_level_columns.cache_info().misses - before == 7
 
+    def test_routes_share_one_degree_setup(self):
+        # the guard and both kernels are built once per report
+        zeta_mod._degree_setup.cache_clear()
+        zeta_report(13, DEFAULT_PRECISION)
+        assert zeta_mod._degree_setup.cache_info().misses == 1
+
     def test_impossible_tolerance_fails_cleanly(self, monkeypatch):
         # one route 1e-20 off, far outside the default 10^-(target - 5)
         real = zeta_mod.zeta_via_exp_kernel
@@ -409,48 +430,33 @@ def _exact_columns(member, prec):
     )
 
 
-def _term_error_bound(route, coeffs, member):
-    """Units of 2^-P by which a route's integer term at a node member may
-    differ from w times its mpf kernel there: each column's bound (one
-    unit for U, Fe and Fa, two for G, three for X) times the term's slope
-    in it, one unit per Horner step, the power's relative error for G^m
-    (at most (4m + 2 log2 m) 2^-P, _degree_setup) and two for the last
-    shifts.  ``coeffs`` are the route's polynomial, highest first."""
-    u, d, w, log_recip, asech = member
-    k = len(coeffs)
-    value = mp.polyval([abs(c) for c in coeffs], u if route == "exp" else u * u)
-    slope = mp.polyval([abs(c) * (k - 1 - i) for i, c in enumerate(coeffs[:-1])] or [0],
-                       u if route == "exp" else u * u)
-    if route == "exp":
-        m = k + 1
-        fe, g_power = w * d / log_recip, (1 + u) ** -m
-        return g_power * (value * (1 + fe * (8 * m + 2)) + fe * (slope + k)) + 2
-    fa = w * u / asech
-    return value + fa * (3 * slope + k) + 2
-
-
-def _route_pair(route, m, cfg):
-    """The route's degree precision, its integer kernel and polynomial."""
-    cfg, exp_coeffs, asech_coeffs, _ = zeta_mod._degree_setup(m, cfg)
-    if route == "exp":
-        return cfg, partial(zeta_mod._exp_term, exp_coeffs), exp_coeffs
-    return cfg, partial(zeta_mod._asech_term, asech_coeffs), asech_coeffs
+def _route_kernel(route, m, cfg):
+    """The route's degree precision and its PowerSumKernel."""
+    cfg, exp_kernel, _, asech_kernel, _ = zeta_mod._degree_setup(m, cfg)
+    return cfg, exp_kernel if route == "exp" else asech_kernel
 
 
 class TestIntegerLevelSums:
-    """The routes sum their levels in integers (integrate_01_fixed); their
-    mpf kernels at the textbook nodes are the oracle, term by term."""
+    """The routes sum their levels in integers, from power sums shared by
+    every degree (integrate_01_fixed, PowerSumKernel); their mpf kernels
+    at the textbook nodes are the oracle, member by member."""
 
     @pytest.mark.parametrize("route", ["exp", "asech"])
     @pytest.mark.parametrize("digits, m", _PRECISION_GRID)
     def test_matches_mpf_path(self, route, digits, m):
         # at each member of levels 0 and 1 of the route's own node table,
-        # the integer term against w times the mpf kernel at the textbook
-        # node 20 digits higher, within _term_error_bound
-        cfg, kernel, coeffs = _route_pair(route, m, PrecisionConfig(digits, digits + 20))
+        # the member's base * point^i mix against w times the mpf kernel
+        # at the textbook node 20 digits higher, within _member_bound.
+        # The exp oracle is the Eulerian q-form -(d/L) C_m(q)/(q (1+q)^m),
+        # times E, so the peel into z is checked along with the reading
+        cfg, kernel = _route_kernel(route, m, PrecisionConfig(digits, digits + 20))
         prec = _fixed_bits(cfg.eval_digits)
-        term = kernel(prec)
         depth = _node_depth(cfg)
+        if route == "exp":
+            eulerian = zeta_mod.exp_kernel_polynomial(m)
+            poly, denom = eulerian[:0:-1], zeta_mod._sech_row(eulerian)[1]
+        else:
+            poly = zeta_mod.asech_kernel_polynomial(m)[0][::-1]
         for level in (0, 1):
             got = _ts_level_columns(cfg.eval_digits, depth, level)
             want = _textbook_nodes(cfg.eval_digits + 20, depth, level)
@@ -459,11 +465,12 @@ class TestIntegerLevelSums:
                 for pair, exact in zip(got, want):
                     for columns, (u, d, w, log_recip, asech) in zip(pair, exact):
                         if route == "exp":
-                            value = -w * d / log_recip * mp.polyval(list(coeffs), u) * (1 + u) ** -m
+                            value = -denom * w * d / log_recip * mp.polyval(poly, u) * (1 + u) ** -m
                         else:
-                            value = w * u / asech * mp.polyval(list(coeffs), u * u)
-                        bound = _term_error_bound(route, coeffs, (u, d, w, log_recip, asech))
-                        assert abs(term(columns) - mp.ldexp(value, prec)) <= bound, (level, u)
+                            value = w * u / asech * mp.polyval(poly, u * u)
+                        bound = _member_bound(route, kernel.coeffs, (u, d, w, log_recip, asech))
+                        got_member = kernel.member(columns, prec)
+                        assert abs(got_member - mp.ldexp(value, prec)) <= bound, (level, u)
 
     def test_node_memo_holds_the_integer_columns(self):
         # after zeta_report at three precisions the node memo is within
@@ -475,7 +482,7 @@ class TestIntegerLevelSums:
         info = _ts_level_columns.cache_info()
         assert info.currsize <= quadrature._NODE_TABLES_KEPT
         assert info.currsize == info.misses
-        cfg, _, _, _ = zeta_mod._degree_setup(13, configs[-1])
+        cfg, *_ = zeta_mod._degree_setup(13, configs[-1])
         one = 1 << _fixed_bits(cfg.eval_digits)
         for level in range(3):
             pairs = _ts_level_columns(cfg.eval_digits, _node_depth(cfg), level)
@@ -485,6 +492,102 @@ class TestIntegerLevelSums:
                 assert all(type(c) is int for c in minus + plus)
                 assert minus[0] + plus[0] == one
         assert _ts_level_columns.cache_info().misses == info.misses
+
+
+def _clear_route_state():
+    """Forget every node table with its power sums, and the degree setup."""
+    _ts_level_columns.cache_clear()
+    zeta_mod._degree_setup.cache_clear()
+
+
+class TestPowerSums:
+    """Each node table carries, per reading, S_i = sum over members of
+    base * point^i, grown to the largest degree asked for and shared by
+    every degree and both routes' calls."""
+
+    ROUTES = (zeta_via_exp_kernel, zeta_via_asech_kernel)
+
+    def test_sech_row_is_the_peeled_eulerian_row(self):
+        # C_3 = -2q = (1+q)^2 (-2 y); C_5 = 2q - 20q^2 + 2q^3 peels to
+        # r = (0, 2, -24), s = (2, -6); n_i = -E s_i
+        assert zeta_mod._sech_row(zeta_mod.exp_kernel_polynomial(3)) == ((2,), 1)
+        assert zeta_mod._sech_row(zeta_mod.exp_kernel_polynomial(5)) == ((-2, 6), 1)
+        # s_i = c_m a_i with c_101 = -1/2 (verify check 11 has every m)
+        coeffs, denom = zeta_mod._sech_row(zeta_mod.exp_kernel_polynomial(101))
+        assert denom == 2
+        assert coeffs == zeta_mod.asech_kernel_polynomial(101)[0]
+
+    @pytest.mark.parametrize("first, then", [(41, 13), (13, 41)])
+    def test_values_do_not_depend_on_history(self, first, then):
+        # 57 working digits put m = 13 and 41 on one eval precision, so
+        # the second degree reads sums the first one grew (41 past 13's
+        # degree 5, or 13 before 41 extends them); each route's value is
+        # bit for bit the cold one
+        cfg = PrecisionConfig(30, 57)
+        setups = [zeta_mod._degree_setup(m, cfg)[0] for m in (first, then)]
+        assert setups[0].eval_digits == setups[1].eval_digits
+        _clear_route_state()
+        cold = [route(then, cfg) for route in self.ROUTES]
+        _clear_route_state()
+        for route in self.ROUTES:
+            route(first, cfg)
+        table = _ts_level_columns(setups[0].eval_digits, _node_depth(setups[0]), 0)
+        assert {len(sums.sums) for sums in table.power_sums.values()} == {(first - 1) // 2}
+        assert [route(then, cfg) for route in self.ROUTES] == cold
+
+    def test_a_sweep_computes_each_power_once(self, monkeypatch):
+        # zeta_report for odd m 3..41 at 30 digits: every (table, reading)
+        # is read once, and each of its powers is formed once, however
+        # many degrees and routes read it
+        steps = {}
+        built = []
+        real_next, real_init = quadrature._next_powers, quadrature._PowerSums.__init__
+
+        def counting_next(powers, points, prec):
+            steps[id(points)] = steps.get(id(points), 0) + 1
+            return real_next(powers, points, prec)
+
+        def recording_init(self, table, reading, prec):
+            real_init(self, table, reading, prec)
+            built.append((table, reading, self))
+
+        monkeypatch.setattr(quadrature, "_next_powers", counting_next)
+        monkeypatch.setattr(quadrature._PowerSums, "__init__", recording_init)
+        _clear_route_state()
+        for m in range(3, 42, 2):
+            assert zeta_report(m, PrecisionConfig(30, 50)).passed
+        assert _ts_level_columns.cache_info().currsize == _ts_level_columns.cache_info().misses
+        assert len({(id(table), reading) for table, reading, _ in built}) == len(built)
+        assert all(table.power_sums[reading] is sums for table, reading, sums in built)
+        assert sum(steps.values()) == sum(len(sums.sums) - 1 for _, _, sums in built)
+        for _, _, sums in built:
+            assert steps.get(id(sums.points), 0) == len(sums.sums) - 1
+        # the highest degree read is 41's: (41 - 3) / 2
+        assert max(len(sums.sums) for _, _, sums in built) == 20
+
+    def test_sums_are_bounded_and_evicted_with_their_tables(self, monkeypatch):
+        live = weakref.WeakSet()
+        real_init = quadrature._PowerSums.__init__
+
+        def recording_init(self, *args):
+            real_init(self, *args)
+            live.add(self)
+
+        monkeypatch.setattr(quadrature._PowerSums, "__init__", recording_init)
+        _clear_route_state()
+        for digits in (15, 30, 100):
+            zeta_report(13, PrecisionConfig(digits, digits + 20))
+        gc.collect()
+        kept = _ts_level_columns.cache_info().currsize
+        assert 0 < len(live) <= len(self.ROUTES) * kept <= 2 * quadrature._NODE_TABLES_KEPT
+        # a sweep of precisions evicts tables; their sums go with them
+        for target in range(1, quadrature._NODE_TABLES_KEPT + 2):
+            zeta_via_asech_kernel(3, PrecisionConfig(target, target + 10))
+        gc.collect()
+        assert len(live) <= len(self.ROUTES) * _ts_level_columns.cache_info().currsize
+        _ts_level_columns.cache_clear()
+        gc.collect()
+        assert len(live) == 0
 
 
 class TestLinearForm:
