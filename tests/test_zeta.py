@@ -69,6 +69,46 @@ def _exp_kernel_two_exponentials(u, weights):
     return -(d / u) * total
 
 
+def _envelope_condition_digits(m, coeffs, n=500):
+    """log10 of max g(q) sum |c_k| q^k over max g(q) |C_m(q)| on q = i/n,
+    g(q) = (1 - q)/(u (1 + q)^m): how far Horner's rounding envelope
+    rises above the kernel itself.  Polynomial values are exact
+    integers, scaled by n^(m-1)."""
+    pows = [n**j for j in range(m)]
+    envelope_peak = kernel_peak = -math.inf
+    for i in range(1, n):
+        q = i / n
+        log_g = math.log10((1 - q) / (-math.log(q) * (1 + q) ** m))
+        value = envelope = 0
+        for k in range(m - 1, -1, -1):
+            value = value * i + coeffs[k] * pows[m - 1 - k]
+            envelope = envelope * i + abs(coeffs[k]) * pows[m - 1 - k]
+        envelope_peak = max(envelope_peak, math.log10(envelope) + log_g)
+        if value:
+            kernel_peak = max(kernel_peak, math.log10(abs(value)) + log_g)
+    return envelope_peak - kernel_peak
+
+
+def _fixed_point_error_digits(m, coeffs, n=2000):
+    """log10 of the integral of (1 - q)/(L (1 + q)^m) (m + sum (k-1)
+    |c_k| q^(k-2)) over (0, 1), L = ln(1/q), by the midpoint rule on q,
+    over the integral of the exp kernel itself, which is zeta(m)
+    (2^m - 1) (m-1)! / (2 pi)^(m-1)."""
+    weighted = [float((k - 1) * abs(coeffs[k])) for k in range(m - 1, 1, -1)]
+    total = 0.0
+    for i in range(n):
+        q = (i + 0.5) / n
+        p = 0.0
+        for a in weighted:
+            p = p * q + a
+        total += (1 - q) / (-math.log(q) * (1 + q) ** m) * (m + p)
+    log_kernel = (
+        math.log10(mp.zeta(m)) + math.log10(2**m - 1)
+        + math.lgamma(m) / math.log(10) - (m - 1) * math.log10(2 * math.pi)
+    )
+    return math.log10(total / n) - log_kernel
+
+
 def _guard(m):
     cfg, *_ = zeta_mod._degree_setup(m, DEFAULT_PRECISION)
     return cfg.working_digits - DEFAULT_PRECISION.working_digits
@@ -280,6 +320,28 @@ class TestIntegralRoutes:
                 got = kernel.member(_exact_columns(member, prec), prec)
                 want = mp.ldexp(u * mp.polyval(coeffs[::-1], u * u) / mp.asech(u), prec)
                 assert abs(got - want) <= _member_bound("asech", coeffs, member), u
+
+    def test_exp_guard_covers_fixed_point_horner(self):
+        # the exp guard g(m) = digits(sum |c_k|) - digits(|C_m(1)|) +
+        # digits(m) + 5 was derived for Horner's rule on D_m in q, and is
+        # kept (_degree_setup): D_m's fixed-point error at q is at most
+        # (m + sum (k-1) |c_k| q^(k-2)) 2^-prec; integrated against the
+        # kernel's weight and divided by the integral itself it must stay
+        # below the guard, for every admitted degree
+        for m in range(3, 102, 2):
+            guard = _guard(m)
+            coeffs = zeta_mod.exp_kernel_polynomial(m)
+            assert guard >= _fixed_point_error_digits(m, coeffs), m
+
+    def test_exp_guard_covers_horner_cancellation(self):
+        # C_m has real roots in (0, 1), so the pointwise ratio
+        # sum |c_k| q^k / |C_m(q)| is unbounded; the guard must cover the
+        # envelope's rise over the kernel's own peak, the cancellation
+        # any reading of the kernel from C_m's coefficients meets
+        for m in range(3, 62, 2):
+            guard = _guard(m)
+            coeffs = zeta_mod.exp_kernel_polynomial(m)
+            assert guard >= _envelope_condition_digits(m, coeffs), m
 
     def test_exp_guard_covers_power_sums(self):
         # the exp reading's power-sum error over a level (its powers'
