@@ -11,12 +11,12 @@ at u = 0 ((1-u)/ln(1/u)).  Integrals over (0, infinity) come here too,
 through q = e^-u: the exp-kernel route of :mod:`zetaodd.zeta` integrates
 in q, reading w (1-q)/ln(1/q) from the node table.
 
-It is not a general-purpose integrator: the tail rule assumes the
-transformed terms rise to a peak and then fall monotonically, which
-holds for the fixed-sign kernels this package feeds in but not for
-oscillatory ones.  A tail heavier than the truncation depth is the one
-failure the error estimate cannot see, because the truncated mass is
-the same at every level.
+It is not a general-purpose integrator.  Its kernels are fixed-sign, as
+every kernel this package feeds in is: the stopping rule extrapolates
+tanh-sinh's doubling of the correct digits per level, which an
+oscillatory kernel does not show.  Mass beyond the node depth is the one
+failure the error estimate cannot see, because the truncated mass is the
+same at every level.
 
 Stopping rule.  The error of level k is extrapolated from two level
 differences, relative to 1 + |T_k| so that the rule does not depend on
@@ -62,11 +62,13 @@ precision.
 Integer level sums.  Every production integral sums its levels in
 integers, where mpf overhead (a power, a division, conversions, the adds
 of the sum) would cost more than the polynomial itself; the level total
-and the outermost term become mpf once per level.  A kernel is one of
-two kinds.  A term kernel (the moments I_n, :func:`integral_In`) turns
-one member's columns into one integer term by integer products and right
-shifts, and each level's terms go through _tail_sum against the cutoff
-in the same units.  A :class:`PowerSumKernel` (the zeta routes) is a
+and the outermost term become mpf once per level.  A kernel has two
+methods: ``level(table, prec)``, its total over every member of one
+level's table and its term at the outermost pair, and
+``member(columns, prec)``, its term at one member, which serves the
+centre.  A :class:`TermKernel` (the moments I_n, :func:`integral_In`)
+turns one member's columns into one integer term by integer products and
+right shifts.  A :class:`PowerSumKernel` (the zeta routes) is a
 polynomial base * sum_i c_i point^i, with (base, point) read from the
 member's columns by its reading.  Its level total is sum_i c_i S_i,
 exact in integers, over the power sums S_i = sum over the level's
@@ -79,10 +81,8 @@ than one unit (a rounded power by half a unit), so a term errs by at
 most 2^-P times the kernel's count of truncations and column units, each
 scaled by how much the rest of the term can magnify it
 (:func:`zetaodd.zeta._degree_setup` bounds this for the routes,
-:func:`integral_In` for the moments).  The guard puts a unit at or below
-10^-(eval_digits + _TAIL_EPS_SHIFT + 1), so the tail cutoff is at least
-ten units, and 2^20 units make one unit in the last place of a term near
-1 at the working precision.
+:func:`integral_In` for the moments).  2^20 units make one unit in the
+last place of a term near 1 at the working precision.
 
 One precision, separate depth.  Arithmetic runs at
 PrecisionConfig.eval_digits: working_digits rounded up to a multiple of
@@ -90,23 +90,14 @@ PrecisionConfig.eval_digits: working_digits rounded up to a multiple of
 set apart from it: the outermost nodes reach 1 - u ~ 10^-(2 target + 7)
 (target floored at 8, see _node_depth), because the truncated mass of a
 1/sqrt(1 - u) singularity is the square root of the gap (about
-10^-(target + 3.5) there).  Deep nodes cost
-less, not more: a node's q needs only about P - log2(1/q)/2 bits of
-relative precision, since its columns shrink like sqrt(q).  The node
-table is keyed by (eval precision, depth, level) and holds at most
-_NODE_TABLES_KEPT levels at once, each with its power sums, which are
-evicted with it, so a session that sweeps precisions keeps bounded
-state.
-
-Tail rule.  A term kernel's level sums its terms outward from the centre
-and stops after _TAIL_RUN consecutive terms at or below
-10^-(eval_digits + 5) times the running scale, but only once some term
-has exceeded that cutoff: at level k >= 1 the first nodes sit near
-u = 1/2, where an integrand such as u^(2n-1) is negligible long before
-its mass near 1 - u ~ 1/n is reached.  The rule sets ``nodes_used``,
-which the ``integral`` command prints.  A power-sum kernel's level
-covers every member: its sums are shared by degrees whose tails would
-stop at different members.
+10^-(target + 3.5) there).  A level sums every node it holds: toward the
+outermost pair the terms of such a kernel fall no lower than that mass,
+far above a unit of 2^-P.  Deep nodes cost less, not more: a node's q
+needs only about P - log2(1/q)/2 bits of relative precision, since its
+columns shrink like sqrt(q).  The node table is keyed by (eval
+precision, depth, level) and holds at most _NODE_TABLES_KEPT levels at
+once, each with its power sums, which are evicted with it, so a session
+that sweeps precisions keeps bounded state.
 """
 
 from __future__ import annotations
@@ -114,7 +105,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 
 import mpmath as mp
 from mpmath.libmp import dps_to_prec, from_man_exp, ln2_fixed, mpf_exp, mpf_log, pi_fixed, to_fixed
@@ -125,21 +116,22 @@ __all__ = [
     "QuadratureResult",
     "NonConvergenceError",
     "PowerSumKernel",
+    "TermKernel",
     "integrate_01_fixed",
     "integral_In",
     "integral_In_crosscheck",
 ]
 
-_TAIL_EPS_SHIFT = 5   # tail cutoff sits 10^-5 below eval precision
-_TAIL_RUN = 3         # consecutive negligible terms before truncating
 _STOP_HEADROOM = 10   # the error estimate must clear the target by 10^-10
 _MAX_LEVELS = 12      # step-halving refinements before NonConvergenceError
 # node tables kept, each with its power sums; a zeta_report sweep of m <= 41
 # at 30 digits builds 13, at two eval precisions
 _NODE_TABLES_KEPT = 32
-# integer columns carry this many bits past the working precision: one
-# digit more than the tail cutoff sits below it, so the cutoff is >= 10 units
-_FIXED_GUARD_BITS = math.ceil((_TAIL_EPS_SHIFT + 1) * math.log2(10))
+# integer columns carry this many bits past the working precision: 2^20
+# units make one unit in the last place of a term near 1,
+# zeta._degree_setup holds its bound to g(m) as if counted in 2^-p, and
+# integral_In's bound is 2^14 units.  P, and so every output, depends on it
+_FIXED_GUARD_BITS = 20
 _COLUMN_GUARD_BITS = 32  # node arithmetic runs this far past the columns' bits
 _SERIES_MAX_TERMS = 32  # node logs by series once these end within about this many terms
 _LOG2_E = 1 / math.log(2)
@@ -185,7 +177,8 @@ class QuadratureResult:
     ``value`` from the module docstring's stopping rule plus the
     outermost summed term times the step, which covers the mass beyond
     the outermost node ("One precision, separate depth" in the module
-    docstring).  ``nodes_used`` counts integrand evaluations.
+    docstring).  ``nodes_used`` is 1 + 2 times the node pairs of every
+    level run: the centre and both members of each pair.
     """
 
     value: mp.mpf
@@ -531,26 +524,23 @@ class PowerSumKernel:
         )
 
 
-def _tail_sum(terms, eps):
-    """Sum a lazy sequence of terms ordered outward from the centre,
-    stopping once _TAIL_RUN consecutive terms are <= eps after some term
-    has exceeded eps.  Returns (sum, terms consumed, last term summed).
-    Terms and eps are all mpf or all integers."""
-    total = term = 0
-    peaked = False
-    quiet = 0
-    used = 0
-    for term in terms:
-        used += 1
-        total += term
-        if abs(term) > eps:
-            peaked = True
-            quiet = 0
-        elif peaked:
-            quiet += 1
-            if quiet >= _TAIL_RUN:
-                break
-    return total, used, term
+@dataclass(frozen=True)
+class TermKernel:
+    """A kernel given one member at a time: ``term(columns, prec)`` is w
+    times the integrand at one node member, an integer in units of
+    2^-prec, from that member's integer columns at prec fractional bits."""
+
+    term: Callable[[tuple, int], int]
+
+    def member(self, columns: tuple, prec: int) -> int:
+        """The kernel at one member."""
+        return self.term(columns, prec)
+
+    def level(self, table: _NodeLevel, prec: int) -> tuple[int, int]:
+        """The kernel summed over every member of ``table``, and over its
+        outermost pair alone."""
+        pairs = [self.term(lo, prec) + self.term(hi, prec) for lo, hi in table]
+        return sum(pairs), pairs[-1]
 
 
 def _error_estimate(sums, eval_dps: int) -> mp.mpf:
@@ -579,48 +569,33 @@ def integrate_01_fixed(kernel, cfg: PrecisionConfig = DEFAULT_PRECISION) -> Quad
     sums taken in integers ("Integer level sums" in the module
     docstring): halve the step until the stopping rule holds.
 
-    ``kernel`` is one of two kinds.  A term kernel is a callable:
-    ``kernel(prec)`` returns ``term(columns)``, w times the integrand at
-    one node member, as an integer in units of 2^-prec, from that
-    member's integer columns (u, 1/(1+u), w (1-u)/ln(1/u), u^2,
-    w u/asech(u)) at prec fractional bits; its levels are summed under
-    the tail rule.  A :class:`PowerSumKernel` is summed over every
-    member of a level from the table's power sums, and its
-    :meth:`~PowerSumKernel.member` serves the centre.  Runs at ``cfg.eval_digits`` with node depth
-    :func:`_node_depth` (cfg).
+    ``kernel`` works on node members' integer columns (u, 1/(1+u),
+    w (1-u)/ln(1/u), u^2, w u/asech(u)) at prec fractional bits, with
+    results in units of 2^-prec: ``kernel.level(table, prec)`` returns
+    its total over every member of one level's node table and its term
+    at the table's outermost pair, and ``kernel.member(columns, prec)``
+    its term at one member, which serves the centre.
+    :class:`TermKernel` and :class:`PowerSumKernel` are the two kinds.
+    Runs at ``cfg.eval_digits`` with node depth :func:`_node_depth`
+    (cfg).
     """
     eval_dps = cfg.eval_digits
     depth = _node_depth(cfg)
     prec = _fixed_bits(eval_dps)
-    if isinstance(kernel, PowerSumKernel):
-        term = partial(kernel.member, prec=prec)
-
-        def level_sum(table, cutoff):
-            total, outermost = kernel.level(table, prec)
-            return total, len(table), outermost
-    else:
-        term = kernel(prec)
-
-        def level_sum(table, cutoff):
-            return _tail_sum((term(lo) + term(hi) for lo, hi in table), cutoff)
-
     with mp.workdps(eval_dps):
         tol = mp.mpf(10) ** (-(cfg.target_digits + _STOP_HEADROOM))
-        base_eps = mp.mpf(10) ** (-(eval_dps + _TAIL_EPS_SHIFT))
         sums = []  # the last three level sums, oldest first
         err = mp.inf
         used = 0
         for level in range(_MAX_LEVELS):
-            scale = 1 + abs(sums[-1]) if sums else mp.mpf(1)
-            total, count, outermost = level_sum(
-                _ts_level_columns(eval_dps, depth, level),
-                to_fixed((base_eps * scale)._mpf_, prec),
-            )
-            used += 2 * count
+            table = _ts_level_columns(eval_dps, depth, level)
+            total, outermost = kernel.level(table, prec)
+            used += 2 * len(table)
             new = mp.ldexp(total, -prec)
             h = mp.mpf(1) / 2**level
             if level == 0:
-                sums.append(h * (mp.ldexp(term(_centre_columns(prec)), -prec) + new))
+                centre = kernel.member(_centre_columns(prec), prec)
+                sums.append(h * (mp.ldexp(centre, -prec) + new))
                 used += 1
                 continue
             current = sums[-1] / 2 + h * new
@@ -645,11 +620,15 @@ def integral_In(n: int, cfg: PrecisionConfig = DEFAULT_PRECISION) -> QuadratureR
     The integrand vanishes at u = 0 (for n >= 1) and blows up like
     (2 (1-u))^(-1/2) at u = 1, the exact singularity class the
     tanh-sinh integrator is tuned for.  It is the asech route's integral
-    with the polynomial x^(n-1), so the level sums are taken in integers
-    (:func:`integrate_01_fixed`) from the node table's columns X = u^2
-    and Fa = w u/asech(u): each term is Fa X^(n-1), the power by
-    :func:`_power_fixed`.  X is within three units of 2^-P and Fa within
-    one (:func:`_ts_level_columns`); the power magnifies X's error by at
+    with the polynomial x^(n-1), summed in integers by
+    :func:`integrate_01_fixed` as a :class:`TermKernel` on the node
+    table's columns X = u^2 and Fa = w u/asech(u): each term is
+    Fa X^(n-1), the power by binary powering (:func:`_power_fixed`), at
+    most 2 log2(n) products where a :class:`PowerSumKernel` would form
+    all n - 1 powers.
+
+    X is within three units of 2^-P and Fa within one
+    (:func:`_ts_level_columns`); the power magnifies X's error by at
     most n - 1, so with the power's 2 log2(n) truncations and the
     product's one a term errs by at most 3n + 2 log2(n) + 2 units, and a
     level sum, h times its terms over t <= t_max (below 8 for targets
@@ -662,14 +641,11 @@ def integral_In(n: int, cfg: PrecisionConfig = DEFAULT_PRECISION) -> QuadratureR
     if n < 1:
         raise ValueError(f"moment index n must be >= 1, got {n}")
 
-    def kernel(prec):
-        def term(columns):
-            _, _, _, x, fa = columns
-            return fa * _power_fixed(x, n - 1, prec) >> prec
+    def term(columns, prec):
+        _, _, _, x, fa = columns
+        return fa * _power_fixed(x, n - 1, prec) >> prec
 
-        return term
-
-    return integrate_01_fixed(kernel, cfg)
+    return integrate_01_fixed(TermKernel(term), cfg)
 
 
 def integral_In_crosscheck(n: int, dps: int = 40) -> tuple[mp.mpf, mp.mpf]:

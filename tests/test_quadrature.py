@@ -1,10 +1,9 @@
 import math
 import signal
-from functools import partial
 
 import mpmath as mp
 import pytest
-from mpmath.libmp import pi_fixed, to_fixed
+from mpmath.libmp import pi_fixed
 
 import zetaodd.quadrature as quadrature
 import zetaodd.zeta as zeta_mod
@@ -13,9 +12,9 @@ from zetaodd.quadrature import (
     NonConvergenceError,
     PowerSumKernel,
     PrecisionConfig,
+    TermKernel,
     _COLUMN_GUARD_BITS,
     _NODE_TABLES_KEPT,
-    _TAIL_EPS_SHIFT,
     _acosh_ratio,
     _fixed_bits,
     _log1p_ratio,
@@ -25,7 +24,6 @@ from zetaodd.quadrature import (
     _pair_columns,
     _power_fixed,
     _series_ratios,
-    _tail_sum,
     _ts_level_columns,
     integral_In,
     integral_In_crosscheck,
@@ -62,14 +60,11 @@ def _close(a, b, eps):
 def _fe_power(k):
     """w (1-u) u^k / ln(1/u), integral ln((k+2)/(k+1))."""
 
-    def kernel(prec):
-        def term(columns):
-            u, _, fe, _, _ = columns
-            return fe * _power_fixed(u, k, prec) >> prec
+    def term(columns, prec):
+        u, _, fe, _, _ = columns
+        return fe * _power_fixed(u, k, prec) >> prec
 
-        return term
-
-    return kernel
+    return TermKernel(term)
 
 
 def _fe_inverse_sqrt(factor_g=False):
@@ -77,39 +72,25 @@ def _fe_inverse_sqrt(factor_g=False):
     whose u column truncates to 0 (u < 2^-P) give 0: their true term is
     about sqrt(u) < 2^(-P/2)."""
 
-    def kernel(prec):
-        def term(columns):
-            u, g, fe, _, _ = columns
-            if not u:
-                return 0
-            t = (fe << prec) // math.isqrt(u << prec)
-            return t * g >> prec if factor_g else t
+    def term(columns, prec):
+        u, g, fe, _, _ = columns
+        if not u:
+            return 0
+        t = (fe << prec) // math.isqrt(u << prec)
+        return t * g >> prec if factor_g else t
 
-        return term
-
-    return kernel
+    return TermKernel(term)
 
 
 def _fa_kernel(scale=1):
     """scale * w u/asech(u), integral scale * I_1."""
-
-    def kernel(prec):
-        def term(columns):
-            return scale * columns[4]
-
-        return term
-
-    return kernel
+    return TermKernel(lambda columns, prec: scale * columns[4])
 
 
-def _fa_x_kernel(prec):
+def _fa_x(columns, prec):
     """w u^3/asech(u), integral I_2."""
-
-    def term(columns):
-        _, _, _, x, fa = columns
-        return fa * x >> prec
-
-    return term
+    _, _, _, x, fa = columns
+    return fa * x >> prec
 
 
 def _moment_sum(n):
@@ -179,11 +160,11 @@ class TestUnitInterval:
         monkeypatch.setattr(quadrature, "_MAX_LEVELS", 4)
         small = PrecisionConfig(target_digits=15, working_digits=30)
 
-        def kernel(prec):
-            return lambda columns: (columns[2] << prec) // max((1 << prec) - columns[0], 1)
+        def term(columns, prec):
+            return (columns[2] << prec) // max((1 << prec) - columns[0], 1)
 
         with pytest.raises(NonConvergenceError) as exc:
-            integrate_01_fixed(kernel, small)
+            integrate_01_fixed(TermKernel(term), small)
         assert exc.value.best_value is not None
 
     def test_error_estimate_is_honest(self):
@@ -194,39 +175,25 @@ class TestUnitInterval:
 def _levels_until_two_agree(kernel, cfg):
     """The stopping rule the extrapolated estimate replaced, as an
     oracle: the integrator's level sums from the same node table and
-    kernel, a term kernel under the tail rule and a PowerSumKernel member
-    by member over the whole level, with no power sum shared, returned
-    at the first level k >= 1 with |T_k - T_(k-1)| <= 10^-target
-    (1 + |T_k|).  Returns the level count and the level sums."""
+    kernel, taken member by member with ``kernel.member`` over the whole
+    level, with no power sum shared, returned at the first level k >= 1
+    with |T_k - T_(k-1)| <= 10^-target (1 + |T_k|).  Returns the level
+    count and the level sums."""
     eval_dps = cfg.eval_digits
     depth = _node_depth(cfg)
     prec = _fixed_bits(eval_dps)
-    if isinstance(kernel, PowerSumKernel):
-        term = partial(kernel.member, prec=prec)
-
-        def level_sum(pairs, eps):
-            return sum(term(lo) + term(hi) for lo, hi in pairs)
-    else:
-        term = kernel(prec)
-
-        def level_sum(pairs, eps):
-            return _tail_sum(((term(lo) + term(hi)) for lo, hi in pairs), eps)[0]
-
     wp = prec + _COLUMN_GUARD_BITS
     centre, _ = _pair_columns(0, pi_fixed(wp), wp, prec)
     with mp.workdps(eval_dps):
         tol = mp.mpf(10) ** (-cfg.target_digits)
-        eps = mp.mpf(10) ** (-(eval_dps + _TAIL_EPS_SHIFT))
         sums = []
         for level in range(quadrature._MAX_LEVELS):
-            scale = 1 + abs(sums[-1]) if sums else mp.mpf(1)
-            new = level_sum(
-                _ts_level_columns(eval_dps, depth, level), to_fixed((eps * scale)._mpf_, prec)
-            )
+            pairs = _ts_level_columns(eval_dps, depth, level)
+            new = sum(kernel.member(lo, prec) + kernel.member(hi, prec) for lo, hi in pairs)
             new = mp.ldexp(new, -prec)
             h = mp.mpf(1) / 2**level
             if level == 0:
-                sums.append(h * (mp.ldexp(term(centre), -prec) + new))
+                sums.append(h * (mp.ldexp(kernel.member(centre, prec), -prec) + new))
                 continue
             sums.append(sums[-1] / 2 + h * new)
             if abs(sums[-1] - sums[-2]) <= tol * (1 + abs(sums[-1])):
@@ -271,7 +238,7 @@ class TestStoppingRule:
         "kernel, exact",
         [
             (_fa_kernel(), lambda: 7 * mp.zeta(3) / mp.pi**2),
-            (_fa_x_kernel, lambda: _moment_sum(2)),
+            (TermKernel(_fa_x), lambda: _moment_sum(2)),
             (_fe_power(0), lambda: mp.ln2),
         ],
         ids=["inv-sqrt", "cube-inv-sqrt", "neg-log"],
@@ -333,14 +300,11 @@ class TestHalfLine:
 
     def test_sech(self):
         # h = (1 - e^-x) sech(x) / x, with sech x = 2q/(1+q^2)
-        def kernel(prec):
-            def term(columns):
-                u, _, fe, _, _ = columns
-                return fe * ((2 << 2 * prec) // ((1 << prec) + (u * u >> prec))) >> prec
+        def term(columns, prec):
+            u, _, fe, _, _ = columns
+            return fe * ((2 << 2 * prec) // ((1 << prec) + (u * u >> prec))) >> prec
 
-            return term
-
-        res = integrate_01_fixed(kernel, QUICK)
+        res = integrate_01_fixed(TermKernel(term), QUICK)
         want = _half_line(lambda x: -mp.expm1(-x) * mp.sech(x) / x)
         assert _close(res.value, want, "1e-19")
 
@@ -362,11 +326,11 @@ class TestHalfLine:
         monkeypatch.setattr(quadrature, "_MAX_LEVELS", 4)
         small = PrecisionConfig(target_digits=15, working_digits=30)
 
-        def kernel(prec):
-            return lambda columns: (columns[2] << 2 * prec) // max(columns[0] ** 2, 1)
+        def term(columns, prec):
+            return (columns[2] << 2 * prec) // max(columns[0] ** 2, 1)
 
         with pytest.raises(NonConvergenceError):
-            integrate_01_fixed(kernel, small)
+            integrate_01_fixed(TermKernel(term), small)
 
 
 _RATIO_PREC = 200  # bits: the integer forms below at about 60 digits
@@ -589,12 +553,45 @@ class TestMomentIntegrals:
         with mp.workdps(cfg.eval_digits):
             assert residual / integral_In(n, cfg).value <= mp.mpf(10) ** -digits
 
+    @pytest.mark.parametrize("digits, n", _MOMENT_GRID)
+    def test_every_level_sums_all_its_nodes(self, digits, n):
+        # the node count the integral command prints: the centre and both
+        # members of every pair on each level run, none skipped
+        cfg = PrecisionConfig(digits, digits + 20)
+        res = integral_In(n, cfg)
+        pairs = sum(
+            len(_ts_level_columns(cfg.eval_digits, _node_depth(cfg), level))
+            for level in range(res.levels)
+        )
+        assert res.nodes_used == 1 + 2 * pairs
+
+    @pytest.mark.parametrize(
+        "digits, n",
+        [
+            pytest.param(d, n, marks=pytest.mark.slow) if d == 300 else (d, n)
+            for d in (15, 100, 300)
+            for n in (1, 2, 50, 400)
+        ],
+    )
+    def test_term_and_power_sum_kernels_agree(self, digits, n):
+        # the moment's term Fa X^(n-1) and the power-sum kernel reading
+        # (Fa, X) with the coefficients of x^(n-1) are one integrand
+        # under one kernel contract: same levels and nodes, values within
+        # the eval precision
+        cfg = PrecisionConfig(digits, digits + 20)
+        coeffs = (0,) * (n - 1) + (1,)
+        by_term = integral_In(n, cfg)
+        by_sums = integrate_01_fixed(PowerSumKernel(zeta_mod._asech_reading, coeffs), cfg)
+        assert (by_sums.levels, by_sums.nodes_used) == (by_term.levels, by_term.nodes_used)
+        with mp.workdps(cfg.eval_digits):
+            tolerance = mp.mpf(10) ** -cfg.eval_digits * by_term.value
+            assert abs(by_sums.value - by_term.value) <= tolerance
+
     @pytest.mark.parametrize("digits", [15, 30, 100])
     @pytest.mark.parametrize("n", [140, 180, 400])
     def test_large_n(self, n, digits):
-        # at level k >= 1 the first nodes sit near u = 1/2, where
-        # u^(2n-1) is negligible; the tail rule must reach the mass near
-        # 1 - u ~ 1/n.  Second scheme to the target; the Laplace leading
+        # the mass lies near 1 - u ~ 1/n, where u^(2n-1) stops being
+        # negligible.  Second scheme to the target; the Laplace leading
         # term sqrt(pi/(4n-2)) lies just above I_n.
         cfg = PrecisionConfig(digits, digits + 20)
         got = integral_In(n, cfg).value
@@ -820,14 +817,11 @@ class TestNodeColumns:
         prec = _fixed_bits(cfg.eval_digits)
         seen = []
 
-        def kernel(bits):
-            def term(columns):
-                seen.append(columns)
-                return columns[4]
+        def term(columns, bits):
+            seen.append(columns)
+            return columns[4]
 
-            return term
-
-        integrate_01_fixed(kernel, cfg)
+        integrate_01_fixed(TermKernel(term), cfg)
         (centre,) = [c for c in seen if c[0] == 1 << prec - 1]
         with mp.workdps(cfg.eval_digits + 20):
             half = mp.mpf(1) / 2
@@ -875,22 +869,15 @@ class TestNodeColumns:
             _assert_columns_match_oracle(800, 2 * 780 + 7, level)
 
 
-class TestTailRule:
-    def test_truncates_only_after_the_peak(self):
-        eps = mp.mpf("1e-10")
-        rising = [mp.mpf(10) ** -k for k in range(40, 0, -1)]
-        falling = [mp.mpf(10) ** -k for k in range(1, 20)]
-        total, used, last = _tail_sum(iter(rising + falling), eps)
-        # every rising term is summed; the fall stops 3 terms below eps
-        assert used == len(rising) + 12
-        assert abs(total - sum(rising + falling[:12])) < mp.mpf("1e-45")
-        assert last == falling[11]
-
-    def test_never_peaking_sequence_is_summed_whole(self):
-        terms = [mp.mpf(10) ** -30] * 50
-        total, used, last = _tail_sum(iter(terms), mp.mpf("1e-10"))
-        assert used == 50
-        assert last == terms[-1]
+class TestTermKernel:
+    def test_level_sums_every_pair(self):
+        # terms that rise, fall to nothing for a run and rise again: the
+        # level sums every pair and reports the outermost pair's term
+        values = [1, 10**6, 10**3, 0, 0, 0, 0, 7]
+        table = tuple(((v,), (2 * v,)) for v in values)
+        kernel = TermKernel(lambda columns, prec: columns[0] << prec)
+        assert kernel.level(table, 4) == (3 * sum(values) << 4, 3 * 7 << 4)
+        assert kernel.member((5,), 4) == 5 << 4
 
 
 class TestHalfLineNodes:
