@@ -9,12 +9,7 @@ lie in 15..300, ``zeta --m``, ``weights --m`` and ``tau --m`` must be at
 most 101, ``scan --to`` at most 500, ``linform --n`` at most 50
 (degree 101), ``integral --n`` at most 400, ``bernoulli --n`` and
 ``--l`` at most 300, and ``bernoulli --max-n`` and ``--max-l`` at most
-101.  Cold, whole process, on a 2-vCPU Xeon VM: ``zeta --m 101
---digits 15`` takes 0.2 to 0.3 s; ``tau --m 101``, ``linform --n 50``
-and ``weights --m 101``, integer closed forms, 0.1 to 0.18 s; ``scan
---to 500`` 0.1 to 0.2 s; the 60 x 60 ``bernoulli`` grid 0.2 to 0.35 s, the
-101 x 101 grid 1 to 1.5 s and one ``B(300, 300)`` about 0.6 s.
-Results go to stdout, diagnostics to stderr.  JSON output, apart from
+101.  Results go to stdout, diagnostics to stderr.  JSON output, apart from
 ``verify``'s check times, is deterministic for a given invocation:
 fixed key order, rationals as exact ``num/den`` strings, decimals with
 exactly ``--digits`` significant digits.

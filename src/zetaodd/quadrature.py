@@ -42,19 +42,20 @@ sees and the node depth, not refinement, sets.
 Kernel contract.  Nodes come in pairs (u_minus, u_plus) with
 u_minus + u_plus = 1, both computed from 2s = pi sinh t and
 q = exp(-2s) without any 1 - x subtraction.  Each node member carries
-five integer columns in units of 2^-P, P = mp.prec + _FIXED_GUARD_BITS:
-u, 1/(1+u), Fe = w (1-u)/ln(1/u), u^2 and Fa = w u/asech(u), w the node
-weight, all in [0, 1].  The weight and the transcendentals ln(1/u) and
-asech(u) enter only through Fe and Fa, computed from q and 2s, so the
-deep nodes whose u_plus truncates to exactly 1 still carry their
-nonzero weighted columns.  The u column is absolute: below 2^-P it
-truncates to 0, so a kernel factor singular at u = 0, such as
-u^(-1/2), is only as accurate as those members' weighted columns are
-small.  The columns u, Fe and Fa are within one unit of 2^-P of their
-exact values, 1/(1+u) within two and u^2 within three
-(:func:`_ts_level_columns` derives the bound); the tests check them
-against textbook formulas in s = (pi/2) sinh t, 20 digits higher.  The
-centre node u = 1/2 (t = 0) is outside the table but comes from the
+three integer columns (u, Fe, Fa) in units of 2^-P,
+P = mp.prec + _FIXED_GUARD_BITS: u, Fe = w (1-u)/ln(1/u) and
+Fa = w u/asech(u), w the node weight, all in [0, 1].  They are what only
+the node generator can make; a kernel forms any plain integer function
+of u, such as 1/(1+u) or u^2, itself.  The weight and the
+transcendentals ln(1/u) and asech(u) enter only through Fe and Fa,
+computed from q and 2s, so the deep nodes whose u_plus truncates to
+exactly 1 still carry their nonzero weighted columns.  The u column is
+absolute: below 2^-P it truncates to 0, so a kernel factor singular at
+u = 0, such as u^(-1/2), is only as accurate as those members' weighted
+columns are small.  Each column is within one unit of 2^-P of its exact
+value (:func:`_ts_level_columns` derives the bound); the tests check
+them against textbook formulas in s = (pi/2) sinh t, 20 digits higher.
+The centre node u = 1/2 (t = 0) is outside the table but comes from the
 same generator, :func:`_pair_columns` at 2s = 0, where the pair's two
 members coincide, so it meets the same bounds; it is built once per
 precision.
@@ -64,13 +65,13 @@ integers, where mpf overhead (a power, a division, conversions, the adds
 of the sum) would cost more than the polynomial itself; the level total
 and the outermost term become mpf once per level.  A kernel has two
 methods: ``level(table, prec)``, its total over every member of one
-level's table and its term at the outermost pair, and
-``member(columns, prec)``, its term at one member, which serves the
-centre.  A :class:`TermKernel` (the moments I_n, :func:`integral_In`)
-turns one member's columns into one integer term by integer products and
-right shifts.  A :class:`PowerSumKernel` (the zeta routes) is a
-polynomial base * sum_i c_i point^i, with (base, point) read from the
-member's columns by its reading.  Its level total is sum_i c_i S_i,
+level's table, and ``member(columns, prec)``, its term at one member,
+which serves the centre and the outermost pair.  A :class:`TermKernel`
+(the moments I_n, :func:`integral_In`) turns one member's columns into
+one integer term by integer products and right shifts.  A
+:class:`PowerSumKernel` (the zeta routes) is a polynomial
+base * sum_i c_i point^i, with (base, point) read from the member's
+columns by its reading.  Its level total is sum_i c_i S_i,
 exact in integers, over the power sums S_i = sum over the level's
 members of base * point^i, each power the one before times the point,
 rounded.  The sums sit on the node table, one list per reading, and grow
@@ -226,13 +227,6 @@ def _fixed_bits(eval_dps: int) -> int:
     return dps_to_prec(eval_dps) + _FIXED_GUARD_BITS
 
 
-def _member_columns(fixed_u: int, fe: int, fa: int, prec: int) -> tuple[int, ...]:
-    """One node member's five integer columns from its u, Fe and Fa
-    columns: 1/(1+u) >= 1/2 and u^2 come from the integer u."""
-    one = 1 << prec
-    return fixed_u, (one << prec) // (one + fixed_u), fe, fixed_u * fixed_u >> prec, fa
-
-
 def _power_fixed(x: int, n: int, prec: int) -> int:
     """x^n for n >= 0, x and the result integers in units of 2^-prec, by
     binary powering: each of its at most 2 log2(n) products is truncated
@@ -362,17 +356,15 @@ def _pair_columns(two_s: int, cosh_pi: int, wp: int, prec: int) -> tuple:
     log_minus = two_s + (q * log_ratio >> node_prec)
     shift = node_prec - prec
     u_minus = q * u_plus >> node_prec + shift
-    minus = _member_columns(
+    minus = (
         u_minus,
         (w_plus << node_prec) // log_minus >> shift,
         (w_minus << node_prec) // (two_s + rest) >> shift,
-        prec,
     )
-    plus = _member_columns(
+    plus = (
         (1 << prec) - u_minus,
         (w_plus << node_prec) // log_ratio >> shift,
         b * math.isqrt(q << node_prec - 1) // acosh_ratio >> shift,
-        prec,
     )
     return minus, plus
 
@@ -391,8 +383,8 @@ class _NodeLevel(tuple):
 @lru_cache(maxsize=_NODE_TABLES_KEPT)
 def _ts_level_columns(eval_dps: int, depth: int, level: int) -> _NodeLevel:
     """The node table: the tanh-sinh nodes new at this level, as pairs
-    (minus, plus) of five integer columns each at P = :func:`_fixed_bits`
-    (eval_dps) fractional bits (:func:`_member_columns`), computed in
+    (minus, plus) of three integer columns (u, Fe, Fa) each at
+    P = :func:`_fixed_bits`(eval_dps) fractional bits, computed in
     integers with no mpf kept.
 
     With 2s = pi sinh t and q = exp(-2s): u_plus = 1/(1+q),
@@ -427,10 +419,9 @@ def _ts_level_columns(eval_dps: int, depth: int, level: int) -> _NodeLevel:
     the node precision per series term and six per log, the arithmetic
     errs by less than 2^-16 units before the last truncation to P bits.
     Hence u_minus, Fe and Fa are within one unit (and 2^-16) of their
-    exact values, and u_plus too (it lies above, u_minus below); 1/(1+u)
-    is within two and u^2 within three, from the integer u.  The tests
-    compare every column with textbook formulas in s = (pi/2) sinh t, 20
-    digits higher.
+    exact values, and u_plus too (it lies above, u_minus below).  The
+    tests compare every column with textbook formulas in
+    s = (pi/2) sinh t, 20 digits higher.
     """
     prec = _fixed_bits(eval_dps)
     indices = _level_indices(eval_dps, depth, level)
@@ -475,23 +466,19 @@ class _PowerSums:
     """S_i = sum over a level's members of base * point^i, with
     (base, point) = reading(columns, prec) per member, grown on demand:
     ``powers`` holds each member's highest power so far, so a larger
-    degree extends the list and reuses every power already built.
-    ``outer`` holds the same powers of the outermost pair alone, for the
-    integrator's outermost term."""
+    degree extends the list and reuses every power already built."""
 
     def __init__(self, table: _NodeLevel, reading, prec: int):
         read = [reading(columns, prec) for pair in table for columns in pair]
         self.points = [point for _, point in read]
         self.powers = [base for base, _ in read]
         self.sums = [sum(self.powers)]
-        self.outer = [self.powers[-2] + self.powers[-1]]
 
-    def up_to(self, degree: int, prec: int) -> tuple[list[int], list[int]]:
+    def up_to(self, degree: int, prec: int) -> list[int]:
         while len(self.sums) <= degree:
             self.powers = _next_powers(self.powers, self.points, prec)
             self.sums.append(sum(self.powers))
-            self.outer.append(self.powers[-2] + self.powers[-1])
-        return self.sums, self.outer
+        return self.sums
 
 
 @dataclass(frozen=True)
@@ -501,7 +488,9 @@ class PowerSumKernel:
     member's integer columns, both in units of 2^-prec and point <= 1 up
     to a few units.  :func:`integrate_01_fixed` takes a level's total as
     sum_i coeffs[i] S_i over that table's power sums (:class:`_PowerSums`,
-    shared by every kernel with the same reading), exact in integers."""
+    shared by every kernel with the same reading), exact in integers.
+    :meth:`member` rounds each power as the sums do, so its terms over
+    the members of a table add up to :meth:`level` exactly."""
 
     reading: Callable[[tuple, int], tuple[int, int]]
     coeffs: tuple[int, ...]
@@ -512,16 +501,12 @@ class PowerSumKernel:
         powers = _member_powers(base, point, len(self.coeffs) - 1, prec)
         return sum(c * p for c, p in zip(self.coeffs, powers))
 
-    def level(self, table: _NodeLevel, prec: int) -> tuple[int, int]:
-        """The kernel summed over every member of ``table``, and over its
-        outermost pair alone."""
+    def level(self, table: _NodeLevel, prec: int) -> int:
+        """The kernel summed over every member of ``table``."""
         sums = table.power_sums.get(self.reading)
         if sums is None:
             sums = table.power_sums[self.reading] = _PowerSums(table, self.reading, prec)
-        return tuple(
-            sum(c * s for c, s in zip(self.coeffs, column))
-            for column in sums.up_to(len(self.coeffs) - 1, prec)
-        )
+        return sum(c * s for c, s in zip(self.coeffs, sums.up_to(len(self.coeffs) - 1, prec)))
 
 
 @dataclass(frozen=True)
@@ -536,11 +521,9 @@ class TermKernel:
         """The kernel at one member."""
         return self.term(columns, prec)
 
-    def level(self, table: _NodeLevel, prec: int) -> tuple[int, int]:
-        """The kernel summed over every member of ``table``, and over its
-        outermost pair alone."""
-        pairs = [self.term(lo, prec) + self.term(hi, prec) for lo, hi in table]
-        return sum(pairs), pairs[-1]
+    def level(self, table: _NodeLevel, prec: int) -> int:
+        """The kernel summed over every member of ``table``."""
+        return sum(self.term(columns, prec) for pair in table for columns in pair)
 
 
 def _error_estimate(sums, eval_dps: int) -> mp.mpf:
@@ -569,12 +552,12 @@ def integrate_01_fixed(kernel, cfg: PrecisionConfig = DEFAULT_PRECISION) -> Quad
     sums taken in integers ("Integer level sums" in the module
     docstring): halve the step until the stopping rule holds.
 
-    ``kernel`` works on node members' integer columns (u, 1/(1+u),
-    w (1-u)/ln(1/u), u^2, w u/asech(u)) at prec fractional bits, with
-    results in units of 2^-prec: ``kernel.level(table, prec)`` returns
-    its total over every member of one level's node table and its term
-    at the table's outermost pair, and ``kernel.member(columns, prec)``
-    its term at one member, which serves the centre.
+    ``kernel`` works on node members' integer columns (u,
+    w (1-u)/ln(1/u), w u/asech(u)) at prec fractional bits, with results
+    in units of 2^-prec: ``kernel.level(table, prec)`` returns its total
+    over every member of one level's node table, and
+    ``kernel.member(columns, prec)`` its term at one member, which serves
+    the centre and the table's outermost pair.
     :class:`TermKernel` and :class:`PowerSumKernel` are the two kinds.
     Runs at ``cfg.eval_digits`` with node depth :func:`_node_depth`
     (cfg).
@@ -589,9 +572,8 @@ def integrate_01_fixed(kernel, cfg: PrecisionConfig = DEFAULT_PRECISION) -> Quad
         used = 0
         for level in range(_MAX_LEVELS):
             table = _ts_level_columns(eval_dps, depth, level)
-            total, outermost = kernel.level(table, prec)
             used += 2 * len(table)
-            new = mp.ldexp(total, -prec)
+            new = mp.ldexp(kernel.level(table, prec), -prec)
             h = mp.mpf(1) / 2**level
             if level == 0:
                 centre = kernel.member(_centre_columns(prec), prec)
@@ -601,6 +583,7 @@ def integrate_01_fixed(kernel, cfg: PrecisionConfig = DEFAULT_PRECISION) -> Quad
             current = sums[-1] / 2 + h * new
             sums = sums[-2:] + [current]
             relative = _error_estimate(sums, eval_dps)
+            outermost = sum(kernel.member(columns, prec) for columns in table[-1])
             err = relative * (1 + abs(current)) + h * abs(mp.ldexp(outermost, -prec))
             if relative <= tol:
                 return QuadratureResult(current, err, used, level + 1)
@@ -622,14 +605,14 @@ def integral_In(n: int, cfg: PrecisionConfig = DEFAULT_PRECISION) -> QuadratureR
     tanh-sinh integrator is tuned for.  It is the asech route's integral
     with the polynomial x^(n-1), summed in integers by
     :func:`integrate_01_fixed` as a :class:`TermKernel` on the node
-    table's columns X = u^2 and Fa = w u/asech(u): each term is
-    Fa X^(n-1), the power by binary powering (:func:`_power_fixed`), at
-    most 2 log2(n) products where a :class:`PowerSumKernel` would form
-    all n - 1 powers.
+    table's columns u and Fa = w u/asech(u): each term is Fa X^(n-1) with
+    X = u^2 formed from the integer u, the power by binary powering
+    (:func:`_power_fixed`), at most 2 log2(n) products where a
+    :class:`PowerSumKernel` would form all n - 1 powers.
 
-    X is within three units of 2^-P and Fa within one
-    (:func:`_ts_level_columns`); the power magnifies X's error by at
-    most n - 1, so with the power's 2 log2(n) truncations and the
+    u and Fa are within one unit of 2^-P (:func:`_ts_level_columns`), so
+    X = u^2, truncated once, within three; the power magnifies X's error
+    by at most n - 1, so with the power's 2 log2(n) truncations and the
     product's one a term errs by at most 3n + 2 log2(n) + 2 units, and a
     level sum, h times its terms over t <= t_max (below 8 for targets
     under 1000), by at most eight times that: under 2^14 units for
@@ -642,8 +625,8 @@ def integral_In(n: int, cfg: PrecisionConfig = DEFAULT_PRECISION) -> QuadratureR
         raise ValueError(f"moment index n must be >= 1, got {n}")
 
     def term(columns, prec):
-        _, _, _, x, fa = columns
-        return fa * _power_fixed(x, n - 1, prec) >> prec
+        u, _, fa = columns
+        return fa * _power_fixed(u * u >> prec, n - 1, prec) >> prec
 
     return integrate_01_fixed(TermKernel(term), cfg)
 

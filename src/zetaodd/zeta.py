@@ -192,16 +192,21 @@ def _sech_row(c: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
 
 def _exp_reading(columns, prec: int) -> tuple[int, int]:
     """The exp route's (base, point) at one member read as q = u:
-    (Fe G^3, z = 4 U G^2) from the columns U = q, G = 1/(1+q) and
-    Fe = w (1-q)/ln(1/q), with G^2 formed once for both."""
-    u, g, fe, _, _ = columns
+    (Fe G^3, z = 4 U G^2) from the columns U = q and
+    Fe = w (1-q)/ln(1/q), with G = 1/(1+q) >= 1/2 from the integer U and
+    G^2 formed once for both."""
+    u, fe, _ = columns
+    one = 1 << prec
+    g = (one << prec) // (one + u)
     g2 = g * g >> prec
     return fe * (g2 * g >> prec) >> prec, u * g2 >> prec - 2
 
 
 def _asech_reading(columns, prec: int) -> tuple[int, int]:
-    """The asech route's (base, point): the columns (Fa, X = u^2)."""
-    return columns[4], columns[3]
+    """The asech route's (base, point): the column Fa and X = u^2 from
+    the integer u."""
+    u, _, fa = columns
+    return fa, u * u >> prec
 
 
 @lru_cache(maxsize=1)
@@ -234,10 +239,12 @@ def _degree_setup(
     (error e_b) and point x <= 1 (error e_x), the i-th power errs by at
     most x^i e_b + i b x^(i-1) e_x + min(i, 1/(1 - x))/2 units, and the
     mix by sum_i |c_i| times that.  The readings' errors follow from the
-    columns' (U, Fe, Fa within one unit, G two, X three): asech reads
-    b = Fa and x = X, so e_b = 1 and e_x = 3; exp forms G^2 (at most
-    4G + 1 units), G^3 (6G^2 + G + 1), b = Fe G^3
-    (Fe (6G^2 + G + 1) + G^3 + 1) and z = 4 U G^2
+    columns' (U, Fe, Fa within one unit) and from what the readings form
+    of U, each truncated once: U's unit moves G = 1/(1+U) by at most
+    G^2 <= 1 unit and X = U^2 by at most 2U <= 2, so G is within two
+    units and X within three.  asech reads b = Fa and x = X, so e_b = 1
+    and e_x = 3; exp forms G^2 (at most 4G + 1 units), G^3
+    (6G^2 + G + 1), b = Fe G^3 (Fe (6G^2 + G + 1) + G^3 + 1) and z = 4 U G^2
     (4 U (4G + 1) + 4 G^2 + 1), each product truncated once.  A level
     sum is h times its members' errors, so the result errs by at most
     the integral of the member bound over t in [-t_max, t_max],

@@ -51,7 +51,7 @@ def _close(a, b, eps):
 
 # -- integer kernels with closed-form integrals ---------------------------
 #
-# A kernel sees one node member's columns (u, 1/(1+u), Fe, u^2, Fa), with
+# A kernel sees one node member's columns (u, Fe, Fa), with
 # Fe = w (1-u)/ln(1/u) and Fa = w u/asech(u).  Frullani's integral gives
 # the integral over (0, 1) of (u^(a-1) - u^(b-1))/ln(1/u) as ln(b/a), so
 # Fe u^k integrates to ln((k+2)/(k+1)); Fa u^(2n-2) integrates to I_n.
@@ -61,7 +61,7 @@ def _fe_power(k):
     """w (1-u) u^k / ln(1/u), integral ln((k+2)/(k+1))."""
 
     def term(columns, prec):
-        u, _, fe, _, _ = columns
+        u, fe, _ = columns
         return fe * _power_fixed(u, k, prec) >> prec
 
     return TermKernel(term)
@@ -73,24 +73,27 @@ def _fe_inverse_sqrt(factor_g=False):
     about sqrt(u) < 2^(-P/2)."""
 
     def term(columns, prec):
-        u, g, fe, _, _ = columns
+        u, fe, _ = columns
         if not u:
             return 0
         t = (fe << prec) // math.isqrt(u << prec)
-        return t * g >> prec if factor_g else t
+        if not factor_g:
+            return t
+        one = 1 << prec
+        return t * ((one << prec) // (one + u)) >> prec
 
     return TermKernel(term)
 
 
 def _fa_kernel(scale=1):
     """scale * w u/asech(u), integral scale * I_1."""
-    return TermKernel(lambda columns, prec: scale * columns[4])
+    return TermKernel(lambda columns, prec: scale * columns[2])
 
 
 def _fa_x(columns, prec):
     """w u^3/asech(u), integral I_2."""
-    _, _, _, x, fa = columns
-    return fa * x >> prec
+    u, _, fa = columns
+    return fa * (u * u >> prec) >> prec
 
 
 def _moment_sum(n):
@@ -161,7 +164,7 @@ class TestUnitInterval:
         small = PrecisionConfig(target_digits=15, working_digits=30)
 
         def term(columns, prec):
-            return (columns[2] << prec) // max((1 << prec) - columns[0], 1)
+            return (columns[1] << prec) // max((1 << prec) - columns[0], 1)
 
         with pytest.raises(NonConvergenceError) as exc:
             integrate_01_fixed(TermKernel(term), small)
@@ -301,7 +304,7 @@ class TestHalfLine:
     def test_sech(self):
         # h = (1 - e^-x) sech(x) / x, with sech x = 2q/(1+q^2)
         def term(columns, prec):
-            u, _, fe, _, _ = columns
+            u, fe, _ = columns
             return fe * ((2 << 2 * prec) // ((1 << prec) + (u * u >> prec))) >> prec
 
         res = integrate_01_fixed(TermKernel(term), QUICK)
@@ -327,7 +330,7 @@ class TestHalfLine:
         small = PrecisionConfig(target_digits=15, working_digits=30)
 
         def term(columns, prec):
-            return (columns[2] << 2 * prec) // max(columns[0] ** 2, 1)
+            return (columns[1] << 2 * prec) // max(columns[0] ** 2, 1)
 
         with pytest.raises(NonConvergenceError):
             integrate_01_fixed(TermKernel(term), small)
@@ -420,8 +423,8 @@ class TestAsech:
             assert minus[0] == 0 and plus[0] == 1 << prec
             w = mp.pi * mp.cosh(t) * q / (1 + q) ** 2
             want = w / (1 + q) / mp.acosh(1 + q)
-            assert plus[4] > 0
-            assert abs(plus[4] - mp.ldexp(want, prec)) <= 1
+            assert plus[2] > 0
+            assert abs(plus[2] - mp.ldexp(want, prec)) <= 1
 
 
 class TestNegLog:
@@ -623,7 +626,7 @@ class TestNodeTables:
         for level in (0, 1, 3):
             for minus, plus in _ts_level_columns(45, 87, level):
                 assert 0 <= minus[0] < one // 2 < plus[0] <= one
-                assert plus[4] > 0
+                assert plus[2] > 0
 
     def test_unit_interval_nodes_are_mirror_pairs(self):
         # each member's u column is the exact complement of the other's
@@ -649,7 +652,7 @@ class TestNodeTables:
         half = 1 << self.PREC - 1
         for minus, plus in _ts_level_columns(45, 87, 0):
             assert minus[0] < half < plus[0]
-            assert plus[2] > 0
+            assert plus[1] > 0
 
     def test_refinement_levels_are_disjoint(self):
         level0 = set(_ts_level_columns(45, 87, 0))
@@ -662,7 +665,8 @@ class TestNodeTables:
         # 1; their weighted columns still carry distinct nonzero
         # 1 - u, through Fa ~ w/sqrt(2 (1-u)), on the 6 levels I_1 takes
         cfg = PrecisionConfig(60, 70)
-        one = 1 << _fixed_bits(cfg.eval_digits)
+        prec = _fixed_bits(cfg.eval_digits)
+        one = 1 << prec
         deep = [
             plus
             for level in range(integral_In(1, cfg).levels)
@@ -670,8 +674,10 @@ class TestNodeTables:
             if minus[0] == 0
         ]
         assert len(deep) >= 10
-        assert all(plus[0] == plus[3] == one and plus[4] > 0 for plus in deep)
-        assert len({plus[4] for plus in deep}) == len(deep)
+        assert all(plus[0] == one and plus[2] > 0 for plus in deep)
+        # so X = u^2, which the asech reading forms, is exactly 1 there
+        assert all(zeta_mod._asech_reading(plus, prec)[1] == one for plus in deep)
+        assert len({plus[2] for plus in deep}) == len(deep)
 
     def test_node_state_is_bounded(self):
         # a session that sweeps precisions (hypothesis, zeta_sweep) must
@@ -719,13 +725,24 @@ def _textbook_nodes(dps: int, depth: int, level: int):
 
 
 def _textbook_columns(member, prec: int) -> tuple[int, ...]:
-    """A member's five columns from its exact values, each truncated to
-    prec fractional bits: u, 1/(1+u), w (1-u)/ln(1/u), u^2, w u/asech(u)."""
+    """A member's three columns from its exact values, each truncated to
+    prec fractional bits: u, w (1-u)/ln(1/u), w u/asech(u)."""
     u, d, w, log_recip, asech = member
-    return tuple(
-        int(mp.floor(mp.ldexp(x, prec)))
-        for x in (u, 1 / (1 + u), w * d / log_recip, u * u, w * u / asech)
-    )
+    return tuple(int(mp.floor(mp.ldexp(x, prec))) for x in (u, w * d / log_recip, w * u / asech))
+
+
+def _reading_bound(route, u, fe, fa):
+    """(b, x, e_b, e_x) of a route's reading at a member with columns
+    u, Fe and Fa: base, point and their errors in units of 2^-P
+    (zeta._degree_setup), from the columns' bounds (U, Fe, Fa one unit)
+    and those of what the reading forms from U (G = 1/(1+U) two units,
+    X = U^2 three), carried through the reading's truncated products."""
+    if route == "asech":
+        return fa, u * u, 1, 3
+    g = 1 / (1 + u)
+    e_b = fe * (6 * g * g + g + 1) + g**3 + 1
+    e_x = 4 * u * (4 * g + 1) + 4 * g * g + 1
+    return fe * g**3, 4 * u * g * g, e_b, e_x
 
 
 # (eval digits, target digits): production depth 2 target + 7 puts the
@@ -739,27 +756,44 @@ _COLUMN_GRID = [
     (250, 230),
     pytest.param(350, 330, marks=pytest.mark.slow),
 ]
-# u, 1/(1+u), w (1-u)/ln(1/u), u^2, w u/asech(u): the documented bound
-# of each column, in units of 2^-P
-_COLUMN_BOUND = (1, 2, 1, 3, 1)
+# u, w (1-u)/ln(1/u), w u/asech(u): the documented bound of each column,
+# in units of 2^-P
+_COLUMN_BOUND = (1, 1, 1)
+
+
+def _assert_member_matches(columns, member, prec: int, where):
+    """One member's production columns against its textbook values
+    ``member`` (u, 1 - u, w, ln(1/u), asech(u)), within _COLUMN_BOUND of
+    their truncations to P bits; and what the routes' readings form from
+    the u column: the asech reading's X = u^2 within three units of its
+    truncation, the exp reading's base Fe G^3 and point 4 U G^2 within
+    _reading_bound's (e_b, e_x) of their exact values (G = 1/(1+u) within
+    two units carried through)."""
+    want = _textbook_columns(member, prec)
+    for column, (a, b, bound) in enumerate(zip(columns, want, _COLUMN_BOUND)):
+        assert abs(a - b) <= bound, (where, column, a - b)
+    u, d, w, log_recip, asech = member
+    x = zeta_mod._asech_reading(columns, prec)[1]
+    assert abs(x - int(mp.floor(mp.ldexp(u * u, prec)))) <= 3, (where, "X")
+    b, z, e_b, e_z = _reading_bound("exp", u, w * d / log_recip, w * u / asech)
+    base, point = zeta_mod._exp_reading(columns, prec)
+    assert abs(base - mp.ldexp(b, prec)) <= e_b, (where, "exp base")
+    assert abs(point - mp.ldexp(z, prec)) <= e_z, (where, "exp point")
 
 
 def _assert_columns_match_oracle(eval_dps: int, depth: int, level: int):
-    """The production columns against the textbook nodes 20 digits
-    higher, truncated to the production P; returns them."""
+    """The production columns, and the readings' forms of u, against the
+    textbook nodes 20 digits higher (_assert_member_matches); returns
+    the columns."""
     prec = _fixed_bits(eval_dps)
     got = _ts_level_columns(eval_dps, depth, level)
     with mp.workdps(eval_dps + 20):
-        want = [
-            tuple(_textbook_columns(member, prec) for member in pair)
-            for pair in _textbook_nodes(eval_dps + 20, depth, level)
-        ]
-    assert len(got) == len(want)
-    for k, (pair, ref) in enumerate(zip(got, want)):
-        assert pair[0][0] + pair[1][0] == 1 << prec
-        for member, ref_member in zip(pair, ref):
-            for column, (a, b, bound) in enumerate(zip(member, ref_member, _COLUMN_BOUND)):
-                assert abs(a - b) <= bound, (eval_dps, level, k, column, a - b)
+        want = _textbook_nodes(eval_dps + 20, depth, level)
+        assert len(got) == len(want)
+        for k, (pair, ref) in enumerate(zip(got, want)):
+            assert pair[0][0] + pair[1][0] == 1 << prec
+            for columns, member in zip(pair, ref):
+                _assert_member_matches(columns, member, prec, (eval_dps, level, k))
     return got
 
 
@@ -770,15 +804,16 @@ class TestNodeColumns:
     @pytest.mark.parametrize("eval_dps, target", _COLUMN_GRID)
     def test_match_the_mpf_oracle(self, eval_dps, target):
         depth = 2 * target + 7
+        prec = _fixed_bits(eval_dps)
         deep = 0
         for level in range(4):
             for minus, plus in _assert_columns_match_oracle(eval_dps, depth, level):
                 if minus[0] == 0:
-                    # q < 2^-P: u_plus rounds to 1, the weighted columns
-                    # still carry the node
+                    # q < 2^-P: u_plus and u^2 round to 1, the weighted
+                    # columns still carry the node
                     deep += 1
-                    assert plus[0] == plus[3] == 1 << _fixed_bits(eval_dps)
-                    assert plus[4] > 0
+                    assert plus[0] == zeta_mod._asech_reading(plus, prec)[1] == 1 << prec
+                    assert plus[2] > 0
         assert deep > 0
 
     def test_series_and_logs_agree_around_the_switch(self, monkeypatch):
@@ -819,16 +854,14 @@ class TestNodeColumns:
 
         def term(columns, bits):
             seen.append(columns)
-            return columns[4]
+            return columns[2]
 
         integrate_01_fixed(TermKernel(term), cfg)
         (centre,) = [c for c in seen if c[0] == 1 << prec - 1]
         with mp.workdps(cfg.eval_digits + 20):
             half = mp.mpf(1) / 2
             member = (half, half, mp.pi / 4, mp.ln2, mp.log(2 + mp.sqrt(3)))
-            want = _textbook_columns(member, prec)
-        for column, (a, b, bound) in enumerate(zip(centre, want, _COLUMN_BOUND)):
-            assert abs(a - b) <= bound, (column, a - b)
+            _assert_member_matches(centre, member, prec, "centre")
 
     def test_centre_is_built_once_per_precision(self):
         # three logs per build (_log_ratios at 2s = 0), so integrals at
@@ -872,11 +905,11 @@ class TestNodeColumns:
 class TestTermKernel:
     def test_level_sums_every_pair(self):
         # terms that rise, fall to nothing for a run and rise again: the
-        # level sums every pair and reports the outermost pair's term
+        # level sums every member of every pair
         values = [1, 10**6, 10**3, 0, 0, 0, 0, 7]
         table = tuple(((v,), (2 * v,)) for v in values)
         kernel = TermKernel(lambda columns, prec: columns[0] << prec)
-        assert kernel.level(table, 4) == (3 * sum(values) << 4, 3 * 7 << 4)
+        assert kernel.level(table, 4) == 3 * sum(values) << 4
         assert kernel.member((5,), 4) == 5 << 4
 
 

@@ -35,7 +35,7 @@ from zetaodd.zeta import (
     zeta_via_exp_kernel,
 )
 
-from test_quadrature import _textbook_nodes
+from test_quadrature import _reading_bound, _textbook_columns, _textbook_nodes
 
 
 @pytest.fixture(autouse=True)
@@ -112,19 +112,6 @@ def _fixed_point_error_digits(m, coeffs, n=2000):
 def _guard(m):
     cfg, *_ = zeta_mod._degree_setup(m, DEFAULT_PRECISION)
     return cfg.working_digits - DEFAULT_PRECISION.working_digits
-
-
-def _reading_bound(route, u, fe, fa):
-    """(b, x, e_b, e_x) of a route's reading at a member with columns
-    u, Fe and Fa: base, point and their errors in units of 2^-P
-    (_degree_setup), the columns' own bounds (U, Fe, Fa one unit, G two,
-    X three) carried through the reading's truncated products."""
-    if route == "asech":
-        return fa, u * u, 1, 3
-    g = 1 / (1 + u)
-    e_b = fe * (6 * g * g + g + 1) + g**3 + 1
-    e_x = 4 * u * (4 * g + 1) + 4 * g * g + 1
-    return fe * g**3, 4 * u * g * g, e_b, e_x
 
 
 def _mix_bound(abs_coeffs, b, x, e_b, e_x):
@@ -269,10 +256,11 @@ class TestIntegralRoutes:
     @pytest.mark.parametrize("m", [3, 13, 41])
     def test_exp_kernel_one_exponential_form(self, m):
         # the route's member mix, fed the columns of a node q with w = 1
-        # (U = q, G = 1/(1+q), Fe = (1-q)/ln(1/q) at P bits) and divided
-        # by E, is the q-form kernel -(d/L) C_m(q)/(q (1+q)^m); it must
-        # equal the half-line weight-sum form it came from, K(u)/q at
-        # u = L, on both sides of q = 1/2 (u = ln 2).  The oracle runs
+        # (U = q and Fe = (1-q)/ln(1/q) at P bits; the reading forms
+        # G = 1/(1+q)) and divided by E, is the q-form kernel
+        # -(d/L) C_m(q)/(q (1+q)^m); it must equal the half-line
+        # weight-sum form it came from, K(u)/q at u = L, on both sides
+        # of q = 1/2 (u = ln 2).  The oracle runs
         # with the old weight-cancellation guard on top of the route's
         # precision, plus log10(1/q) digits: at large u its sum_l w_l = 0
         # cancels to O(q).  The tolerance is relative to the oracle's
@@ -294,7 +282,7 @@ class TestIntegralRoutes:
             with mp.workdps(eval_dps + 20):
                 q, d = mp.exp(-u), -mp.expm1(-u)
                 member = (q, d, mp.mpf(1), u, mp.asech(q))
-                got = mp.ldexp(kernel.member(_exact_columns(member, prec), prec), -prec) / denom
+                got = mp.ldexp(kernel.member(_textbook_columns(member, prec), prec), -prec) / denom
                 envelope = d / u / (1 + q) ** m * mp.polyval(abs_coeffs, q)
                 mix = mp.ldexp(_member_bound("exp", kernel.coeffs, member), -prec) / denom
             with mp.workdps(eval_dps + old_guard + int(u / mp.ln10)):
@@ -307,9 +295,9 @@ class TestIntegralRoutes:
     @pytest.mark.parametrize("m", [3, 13, 41])
     def test_asech_term_matches_its_kernel(self, m):
         # the route's member mix, fed the columns of a node u with w = 1
-        # (X = u^2, Fa = u/asech(u) at P bits), is u A_m(u^2)/asech(u),
-        # within the columns' truncation and the powers' rounding
-        # (_member_bound)
+        # (u and Fa = u/asech(u) at P bits; the reading forms X = u^2), is
+        # u A_m(u^2)/asech(u), within the columns' truncation and the
+        # powers' rounding (_member_bound)
         cfg, _, _, kernel, _ = zeta_mod._degree_setup(m, DEFAULT_PRECISION)
         prec = _fixed_bits(cfg.eval_digits)
         coeffs = zeta_mod.asech_kernel_polynomial(m)[0]
@@ -317,7 +305,7 @@ class TestIntegralRoutes:
             with mp.workdps(cfg.eval_digits + 20):
                 u = mp.mpf(u)
                 member = (u, 1 - u, mp.mpf(1), -mp.log(u), mp.asech(u))
-                got = kernel.member(_exact_columns(member, prec), prec)
+                got = kernel.member(_textbook_columns(member, prec), prec)
                 want = mp.ldexp(u * mp.polyval(coeffs[::-1], u * u) / mp.asech(u), prec)
                 assert abs(got - want) <= _member_bound("asech", coeffs, member), u
 
@@ -482,16 +470,6 @@ class TestZetaReport:
             zeta_report(4)
 
 
-def _exact_columns(member, prec):
-    """The five columns of a node member (u, 1 - u, w, ln(1/u), asech(u)),
-    each truncated to prec fractional bits."""
-    u, d, w, log_recip, asech = member
-    return tuple(
-        int(mp.floor(mp.ldexp(x, prec)))
-        for x in (u, 1 / (1 + u), w * d / log_recip, u * u, w * u / asech)
-    )
-
-
 def _route_kernel(route, m, cfg):
     """The route's degree precision and its PowerSumKernel."""
     cfg, exp_kernel, _, asech_kernel, _ = zeta_mod._degree_setup(m, cfg)
@@ -550,7 +528,7 @@ class TestIntegerLevelSums:
             pairs = _ts_level_columns(cfg.eval_digits, _node_depth(cfg), level)
             assert pairs
             for minus, plus in pairs:
-                assert len(minus) == len(plus) == 5
+                assert len(minus) == len(plus) == 3
                 assert all(type(c) is int for c in minus + plus)
                 assert minus[0] + plus[0] == one
         assert _ts_level_columns.cache_info().misses == info.misses
@@ -650,6 +628,21 @@ class TestPowerSums:
         _ts_level_columns.cache_clear()
         gc.collect()
         assert len(live) == 0
+
+    @pytest.mark.parametrize("route", ["exp", "asech"])
+    @pytest.mark.parametrize("m", [3, 41, 101])
+    @pytest.mark.parametrize("digits", [15, 100, 300])
+    def test_level_is_the_sum_of_its_members(self, route, m, digits):
+        # the integrator takes a level's total from the shared power sums
+        # and the outermost pair's term from member, one member at a
+        # time; member rounds each power as the sums do, so over a whole
+        # table the two agree exactly, on the route's own node tables
+        cfg, kernel = _route_kernel(route, m, PrecisionConfig(digits, digits + 20))
+        prec = _fixed_bits(cfg.eval_digits)
+        for level in range(3):
+            table = _ts_level_columns(cfg.eval_digits, _node_depth(cfg), level)
+            members = sum(kernel.member(columns, prec) for pair in table for columns in pair)
+            assert kernel.level(table, prec) == members, level
 
 
 class TestLinearForm:
