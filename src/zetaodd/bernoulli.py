@@ -10,15 +10,17 @@ l = 1 column.
 Two routes to the same value live here on purpose:
 
 * :func:`gen_bernoulli_row` evaluates a closed-form double sum of binomial
-  products, one degree n at a time.  It is the production path.
+  products, one degree n at a time.  The ``bernoulli`` command prints it,
+  and :func:`~zetaodd.weights.triangular_system`, the paper's pipeline
+  kept as the oracle of ``solve_weights``, reads it.
 * :func:`series_oracle` builds the defining power series from scratch
   (invert ``(e^z - 1)/z``, then raise to the l-th power) and reads the
   coefficients off.  It shares no intermediate quantities with the
   closed form.
 
-The weight solve reads the closed form only.  The oracle is the
-independent reference it is compared against, by verify check 3 and
-the tests, so a transcription slip in either formula fails there.
+The series is the independent reference the closed form is compared
+against, by verify check 3 and the tests, so a transcription slip in
+either formula fails there.
 """
 
 from __future__ import annotations

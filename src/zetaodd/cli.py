@@ -3,7 +3,8 @@ package, or ``python -m zetaodd.cli`` from a source tree.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error (argparse
 also exits 2 on unknown commands and flags), 3 quadrature
-non-convergence.  Inputs are bounded, so that an out-of-range value
+non-convergence, 141 stdout closed by its reader (128 + SIGPIPE, with
+nothing on stderr).  Inputs are bounded, so that an out-of-range value
 fails at once (exit 2) instead of running for hours: ``--digits`` must
 lie in 15..300, ``zeta --m``, ``weights --m`` and ``tau --m`` must be at
 most 101, ``scan --to`` at most 500, ``linform --n`` at most 50
@@ -21,6 +22,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 
 import mpmath as mp
@@ -66,22 +68,19 @@ def _decimal(value, digits: int) -> str:
         return mp.nstr(mp.mpf(value), digits, strip_zeros=False)
 
 
-def _emit(text: str) -> None:
+def _write(fmt: str, payload, header: list[str], rows, lines) -> None:
+    """Write one result to stdout in the chosen format: ``payload`` as
+    indented JSON, ``header`` and ``rows`` as CSV, or ``lines`` as text,
+    one per line."""
+    if fmt == "json":
+        text = json.dumps(payload, indent=2) + "\n"
+    elif fmt == "csv":
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows([header, *rows])
+        text = buf.getvalue()
+    else:
+        text = "".join(f"{line}\n" for line in lines)
     sys.stdout.write(text)
-    if not text.endswith("\n"):
-        sys.stdout.write("\n")
-
-
-def _emit_json(obj) -> None:
-    _emit(json.dumps(obj, indent=2))
-
-
-def _emit_csv(header: list[str], rows: list[list]) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    _emit(buf.getvalue())
 
 
 def _require(condition: bool, message: str) -> None:
@@ -103,24 +102,14 @@ def _cmd_weights(args: argparse.Namespace) -> int:
     _require(args.m >= 1, "weights requires --m >= 1")
     _require_at_most("weights", "--m", args.m, MAX_WEIGHTS_M)
     wv = solve_weights(args.m)
-    if args.format == "json":
-        _emit_json(
-            {
-                "m": wv.m,
-                "s_m": str(wv.s_m),
-                "weights": [str(w) for w in wv.weights],
-            }
-        )
-    elif args.format == "csv":
-        _emit_csv(
-            ["l", "weight"],
-            [[l, str(w)] for l, w in enumerate(wv.weights, start=1)],
-        )
-    else:
-        _emit(f"m = {wv.m}")
-        _emit(f"s_m = {wv.s_m}")
-        for l, w in enumerate(wv.weights, start=1):
-            _emit(f"w_{l} = {w}")
+    weights = [(l, str(w)) for l, w in enumerate(wv.weights, start=1)]
+    _write(
+        args.format,
+        {"m": wv.m, "s_m": str(wv.s_m), "weights": [w for _, w in weights]},
+        ["l", "weight"],
+        weights,
+        [f"m = {wv.m}", f"s_m = {wv.s_m}", *(f"w_{l} = {w}" for l, w in weights)],
+    )
     return 0
 
 
@@ -154,13 +143,10 @@ def _cmd_bernoulli(args: argparse.Namespace) -> int:
             "max_l": args.max_l,
             "entries": [{"n": n, "l": l, "value": v} for n, l, v in entries],
         }
-    if args.format == "json":
-        _emit_json(payload)
-    elif args.format == "csv":
-        _emit_csv(["n", "l", "value"], entries)
-    else:
-        for n, l, v in entries:
-            _emit(f"B({n}, {l}) = {v}")
+    _write(
+        args.format, payload, ["n", "l", "value"], entries,
+        [f"B({n}, {l}) = {v}" for n, l, v in entries],
+    )
     return 0
 
 
@@ -168,17 +154,14 @@ def _cmd_tau(args: argparse.Namespace) -> int:
     _require(args.m >= 3, "tau requires --m >= 3")
     _require_at_most("tau", "--m", args.m, MAX_WEIGHTS_M)
     _require_odd(args.m, "tau")
-    items = sorted(tau_row(args.m).items())
-    if args.format == "json":
-        _emit_json(
-            {"m": args.m, "taus": {str(j): str(t) for j, t in items}}
-        )
-    elif args.format == "csv":
-        _emit_csv(["j", "tau"], [[j, str(t)] for j, t in items])
-    else:
-        _emit(f"m = {args.m}")
-        for j, t in items:
-            _emit(f"tau_{j} = {t}")
+    items = [(j, str(t)) for j, t in sorted(tau_row(args.m).items())]
+    _write(
+        args.format,
+        {"m": args.m, "taus": {str(j): t for j, t in items}},
+        ["j", "tau"],
+        items,
+        [f"m = {args.m}", *(f"tau_{j} = {t}" for j, t in items)],
+    )
     return 0
 
 
@@ -188,26 +171,16 @@ def _cmd_integral(args: argparse.Namespace) -> int:
     result = integral_In(args.n, _precision(args.digits))
     value = _decimal(result.value, args.digits)
     err = mp.nstr(result.error_estimate, 3)
-    if args.format == "json":
-        _emit_json(
-            {
-                "n": args.n,
-                "digits": args.digits,
-                "value": value,
-                "error_estimate": err,
-                "nodes": result.nodes_used,
-                "levels": result.levels,
-            }
-        )
-    elif args.format == "csv":
-        _emit_csv(
-            ["n", "value", "error_estimate", "nodes", "levels"],
-            [[args.n, value, err, result.nodes_used, result.levels]],
-        )
-    else:
-        _emit(f"I_{args.n} = {value}")
-        _emit(f"error estimate = {err}")
-        _emit(f"nodes = {result.nodes_used}, levels = {result.levels}")
+    nodes, levels = result.nodes_used, result.levels
+    _write(
+        args.format,
+        {"n": args.n, "digits": args.digits, "value": value, "error_estimate": err,
+         "nodes": nodes, "levels": levels},
+        ["n", "value", "error_estimate", "nodes", "levels"],
+        [[args.n, value, err, nodes, levels]],
+        [f"I_{args.n} = {value}", f"error estimate = {err}",
+         f"nodes = {nodes}, levels = {levels}"],
+    )
     return 0
 
 
@@ -218,78 +191,59 @@ def _cmd_zeta(args: argparse.Namespace) -> int:
     precision = _precision(args.digits)
     if args.method == "all":
         report = zeta_report(args.m, precision)
-        fields = [
-            ("reference", report.reference),
-            ("via_exp_kernel", report.via_exp_kernel),
-            ("via_asech_kernel", report.via_asech_kernel),
+        values = [
+            (k, _decimal(getattr(report, k), args.digits))
+            for k in ("reference", "via_exp_kernel", "via_asech_kernel")
         ]
-        if args.format == "json":
-            payload = {"m": report.m}
-            payload.update((k, _decimal(v, args.digits)) for k, v in fields)
-            payload["max_abs_diff"] = mp.nstr(report.max_abs_diff, 3)
-            payload["pass"] = report.passed
-            _emit_json(payload)
-        elif args.format == "csv":
-            _emit_csv(
-                ["m", "method", "value"],
-                [[report.m, k, _decimal(v, args.digits)] for k, v in fields],
-            )
-        else:
-            _emit(f"m = {report.m}")
-            for k, v in fields:
-                _emit(f"{k} = {_decimal(v, args.digits)}")
-            _emit(f"max_abs_diff = {mp.nstr(report.max_abs_diff, 3)}")
-            _emit(f"pass = {str(report.passed).lower()}")
-        return 0 if report.passed else 1
-    route = {
-        "reference": lambda: zeta_reference(args.m, args.digits + 10),
-        "exp": lambda: zeta_via_exp_kernel(args.m, precision),
-        "asech": lambda: zeta_via_asech_kernel(args.m, precision),
-    }[args.method]
-    value = _decimal(route(), args.digits)
-    if args.format == "json":
-        _emit_json({"m": args.m, "method": args.method, "value": value})
-    elif args.format == "csv":
-        _emit_csv(["m", "method", "value"], [[args.m, args.method, value]])
+        diff = mp.nstr(report.max_abs_diff, 3)
+        payload = {"m": args.m, **dict(values), "max_abs_diff": diff, "pass": report.passed}
+        lines = [
+            f"m = {args.m}",
+            *(f"{k} = {v}" for k, v in values),
+            f"max_abs_diff = {diff}",
+            f"pass = {str(report.passed).lower()}",
+        ]
+        status = 0 if report.passed else 1
     else:
-        _emit(f"zeta({args.m}) [{args.method}] = {value}")
-    return 0
+        route = {
+            "reference": lambda: zeta_reference(args.m, args.digits + 10),
+            "exp": lambda: zeta_via_exp_kernel(args.m, precision),
+            "asech": lambda: zeta_via_asech_kernel(args.m, precision),
+        }[args.method]
+        value = _decimal(route(), args.digits)
+        values = [(args.method, value)]
+        payload = {"m": args.m, "method": args.method, "value": value}
+        lines = [f"zeta({args.m}) [{args.method}] = {value}"]
+        status = 0
+    _write(
+        args.format, payload, ["m", "method", "value"],
+        [[args.m, k, v] for k, v in values], lines,
+    )
+    return status
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:
     _require(args.n_max >= 1, "scan requires --to >= 1")
     _require_at_most("scan", "--to", args.n_max, MAX_SCAN_N)
     report = dimension_scan(args.n_max)
-    if args.format == "json":
-        _emit_json(
-            {
-                "n_max": args.n_max,
-                "rows": [
-                    {
-                        "n": r.n,
-                        "m": r.m,
-                        "tau_top": str(r.tau_value),
-                        "is_zero": r.is_zero,
-                    }
-                    for r in report.rows
-                ],
-                "all_nonzero": report.all_nonzero,
-                "summary": report.summary(),
-            }
-        )
-    elif args.format == "csv":
-        _emit_csv(
-            ["n", "tau_numerator", "tau_denominator", "is_zero"],
-            [
-                [r.n, r.tau_value.numerator, r.tau_value.denominator,
-                 str(r.is_zero).lower()]
+    _write(
+        args.format,
+        {
+            "n_max": args.n_max,
+            "rows": [
+                {"n": r.n, "m": r.m, "tau_top": str(r.tau_value), "is_zero": r.is_zero}
                 for r in report.rows
             ],
-        )
-    else:
-        for r in report.rows:
-            _emit(f"n = {r.n:2d}  tau_top = {r.tau_value}")
-        _emit(report.summary())
+            "all_nonzero": report.all_nonzero,
+            "summary": report.summary(),
+        },
+        ["n", "tau_numerator", "tau_denominator", "is_zero"],
+        [
+            [r.n, r.tau_value.numerator, r.tau_value.denominator, str(r.is_zero).lower()]
+            for r in report.rows
+        ],
+        [*(f"n = {r.n:2d}  tau_top = {r.tau_value}" for r in report.rows), report.summary()],
+    )
     return 0
 
 
@@ -297,23 +251,18 @@ def _cmd_linform(args: argparse.Namespace) -> int:
     _require(args.n >= 1, "linform requires --n >= 1")
     _require_at_most("linform", "--n", args.n, MAX_FORM_N)
     form = linear_form(args.n)
-    if args.format == "json":
-        _emit_json(
-            {
-                "n": form.n,
-                "thetas": [str(t) for t in form.thetas],
-                "theta_next": str(form.theta_next),
-            }
-        )
-    elif args.format == "csv":
-        rows = [[k, str(t)] for k, t in enumerate(form.thetas, start=1)]
-        rows.append(["next", str(form.theta_next)])
-        _emit_csv(["k", "theta"], rows)
-    else:
-        _emit(f"n = {form.n}")
-        for k, t in enumerate(form.thetas, start=1):
-            _emit(f"theta_{k} = {t}")
-        _emit(f"theta_next = {form.theta_next}")
+    thetas = [(k, str(t)) for k, t in enumerate(form.thetas, start=1)]
+    _write(
+        args.format,
+        {"n": form.n, "thetas": [t for _, t in thetas], "theta_next": str(form.theta_next)},
+        ["k", "theta"],
+        [*thetas, ("next", str(form.theta_next))],
+        [
+            f"n = {form.n}",
+            *(f"theta_{k} = {t}" for k, t in thetas),
+            f"theta_next = {form.theta_next}",
+        ],
+    )
     return 0
 
 
@@ -331,45 +280,29 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                 f"--suite must be 'all' or comma-separated check ids, got {args.suite!r}"
             ) from None
 
-    def report(result):
-        if args.format == "text":
-            _emit(format_result(result))
-        else:
-            print(format_result(result), file=sys.stderr)
-
+    # each check's line as it lands: on stdout in text, where it is the
+    # output, and on stderr otherwise, so JSON and CSV stay parseable
+    progress = sys.stdout if args.format == "text" else sys.stderr
     try:
-        results = run_checks(ids, reporter=report)
+        results = run_checks(ids, reporter=lambda r: print(format_result(r), file=progress))
     except ValueError as exc:  # unknown ids, raised before any check runs
         raise UsageError(str(exc)) from None
     all_ok = all(r.ok for r in results)
-    if args.format == "json":
-        _emit_json(
-            {
-                "results": [
-                    {
-                        "id": r.check_id,
-                        "title": r.title,
-                        "passed": r.ok,
-                        "detail": r.note,
-                        "elapsed": round(r.elapsed, 2),
-                        "budget": r.budget,
-                        "within_budget": r.within_budget,
-                    }
-                    for r in results
-                ],
-                "all_passed": all_ok,
-            }
-        )
-    elif args.format == "csv":
-        _emit_csv(
-            ["id", "title", "passed", "elapsed_s", "detail"],
-            [
-                [r.check_id, r.title, str(r.ok).lower(), f"{r.elapsed:.2f}", r.note]
+    _write(
+        args.format,
+        {
+            "results": [
+                {"id": r.check_id, "title": r.title, "passed": r.ok, "detail": r.note,
+                 "elapsed": round(r.elapsed, 2), "budget": r.budget,
+                 "within_budget": r.within_budget}
                 for r in results
             ],
-        )
-    else:
-        _emit(f"{sum(r.ok for r in results)}/{len(results)} checks passed")
+            "all_passed": all_ok,
+        },
+        ["id", "title", "passed", "elapsed_s", "detail"],
+        [[r.check_id, r.title, str(r.ok).lower(), f"{r.elapsed:.2f}", r.note] for r in results],
+        [f"{sum(r.ok for r in results)}/{len(results)} checks passed"],
+    )
     return 0 if all_ok else 1
 
 
@@ -469,7 +402,16 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entrypoint() -> None:
-    sys.exit(main())
+    try:
+        status = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout (``zetaodd ... | head``): exit as a
+        # process killed by SIGPIPE would, with no traceback, and point
+        # stdout at /dev/null so that the exit-time flush cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = 141
+    sys.exit(status)
 
 
 if __name__ == "__main__":

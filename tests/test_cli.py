@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -311,6 +312,82 @@ class TestNumericGoldens:
         assert out == want
 
 
+# sha256 of stdout in text, json and csv for commands that exit 0.
+# Recorded before the three formats shared one writer; any change to how
+# a handler assembles its output must leave every byte where it was.
+_FORMAT_SHA256 = {
+    "weights --m 5": (
+        "a99da9b6def94571ef2ee138d85b1c20a81fae5ca48a8b7d5da501f7f1c5a335",
+        "a135d378f6aaf27206e11b9b52d5e173608e9d53c5453ee5fdc793b05099f328",
+        "826aaffbaec9c470eb1fee178519219c390cc156132ff43ffbd86670a2950cb4",
+    ),
+    "tau --m 9": (
+        "ccc6aa5fa14dfe632c0f0fff65bc0be63d12f33eb3a420ac74694acf561e7a88",
+        "bedd3de4459b8fdddddcdbe981e449606a250e61c9f7e63040862888d38dbb9f",
+        "5bad7d834fe369704baab320c58b4d656a26ca1f87fb85fc71d84987803bbfcd",
+    ),
+    "linform --n 3": (
+        "59a18ad98a41e1b899b47b5fc049e69239e54c9e3034c87575f3142d95a79966",
+        "a1f16b220030b01cfef2611c84b627a7aa975f8865221184a4b0d208f5defc09",
+        "33b084891fd6a3be3630dc3cde51f908f31af834d2b68456fa0828efd1e4301a",
+    ),
+    "scan --to 5": (
+        "b71023e1ac3ee881c458a7e9b3001d3fdd293ebb99a523215b223ecf953e98d4",
+        "e83402aa9d3ad1adc53e44d44a454ea421c2ff55a38d0c161abc082a097bbb47",
+        "e1231cc208c0fca90f178960f2835477c3338a3d81c789a9240337decc83dc25",
+    ),
+    "bernoulli --n 4 --l 2": (
+        "728fb792ea6e780a04f9242e1dc88bed19a1c0b4809fc1adda614f6840fd0683",
+        "beef6ce17267f83bce0a5d06a32ca8d5176c39d9887b7fa34f8c3af6770236cd",
+        "5f8615d5701abcc3ba3d68ab788d61225bfa26d49c8df2c331a04a837546f88a",
+    ),
+    "bernoulli --max-n 3 --max-l 3": (
+        "9157f11ee9b8df52230637d30c27a9faf670472d587f04af945ae16fd77b2e7b",
+        "f519562675f3342f127106a903355686864d0e8fcc93276fb0d894a45f1d278c",
+        "7c24bfd70ac398d192d5e1ac67573fc40718a50ae8cb50e9ac917e897a15e078",
+    ),
+    "integral --n 2 --digits 20": (
+        "18a2c280200319760f9f44e8a0f5bb4c20cb52695b6499288e21e06df3823aec",
+        "8456dbd3e6df622902ed5f30de74351edff01f992eac5caea028473ec3366d82",
+        "738c1e27792d9e28e01573ab2adcfcc8e83ad2a89c544d5ef09685addd775efc",
+    ),
+    "zeta --m 5 --digits 20": (
+        "10cd7de22dd11c6585096aec87da8f20a5c11fe266048b3001e9e0ea431ff2c2",
+        "ca0f0e766802a0e3a304a9b705b8ae312de23b7f89d552b88830610f640b23a9",
+        "451158e6cdea2c9c97353a004d7312f3548e174817122ae0bb5e9c16b84ac5d3",
+    ),
+    "zeta --m 7 --method exp --digits 20": (
+        "73a8083787102ea0ba152dfc7635e0a85be67fe84361af66226cf6726e176ae3",
+        "c55a1cde4a024b420526d0325477271040b1a5d6caa9be8fba65facace46305a",
+        "c54b8dc8f8b09d2973dae252d874531192a6b6d779a0d92b628a06a946ab7225",
+    ),
+    "zeta --m 7 --method asech --digits 20": (
+        "c92d51d27032ab3e2715b92ddff5fa074abb3eba527d679e7afd5f55d5faa174",
+        "d043022092b5149a573c5c55fa0f3f09be4c5bec035e4da5993552792c05610e",
+        "224080ce4c087acd0aab6a81fa7cabefb88b088577cbe7e57263aefa934cedb3",
+    ),
+    "zeta --m 3 --method reference --digits 20": (
+        "2f54abe38884728036d55f0f42ea6e755afb85680dfd15298575756feb1419a5",
+        "a81dadd3df07069066daa53387e51158f729e4a3a683576653f6a35631f0d1ea",
+        "2bf3c92e0efe584cd06113483b38d14c0121941c015bd226743761fb678cd96c",
+    ),
+}
+
+
+class TestFormatGoldens:
+    """Every command's stdout, byte for byte, in each of the three
+    formats: ``json.loads`` equality would miss indentation and key
+    order."""
+
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    @pytest.mark.parametrize("command", list(_FORMAT_SHA256))
+    def test_stdout_sha256(self, capsys, command, fmt):
+        rc, out, _ = run(capsys, *command.split(), "--format", fmt)
+        assert rc == 0
+        want = _FORMAT_SHA256[command][("text", "json", "csv").index(fmt)]
+        assert hashlib.sha256(out.encode()).hexdigest() == want
+
+
 class TestScan:
     def test_csv_golden(self, capsys):
         rc, out, _ = run(capsys, "scan", "--to", "3", "--format", "csv")
@@ -527,13 +604,15 @@ class TestModuleEntryPoint:
     """``python -m zetaodd.cli`` runs the CLI instead of exiting silently."""
 
     @staticmethod
-    def run_module(*argv):
+    def module_env():
         src = str(Path(zetaodd.__file__).resolve().parents[1])
         path = os.environ.get("PYTHONPATH")
-        env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+        return dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+
+    def run_module(self, *argv):
         return subprocess.run(
             [sys.executable, "-m", "zetaodd.cli", *argv],
-            capture_output=True, text=True, env=env, timeout=120,
+            capture_output=True, text=True, env=self.module_env(), timeout=120,
         )
 
     def test_prints_csv_golden(self):
@@ -546,3 +625,16 @@ class TestModuleEntryPoint:
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert "--digits must be >= 15" in proc.stderr
+
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    def test_closed_stdout_exits_141_quietly(self, fmt):
+        # the reader closes the pipe before the child has even imported
+        # the package, so the child's first write meets no reader
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "zetaodd.cli", "weights", "--m", "3", "--format", fmt],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=self.module_env(),
+        )
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+        assert proc.returncode == 141
+        assert err == b""
