@@ -3,14 +3,15 @@ package, or ``python -m zetaodd.cli`` from a source tree.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error (argparse
 also exits 2 on unknown commands and flags), 3 quadrature
-non-convergence, 141 stdout closed by its reader (128 + SIGPIPE, with
-nothing on stderr).  Inputs are bounded, so that an out-of-range value
-fails at once (exit 2) instead of running for hours: ``--digits`` must
-lie in 15..300, ``zeta --m``, ``weights --m`` and ``tau --m`` must be at
-most 101, ``scan --to`` at most 500, ``linform --n`` at most 50
-(degree 101), ``integral --n`` at most 400, ``bernoulli --n`` and
-``--l`` at most 300, and ``bernoulli --max-n`` and ``--max-l`` at most
-101.  Results go to stdout, diagnostics to stderr.  JSON output, apart from
+non-convergence.  A reader that closes stdout early ends the process by
+SIGPIPE, with nothing on stderr; a shell reports 141 (128 + SIGPIPE).
+Inputs are bounded, so that an out-of-range value fails at once (exit
+2) instead of running for hours: ``--digits`` must lie in 15..300,
+``zeta --m``, ``weights --m`` and ``tau --m`` must be at most 101,
+``scan --to`` at most 500, ``linform --n`` at most 50 (degree 101),
+``integral --n`` at most 400, ``bernoulli --n`` and ``--l`` at most
+300, and ``bernoulli --max-n`` and ``--max-l`` at most 101.  Results
+go to stdout, diagnostics to stderr.  JSON output, apart from
 ``verify``'s check times, is deterministic for a given invocation:
 fixed key order, rationals as exact ``num/den`` strings, decimals with
 exactly ``--digits`` significant digits.
@@ -22,7 +23,7 @@ import argparse
 import csv
 import io
 import json
-import os
+import signal
 import sys
 
 import mpmath as mp
@@ -402,16 +403,13 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entrypoint() -> None:
-    try:
-        status = main()
-        sys.stdout.flush()
-    except BrokenPipeError:
-        # the reader closed stdout (``zetaodd ... | head``): exit as a
-        # process killed by SIGPIPE would, with no traceback, and point
-        # stdout at /dev/null so that the exit-time flush cannot raise again
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        status = 141
-    sys.exit(status)
+    # Python ignores SIGPIPE, so a write to a stdout that its reader has
+    # closed (``zetaodd ... | head``) would raise, or be cut short and
+    # dropped; restore the default action, as ``cat`` has it: the process
+    # ends at that write, with nothing on stderr, and a shell reports 141
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
+    sys.exit(main())
 
 
 if __name__ == "__main__":

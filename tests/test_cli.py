@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -626,15 +627,36 @@ class TestModuleEntryPoint:
         assert proc.stdout == ""
         assert "--digits must be >= 15" in proc.stderr
 
-    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
-    def test_closed_stdout_exits_141_quietly(self, fmt):
-        # the reader closes the pipe before the child has even imported
-        # the package, so the child's first write meets no reader
+    def run_closed(self, *argv, read_lines=0):
+        """Run the CLI, read ``read_lines`` lines of its stdout, close the
+        pipe, and return the child's exit status and stderr."""
         proc = subprocess.Popen(
-            [sys.executable, "-m", "zetaodd.cli", "weights", "--m", "3", "--format", fmt],
+            [sys.executable, "-m", "zetaodd.cli", *argv],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=self.module_env(),
         )
+        for _ in range(read_lines):
+            proc.stdout.readline()
         proc.stdout.close()
         _, err = proc.communicate(timeout=120)
-        assert proc.returncode == 141
-        assert err == b""
+        return proc.returncode, err
+
+    @pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE")
+    @pytest.mark.parametrize("argv", [
+        ("weights", "--m", "3", "--format", "text"),
+        ("weights", "--m", "3", "--format", "json"),
+        ("weights", "--m", "3", "--format", "csv"),
+        ("--help",),  # argparse writes, then raises SystemExit
+    ], ids=["text", "json", "csv", "help"])
+    def test_closed_stdout_ends_quietly(self, argv):
+        # the reader closes the pipe before the child has even imported
+        # the package, so the child's first write meets no reader; a
+        # shell reports the SIGPIPE death as 141
+        assert self.run_closed(*argv) == (-signal.SIGPIPE, b"")
+
+    @pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE")
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    def test_reader_closing_midway_ends_quietly(self, fmt):
+        # 154 to 352 kB of output in one write, more than the pipe holds:
+        # the reader closes it after one line, partway through that write
+        argv = ("bernoulli", "--max-n", "60", "--max-l", "60", "--format", fmt)
+        assert self.run_closed(*argv, read_lines=1) == (-signal.SIGPIPE, b"")
