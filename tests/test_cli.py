@@ -627,9 +627,19 @@ class TestModuleEntryPoint:
         assert proc.stdout == ""
         assert "--digits must be >= 15" in proc.stderr
 
-    def run_closed(self, *argv, read_lines=0):
-        """Run the CLI, read ``read_lines`` lines of its stdout, close the
-        pipe, and return the child's exit status and stderr."""
+    @pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE")
+    @pytest.mark.parametrize("argv, read_lines", [
+        # closed before the child has even imported the package, so its
+        # first write meets no reader
+        *((("weights", "--m", "3", "--format", fmt), 0) for fmt in ("text", "json", "csv")),
+        (("--help",), 0),  # argparse writes, then raises SystemExit
+        # 154 to 352 kB in one write, more than the pipe holds: closed
+        # after one line, partway through that write
+        *((("bernoulli", "--max-n", "60", "--max-l", "60", "--format", fmt), 1)
+          for fmt in ("text", "json", "csv")),
+    ], ids=["text", "json", "csv", "help", "grid-text", "grid-json", "grid-csv"])
+    def test_closed_stdout_ends_quietly(self, argv, read_lines):
+        # the process ends by SIGPIPE, which a shell reports as 141
         proc = subprocess.Popen(
             [sys.executable, "-m", "zetaodd.cli", *argv],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=self.module_env(),
@@ -638,25 +648,5 @@ class TestModuleEntryPoint:
             proc.stdout.readline()
         proc.stdout.close()
         _, err = proc.communicate(timeout=120)
-        return proc.returncode, err
-
-    @pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE")
-    @pytest.mark.parametrize("argv", [
-        ("weights", "--m", "3", "--format", "text"),
-        ("weights", "--m", "3", "--format", "json"),
-        ("weights", "--m", "3", "--format", "csv"),
-        ("--help",),  # argparse writes, then raises SystemExit
-    ], ids=["text", "json", "csv", "help"])
-    def test_closed_stdout_ends_quietly(self, argv):
-        # the reader closes the pipe before the child has even imported
-        # the package, so the child's first write meets no reader; a
-        # shell reports the SIGPIPE death as 141
-        assert self.run_closed(*argv) == (-signal.SIGPIPE, b"")
-
-    @pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE")
-    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
-    def test_reader_closing_midway_ends_quietly(self, fmt):
-        # 154 to 352 kB of output in one write, more than the pipe holds:
-        # the reader closes it after one line, partway through that write
-        argv = ("bernoulli", "--max-n", "60", "--max-l", "60", "--format", fmt)
-        assert self.run_closed(*argv, read_lines=1) == (-signal.SIGPIPE, b"")
+        assert proc.returncode == -signal.SIGPIPE
+        assert err == b""
