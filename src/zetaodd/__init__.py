@@ -7,17 +7,27 @@ coefficients, telescoping linear forms) runs entirely in integer and
 explicitly handed to mpmath for evaluation.  The numeric layer
 evaluates the associated singular integrals with double-exponential
 quadrature and cross-checks every route against mpmath's own zeta.
+
+``import zetaodd`` loads the exact layer only.  The numeric names
+(quadrature, zeta routes and reports) resolve on first access, which
+imports :mod:`zetaodd.quadrature` or :mod:`zetaodd.zeta`, and with them
+mpmath; a process that only asks for exact values never loads any of
+the three.
 """
 
+import importlib
+
 from .bernoulli import gen_bernoulli, gen_bernoulli_poly, series_oracle
-from .hyperbolic import partial_fraction_residual, q_coeff, tau_row, tau_top
-from .quadrature import (
-    DEFAULT_PRECISION,
-    NonConvergenceError,
-    PrecisionConfig,
-    QuadratureResult,
-    integral_In,
-    integral_In_crosscheck,
+from .hyperbolic import (
+    LinearForm,
+    ScanReport,
+    ScanRow,
+    dimension_scan,
+    linear_form,
+    partial_fraction_residual,
+    q_coeff,
+    tau_row,
+    tau_top,
 )
 from .weights import (
     WeightVector,
@@ -26,21 +36,6 @@ from .weights import (
     s_constant,
     solve_weights,
     triangular_system,
-)
-from .zeta import (
-    LinearForm,
-    ScanReport,
-    ScanRow,
-    ZetaReport,
-    dimension_scan,
-    in_sequence_report,
-    linear_form,
-    linear_form_residual,
-    zeta3_exp_integral,
-    zeta_reference,
-    zeta_report,
-    zeta_via_asech_kernel,
-    zeta_via_exp_kernel,
 )
 
 __version__ = "0.1.0"
@@ -85,3 +80,46 @@ __all__ = [
     "dimension_scan",
     "in_sequence_report",
 ]
+
+# numeric name -> the submodule that defines it, imported on first access
+_LAZY = {
+    **dict.fromkeys(
+        (
+            "PrecisionConfig",
+            "DEFAULT_PRECISION",
+            "QuadratureResult",
+            "NonConvergenceError",
+            "integral_In",
+            "integral_In_crosscheck",
+        ),
+        "quadrature",
+    ),
+    **dict.fromkeys(
+        (
+            "zeta_reference",
+            "zeta3_exp_integral",
+            "zeta_via_exp_kernel",
+            "zeta_via_asech_kernel",
+            "ZetaReport",
+            "zeta_report",
+            "linear_form_residual",
+            "in_sequence_report",
+        ),
+        "zeta",
+    ),
+}
+
+
+def __getattr__(name: str):
+    # PEP 562: called only for names not yet in the module globals; the
+    # value is cached there, so each name is resolved once
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_LAZY))

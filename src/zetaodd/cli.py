@@ -25,21 +25,14 @@ import io
 import json
 import signal
 import sys
-
-import mpmath as mp
+from typing import TYPE_CHECKING
 
 from .bernoulli import gen_bernoulli, gen_bernoulli_row
-from .hyperbolic import tau_row
-from .quadrature import NonConvergenceError, PrecisionConfig, integral_In
+from .hyperbolic import dimension_scan, linear_form, tau_row
 from .weights import solve_weights
-from .zeta import (
-    dimension_scan,
-    linear_form,
-    zeta_reference,
-    zeta_report,
-    zeta_via_asech_kernel,
-    zeta_via_exp_kernel,
-)
+
+if TYPE_CHECKING:
+    from .quadrature import PrecisionConfig
 
 __all__ = ["main", "entrypoint"]
 
@@ -54,7 +47,12 @@ MAX_BERNOULLI_N = 300    # bernoulli --n and --l
 MAX_BERNOULLI_GRID = 101  # bernoulli --max-n and --max-l
 
 
+# The numeric commands import mpmath, quadrature and zeta when they run,
+# so that the exact commands, and ``--help``, load none of them.
+
 def _precision(digits: int) -> PrecisionConfig:
+    from .quadrature import PrecisionConfig
+
     return PrecisionConfig(target_digits=digits, working_digits=digits + 20)
 
 
@@ -63,6 +61,8 @@ class UsageError(Exception):
 
 
 def _decimal(value, digits: int) -> str:
+    import mpmath as mp
+
     # mp.mpf(value) at ambient precision would silently truncate a
     # high-precision result, so convert under a wide-enough context
     with mp.workdps(digits + 10):
@@ -169,6 +169,10 @@ def _cmd_tau(args: argparse.Namespace) -> int:
 def _cmd_integral(args: argparse.Namespace) -> int:
     _require(args.n >= 1, "integral requires --n >= 1")
     _require_at_most("integral", "--n", args.n, MAX_INTEGRAL_N)
+    import mpmath as mp
+
+    from .quadrature import integral_In
+
     result = integral_In(args.n, _precision(args.digits))
     value = _decimal(result.value, args.digits)
     err = mp.nstr(result.error_estimate, 3)
@@ -189,9 +193,13 @@ def _cmd_zeta(args: argparse.Namespace) -> int:
     _require(args.m >= 3, "zeta requires --m >= 3")
     _require_at_most("zeta", "--m", args.m, MAX_ZETA_M)
     _require_odd(args.m, "zeta")
+    import mpmath as mp
+
+    from . import zeta
+
     precision = _precision(args.digits)
     if args.method == "all":
-        report = zeta_report(args.m, precision)
+        report = zeta.zeta_report(args.m, precision)
         values = [
             (k, _decimal(getattr(report, k), args.digits))
             for k in ("reference", "via_exp_kernel", "via_asech_kernel")
@@ -207,9 +215,9 @@ def _cmd_zeta(args: argparse.Namespace) -> int:
         status = 0 if report.passed else 1
     else:
         route = {
-            "reference": lambda: zeta_reference(args.m, args.digits + 10),
-            "exp": lambda: zeta_via_exp_kernel(args.m, precision),
-            "asech": lambda: zeta_via_asech_kernel(args.m, precision),
+            "reference": lambda: zeta.zeta_reference(args.m, args.digits + 10),
+            "exp": lambda: zeta.zeta_via_exp_kernel(args.m, precision),
+            "asech": lambda: zeta.zeta_via_asech_kernel(args.m, precision),
         }[args.method]
         value = _decimal(route(), args.digits)
         values = [(args.method, value)]
@@ -397,7 +405,13 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except NonConvergenceError as exc:
+    except ArithmeticError as exc:
+        # NonConvergenceError is an ArithmeticError, so the exact commands
+        # need not import quadrature to tell it apart
+        from .quadrature import NonConvergenceError
+
+        if not isinstance(exc, NonConvergenceError):
+            raise
         print(f"quadrature did not converge: {exc}", file=sys.stderr)
         return 3
 

@@ -28,20 +28,42 @@ uses neither the weights nor q; the weight mixing lives in the verify
 suite as its oracle.  For odd m = 2n+1 the top coefficient is
 tau(n+1, 2n+1) = 1/(2^(2n+1) - 1), which :func:`tau_top` returns
 directly.
+
+The same integers give the exact side of the zeta pairing.
+:func:`linear_form` is, for each n, the rational combination of
+zeta(3)/pi^2, zeta(5)/pi^4, ..., zeta(2n+1)/pi^2n that telescopes
+through the tau array to theta_next * I_n, with theta_next = 1 and its
+thetas central factorial numbers of the first kind in closed form.
+:func:`dimension_scan` (the CLI's ``scan``) lists the top coefficients
+tau(n+1, 2n+1), proved nonzero.  The scan does not prove that the span
+of the zeta ratios grows: I_n itself might be a rational combination of
+the lower ratios.
+
+Everything here is integer and :class:`fractions.Fraction` arithmetic;
+only :func:`partial_fraction_residual` evaluates, and it imports mpmath
+when called.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-import mpmath as mp
+if TYPE_CHECKING:
+    import mpmath as mp
 
 __all__ = [
     "q_coeff",
     "partial_fraction_residual",
     "tau_top",
     "tau_row",
+    "LinearForm",
+    "linear_form",
+    "ScanRow",
+    "ScanReport",
+    "dimension_scan",
 ]
 
 
@@ -67,8 +89,11 @@ def partial_fraction_residual(l: int, u) -> mp.mpf:
 
     Evaluated at the ambient mpmath precision; both sides are computed
     from scratch, so the residual measures the exactness of the q
-    integers rather than quadrature behavior.
+    integers rather than quadrature behavior.  mpmath is imported here,
+    so that the exact layer loads none of it.
     """
+    import mpmath as mp
+
     if l < 1:
         raise ValueError(f"order l must be >= 1, got {l}")
     u = mp.mpf(u)
@@ -144,10 +169,10 @@ def tau_row(m: int) -> dict[int, Fraction]:
     solve and no Bernoulli number.
 
     Proved: tau* is the inverse of the theta array of
-    :func:`~zetaodd.zeta.linear_form`, whose entries are central
-    factorial numbers of the first kind, because the central factorial
-    numbers of the first and second kind are inverse matrices (the
-    proof is in :func:`~zetaodd.zeta.linear_form`).  At j = K+1,
+    :func:`linear_form`, whose entries are central factorial numbers of
+    the first kind, because the central factorial numbers of the first
+    and second kind are inverse matrices (the proof is in
+    :func:`linear_form`).  At j = K+1,
     T(2K, 2K) = 1 gives tau_top(K) = 1/(2^m - 1).  Observed, not
     proved: tau* equals the paper's tau, the weight solve mixed against
     q, for every odd m <= 101, the CLI's whole range (verify check 11;
@@ -170,3 +195,111 @@ def tau_row(m: int) -> dict[int, Fraction]:
         k + 1: Fraction((-4) ** (K - k) * math.factorial(2 * k) * T[k], denom)
         for k in range(1, K + 1)
     }
+
+
+# -- exact linear forms --------------------------------------------------
+
+@dataclass(frozen=True)
+class LinearForm:
+    """Rational combination  sum_k theta_k zeta(2k+1) / pi^2k  =
+    theta_next * I_n, with all theta exact.
+
+    ``thetas[k-1]`` multiplies zeta(2k+1)/pi^2k for k = 1..n.
+    """
+
+    n: int
+    thetas: tuple[Fraction, ...]
+    theta_next: Fraction
+
+
+def linear_form(n: int) -> LinearForm:
+    """The telescoping combination ending at the single moment I_n, in
+    closed form: theta_next = 1 and, for K = 1..n,
+
+        theta_K = (2^(2K+1) - 1) (2K)! |e_(K-1)| / (2n)!,
+
+    with e_(K-1) the coefficient of y^(K-1) in
+    prod_(j=1)^(n-1) (y - 4j^2) (https://oeis.org/A008955).
+
+    Proved: these thetas invert the tau* array of
+    :func:`tau_row`, so sum_K theta_K tau*(j+1, 2K+1)
+    is 0 for j < n and 1 for j = n.  With y = 4x^2 the product is
+    sum_K 4^(n-K) t(2n, 2K) y^(K-1), t the central factorial numbers of
+    the first kind (x^2 (x^2 - 1) ... (x^2 - (n-1)^2) = sum_K t(2n, 2K)
+    x^(2K)), whose signs alternate, so |e_(K-1)| = (-1)^(n-K) 4^(n-K)
+    t(2n, 2K).  The sum is then (-4)^(n-j) (2j)!/(2n)! times
+    sum_K t(2n, 2K) T(2K, 2j), and the first and second kinds are
+    inverse matrices.  Every theta is positive: |e_(K-1)| is an
+    elementary symmetric sum of the positive 4j^2.  That these are the
+    thetas of the paper's tau, the weight solve mixed against q, rests
+    on tau* = tau, observed for every odd m <= 101; verify check 11
+    telescopes them against that tau for n <= 50.
+    """
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    e = [1]  # prod_(j<n) (y - 4j^2), lowest power first
+    for j in range(1, n):
+        e = [(e[i - 1] if i else 0) - 4 * j * j * (e[i] if i < j else 0) for i in range(j + 1)]
+    denom = math.factorial(2 * n)
+    thetas = tuple(
+        Fraction((2 ** (2 * k + 1) - 1) * math.factorial(2 * k) * abs(e[k - 1]), denom)
+        for k in range(1, n + 1)
+    )
+    return LinearForm(n, thetas, Fraction(1))
+
+
+# -- the dimension criterion ---------------------------------------------
+
+@dataclass(frozen=True)
+class ScanRow:
+    n: int
+    m: int
+    tau_value: Fraction
+    is_zero: bool
+
+
+@dataclass(frozen=True)
+class ScanReport:
+    """Top tau coefficients tau(n+1, 2n+1) over a range of n.
+
+    Each entry is nonzero (proof in :func:`tau_top`),
+    so I_n enters the linear form of degree 2n+1.  That is evidence for
+    the rational span of the zeta ratios growing without bound, not a
+    proof.
+    """
+
+    rows: tuple[ScanRow, ...]
+
+    @property
+    def all_nonzero(self) -> bool:
+        return all(not r.is_zero for r in self.rows)
+
+    def summary(self) -> str:
+        n_max = self.rows[-1].n if self.rows else 0
+        return (
+            f"all top coefficients nonzero for n = 1..{n_max}: every moment "
+            "I_n in range adds a new direction (evidence of unbounded span, "
+            "not a proof)"
+        )
+
+
+def dimension_scan(n_max: int = 20) -> ScanReport:
+    """Evaluate tau(n+1, 2n+1) exactly for n = 1..n_max.
+
+    Every row is 1/(2^(2n+1) - 1), so a scan can never report a zero:
+    q(n+1, 2n+1) = (-1)^n (the top Chebyshev-U coefficient) and
+    w_{2n+1} = (-1)^(n+1) (2n)! cancel the other factors of the top
+    coefficient exactly.  The rows come from the closed form in
+    :func:`tau_top`, which has the proof; verify
+    check 11 compares it with the top entry of the paper's tau, through
+    the weight solve, for n <= 50.  What the identity does not prove is
+    that the span of the zeta ratios grows, since I_n itself might be a
+    rational combination of the lower ratios; the summary line says so.
+    """
+    if n_max < 1:
+        raise ValueError(f"n_max must be >= 1, got {n_max}")
+    rows = []
+    for n in range(1, n_max + 1):
+        value = tau_top(n)
+        rows.append(ScanRow(n=n, m=2 * n + 1, tau_value=value, is_zero=value == 0))
+    return ScanReport(tuple(rows))

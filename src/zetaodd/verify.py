@@ -28,7 +28,14 @@ from fractions import Fraction
 import mpmath as mp
 
 from .bernoulli import gen_bernoulli, gen_bernoulli_poly, gen_bernoulli_row, series_oracle
-from .hyperbolic import partial_fraction_residual, q_coeff, tau_row, tau_top
+from .hyperbolic import (
+    dimension_scan,
+    linear_form,
+    partial_fraction_residual,
+    q_coeff,
+    tau_row,
+    tau_top,
+)
 from .quadrature import (
     DEFAULT_PRECISION,
     integral_In,
@@ -38,10 +45,8 @@ from .weights import back_substitute, d_coefficients, s_constant, solve_weights,
 from .zeta import (
     _sech_row,
     asech_kernel_polynomial,
-    dimension_scan,
     exp_kernel_polynomial,
     in_sequence_report,
-    linear_form,
     linear_form_residual,
     zeta3_exp_integral,
     zeta_reference,

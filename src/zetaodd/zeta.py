@@ -1,4 +1,4 @@
-"""Zeta values three ways, plus the exact linear forms they satisfy.
+"""Zeta values three ways, and the numeric check of the exact linear forms.
 
 Routes to zeta(m):
 
@@ -40,16 +40,10 @@ analytic representations: the two integrands, constants included, are
 one integrand in v (checked numerically at m = 3, 5, 13, 41, not proved
 here).  Only route 1 is independent of the quadrature.
 
-The exact side of the same pairing is :func:`linear_form`: for each n
-a rational combination of zeta(3)/pi^2, zeta(5)/pi^4, ...,
-zeta(2n+1)/pi^2n that telescopes through the tau array to
-theta_next * I_n, with theta_next = 1, its thetas central factorial
-numbers of the first kind in closed form.  The scan
-(:func:`dimension_scan`, the CLI's ``scan``) prints the top coefficients tau(n+1, 2n+1), proved
-nonzero: they equal 1/(2^(2n+1) - 1) for every n (proof in
-:func:`~zetaodd.hyperbolic.tau_top`).  The scan does not prove that the
-span of the zeta ratios grows: I_n itself might be a rational
-combination of the lower ratios.
+The exact side of the same pairing, :func:`~zetaodd.hyperbolic.linear_form`
+and the scan :func:`~zetaodd.hyperbolic.dimension_scan`, lives with the
+tau closed forms in :mod:`zetaodd.hyperbolic`, which imports no mpmath;
+:func:`linear_form_residual` evaluates a form's two sides here.
 """
 
 from __future__ import annotations
@@ -62,7 +56,7 @@ from functools import lru_cache
 
 import mpmath as mp
 
-from .hyperbolic import tau_row, tau_top
+from .hyperbolic import LinearForm, tau_row
 from .quadrature import (
     DEFAULT_PRECISION,
     PowerSumKernel,
@@ -80,12 +74,7 @@ __all__ = [
     "zeta_via_asech_kernel",
     "ZetaReport",
     "zeta_report",
-    "LinearForm",
-    "linear_form",
     "linear_form_residual",
-    "ScanRow",
-    "ScanReport",
-    "dimension_scan",
     "in_sequence_report",
 ]
 
@@ -375,57 +364,6 @@ def zeta_report(m: int, cfg: PrecisionConfig = DEFAULT_PRECISION) -> ZetaReport:
     )
 
 
-# -- exact linear forms --------------------------------------------------
-
-@dataclass(frozen=True)
-class LinearForm:
-    """Rational combination  sum_k theta_k zeta(2k+1) / pi^2k  =
-    theta_next * I_n, with all theta exact.
-
-    ``thetas[k-1]`` multiplies zeta(2k+1)/pi^2k for k = 1..n.
-    """
-
-    n: int
-    thetas: tuple[Fraction, ...]
-    theta_next: Fraction
-
-
-def linear_form(n: int) -> LinearForm:
-    """The telescoping combination ending at the single moment I_n, in
-    closed form: theta_next = 1 and, for K = 1..n,
-
-        theta_K = (2^(2K+1) - 1) (2K)! |e_(K-1)| / (2n)!,
-
-    with e_(K-1) the coefficient of y^(K-1) in
-    prod_(j=1)^(n-1) (y - 4j^2) (https://oeis.org/A008955).
-
-    Proved: these thetas invert the tau* array of
-    :func:`~zetaodd.hyperbolic.tau_row`, so sum_K theta_K tau*(j+1, 2K+1)
-    is 0 for j < n and 1 for j = n.  With y = 4x^2 the product is
-    sum_K 4^(n-K) t(2n, 2K) y^(K-1), t the central factorial numbers of
-    the first kind (x^2 (x^2 - 1) ... (x^2 - (n-1)^2) = sum_K t(2n, 2K)
-    x^(2K)), whose signs alternate, so |e_(K-1)| = (-1)^(n-K) 4^(n-K)
-    t(2n, 2K).  The sum is then (-4)^(n-j) (2j)!/(2n)! times
-    sum_K t(2n, 2K) T(2K, 2j), and the first and second kinds are
-    inverse matrices.  Every theta is positive: |e_(K-1)| is an
-    elementary symmetric sum of the positive 4j^2.  That these are the
-    thetas of the paper's tau, the weight solve mixed against q, rests
-    on tau* = tau, observed for every odd m <= 101; verify check 11
-    telescopes them against that tau for n <= 50.
-    """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    e = [1]  # prod_(j<n) (y - 4j^2), lowest power first
-    for j in range(1, n):
-        e = [(e[i - 1] if i else 0) - 4 * j * j * (e[i] if i < j else 0) for i in range(j + 1)]
-    denom = math.factorial(2 * n)
-    thetas = tuple(
-        Fraction((2 ** (2 * k + 1) - 1) * math.factorial(2 * k) * abs(e[k - 1]), denom)
-        for k in range(1, n + 1)
-    )
-    return LinearForm(n, thetas, Fraction(1))
-
-
 def linear_form_residual(form: LinearForm, cfg: PrecisionConfig = DEFAULT_PRECISION) -> mp.mpf:
     """|sum_k theta_k zeta(2k+1)/pi^2k - theta_next I_n| numerically,
     summed at ``cfg.eval_digits``, the precision I_n is integrated at."""
@@ -437,63 +375,6 @@ def linear_form_residual(form: LinearForm, cfg: PrecisionConfig = DEFAULT_PRECIS
         tn = form.theta_next
         rhs = mp.mpf(tn.numerator) / tn.denominator * integral_In(form.n, cfg).value
         return abs(acc - rhs)
-
-
-# -- the dimension criterion ---------------------------------------------
-
-@dataclass(frozen=True)
-class ScanRow:
-    n: int
-    m: int
-    tau_value: Fraction
-    is_zero: bool
-
-
-@dataclass(frozen=True)
-class ScanReport:
-    """Top tau coefficients tau(n+1, 2n+1) over a range of n.
-
-    Each entry is nonzero (proof in :func:`~zetaodd.hyperbolic.tau_top`),
-    so I_n enters the linear form of degree 2n+1.  That is evidence for
-    the rational span of the zeta ratios growing without bound, not a
-    proof.
-    """
-
-    rows: tuple[ScanRow, ...]
-
-    @property
-    def all_nonzero(self) -> bool:
-        return all(not r.is_zero for r in self.rows)
-
-    def summary(self) -> str:
-        n_max = self.rows[-1].n if self.rows else 0
-        return (
-            f"all top coefficients nonzero for n = 1..{n_max}: every moment "
-            "I_n in range adds a new direction (evidence of unbounded span, "
-            "not a proof)"
-        )
-
-
-def dimension_scan(n_max: int = 20) -> ScanReport:
-    """Evaluate tau(n+1, 2n+1) exactly for n = 1..n_max.
-
-    Every row is 1/(2^(2n+1) - 1), so a scan can never report a zero:
-    q(n+1, 2n+1) = (-1)^n (the top Chebyshev-U coefficient) and
-    w_{2n+1} = (-1)^(n+1) (2n)! cancel the other factors of the top
-    coefficient exactly.  The rows come from the closed form in
-    :func:`~zetaodd.hyperbolic.tau_top`, which has the proof; verify
-    check 11 compares it with the top entry of the paper's tau, through
-    the weight solve, for n <= 50.  What the identity does not prove is
-    that the span of the zeta ratios grows, since I_n itself might be a
-    rational combination of the lower ratios; the summary line says so.
-    """
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
-    rows = []
-    for n in range(1, n_max + 1):
-        value = tau_top(n)
-        rows.append(ScanRow(n=n, m=2 * n + 1, tau_value=value, is_zero=value == 0))
-    return ScanReport(tuple(rows))
 
 
 def in_sequence_report(

@@ -13,6 +13,7 @@ import zetaodd.bernoulli as bernoulli
 import zetaodd.cli as cli
 import zetaodd.quadrature as quadrature
 import zetaodd.verify as verify
+import zetaodd.zeta as zeta_mod
 from zetaodd.cli import (
     MAX_BERNOULLI_GRID,
     MAX_BERNOULLI_N,
@@ -498,13 +499,17 @@ class TestInputLimits:
         def started(*args, **kwargs):
             raise _RouteStarted
 
-        for name in (
-            "integral_In", "zeta_report", "zeta_reference",
-            "zeta_via_exp_kernel", "zeta_via_asech_kernel",
-            "solve_weights", "gen_bernoulli", "gen_bernoulli_row", "tau_row",
-            "dimension_scan", "linear_form",
+        # the numeric handlers read their routes from quadrature and zeta
+        # when they run, the exact ones from the names cli imported
+        for module, names in (
+            (quadrature, ("integral_In",)),
+            (zeta_mod, ("zeta_report", "zeta_reference",
+                        "zeta_via_exp_kernel", "zeta_via_asech_kernel")),
+            (cli, ("solve_weights", "gen_bernoulli", "gen_bernoulli_row", "tau_row",
+                   "dimension_scan", "linear_form")),
         ):
-            monkeypatch.setattr(cli, name, started)
+            for name in names:
+                monkeypatch.setattr(module, name, started)
 
     @pytest.mark.parametrize(
         "argv,message",

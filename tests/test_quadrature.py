@@ -7,6 +7,7 @@ from mpmath.libmp import pi_fixed
 
 import zetaodd.quadrature as quadrature
 import zetaodd.zeta as zeta_mod
+from zetaodd.hyperbolic import linear_form
 from zetaodd.quadrature import (
     DEFAULT_PRECISION,
     NonConvergenceError,
@@ -29,7 +30,7 @@ from zetaodd.quadrature import (
     integral_In_crosscheck,
     integrate_01_fixed,
 )
-from zetaodd.zeta import linear_form, linear_form_residual
+from zetaodd.zeta import linear_form_residual
 
 QUICK = PrecisionConfig(target_digits=20, working_digits=35)
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import zetaodd.cli
 import zetaodd.quadrature as quadrature
 import zetaodd.zeta as zeta_mod
-from zetaodd.hyperbolic import tau_row, tau_top
+from zetaodd.hyperbolic import dimension_scan, linear_form, tau_row, tau_top
 from zetaodd.quadrature import (
     DEFAULT_PRECISION,
     PrecisionConfig,
@@ -24,9 +24,7 @@ from zetaodd.quadrature import (
 from zetaodd.verify import _kernel_by_weights
 from zetaodd.weights import back_substitute, solve_weights, triangular_system
 from zetaodd.zeta import (
-    dimension_scan,
     in_sequence_report,
-    linear_form,
     linear_form_residual,
     zeta3_exp_integral,
     zeta_reference,
