@@ -82,32 +82,29 @@ __all__ = [
 ]
 
 # numeric name -> the submodule that defines it, imported on first access
-_LAZY = {
-    **dict.fromkeys(
-        (
-            "PrecisionConfig",
-            "DEFAULT_PRECISION",
-            "QuadratureResult",
-            "NonConvergenceError",
-            "integral_In",
-            "integral_In_crosscheck",
-        ),
-        "quadrature",
+_LAZY = dict.fromkeys(
+    (
+        "PrecisionConfig",
+        "DEFAULT_PRECISION",
+        "QuadratureResult",
+        "NonConvergenceError",
+        "integral_In",
+        "integral_In_crosscheck",
     ),
-    **dict.fromkeys(
-        (
-            "zeta_reference",
-            "zeta3_exp_integral",
-            "zeta_via_exp_kernel",
-            "zeta_via_asech_kernel",
-            "ZetaReport",
-            "zeta_report",
-            "linear_form_residual",
-            "in_sequence_report",
-        ),
-        "zeta",
+    "quadrature",
+) | dict.fromkeys(
+    (
+        "zeta_reference",
+        "zeta3_exp_integral",
+        "zeta_via_exp_kernel",
+        "zeta_via_asech_kernel",
+        "ZetaReport",
+        "zeta_report",
+        "linear_form_residual",
+        "in_sequence_report",
     ),
-}
+    "zeta",
+)
 
 
 def __getattr__(name: str):
