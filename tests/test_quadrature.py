@@ -3,7 +3,9 @@ import signal
 
 import mpmath as mp
 import pytest
-from mpmath.libmp import pi_fixed
+from hypothesis import given
+from hypothesis import strategies as st
+from mpmath.libmp import from_man_exp, pi_fixed
 
 import zetaodd.quadrature as quadrature
 import zetaodd.zeta as zeta_mod
@@ -277,6 +279,252 @@ class TestStoppingRule:
         got = zeta_mod.zeta_via_exp_kernel(3, PrecisionConfig(15, 35))
         with mp.workdps(45):
             assert abs(got - mp.zeta(3)) > mp.mpf(10) ** -25
+
+
+def _estimate_every_level(sums, eval_dps):
+    """The stopping rule's estimate as first written, the oracle of the
+    screen: two mpmath log10 and a power at eval precision whenever
+    there are three level sums."""
+    scale = 1 + abs(sums[-1])
+    floor = mp.mpf(10) ** -eval_dps
+    d1 = abs(sums[-1] - sums[-2]) / scale
+    if d1 == 0:
+        return floor
+    if len(sums) < 3:
+        return d1
+    d2 = abs(sums[-1] - sums[-3]) / scale
+    if d2 == 0:
+        return floor
+    if d2 >= 1:
+        return d1
+    D1 = mp.log10(d1)
+    D2 = mp.log10(d2)
+    return mp.mpf(10) ** max(D1 * D1 / D2, 2 * D1, -eval_dps)
+
+
+def _exact_rule(kernel, cfg):
+    """integrate_01_fixed's level loop with no screen: the estimate and
+    the error formed at every level.  Returns ("stop", levels, value,
+    error, nodes) at the first level whose estimate clears the target,
+    or ("raise", best_value, error, message) after _MAX_LEVELS levels."""
+    eval_dps = cfg.eval_digits
+    depth = _node_depth(cfg)
+    prec = _fixed_bits(eval_dps)
+    with mp.workdps(eval_dps):
+        tol = mp.mpf(10) ** (-(cfg.target_digits + quadrature._STOP_HEADROOM))
+        sums = []
+        err = mp.inf
+        used = 0
+        for level in range(quadrature._MAX_LEVELS):
+            table = _ts_level_columns(eval_dps, depth, level)
+            used += 2 * len(table)
+            new = mp.ldexp(kernel.level(table, prec), -prec)
+            h = mp.mpf(1) / 2**level
+            if level == 0:
+                centre = kernel.member(quadrature._centre_columns(prec), prec)
+                sums.append(h * (mp.ldexp(centre, -prec) + new))
+                used += 1
+                continue
+            current = sums[-1] / 2 + h * new
+            sums = sums[-2:] + [current]
+            relative = _estimate_every_level(sums, eval_dps)
+            outermost = sum(kernel.member(columns, prec) for columns in table[-1])
+            err = relative * (1 + abs(current)) + h * abs(mp.ldexp(outermost, -prec))
+            if relative <= tol:
+                return "stop", level + 1, current, err, used
+        message = (
+            f"tanh-sinh on (0,1): no convergence to {cfg.target_digits} digits "
+            f"within {quadrature._MAX_LEVELS} levels (error estimate {mp.nstr(err, 3)})"
+        )
+        return "raise", sums[-1], err, message
+
+
+def _integral_in_kernel(n, cfg, monkeypatch):
+    """The TermKernel integral_In(n, cfg) hands the integrator."""
+    kernels = []
+    integrate = quadrature.integrate_01_fixed
+
+    def spy(kernel, cfg):
+        kernels.append(kernel)
+        return integrate(kernel, cfg)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(quadrature, "integrate_01_fixed", spy)
+        integral_In(n, cfg)
+    return kernels[0]
+
+
+# the 300-digit row runs only with --run-slow
+_SCREEN_DIGITS = [15, 30, 100, pytest.param(300, marks=pytest.mark.slow)]
+
+
+def _mpf_of(data, max_bits=2000, min_log2=-1329, max_log2=16):
+    """A positive mpf with a mantissa of 1..max_bits bits and
+    2^min_log2 <= x < 2^max_log2 (10^-400 is about 2^-1329)."""
+    bits = data.draw(st.integers(1, max_bits))
+    man = data.draw(st.integers(1 << bits - 1, (1 << bits) - 1))
+    top = data.draw(st.integers(min_log2 + 1, max_log2))
+    return mp.make_mpf(from_man_exp(man, top - bits))  # not rounded
+
+
+class TestStopScreen:
+    """integrate_01_fixed screens each level's stop in float
+    (quadrature._certainly_above) and takes the exact rule only where the
+    screen cannot rule a stop out; the exact rule at every level is the
+    oracle."""
+
+    def test_two_logs_per_integral(self, monkeypatch):
+        # the exact rule's two log10 run only at the level that stops;
+        # the estimate at every level made two per level from level 2 on
+        logs = integrals = 0
+        log10 = quadrature.mp.log10
+        integrate = zeta_mod.integrate_01_fixed
+
+        def counted_log10(x):
+            nonlocal logs
+            logs += 1
+            return log10(x)
+
+        def counted_integrate(kernel, cfg):
+            nonlocal integrals
+            integrals += 1
+            return integrate(kernel, cfg)
+
+        monkeypatch.setattr(quadrature.mp, "log10", counted_log10)
+        monkeypatch.setattr(zeta_mod, "integrate_01_fixed", counted_integrate)
+        for m in range(3, 22, 2):
+            assert zeta_mod.zeta_report(m, PrecisionConfig(30, 50)).passed
+        assert integrals == 20
+        assert 0 < logs <= 2 * integrals
+
+    @pytest.mark.parametrize("route", ["exp", "asech"])
+    @pytest.mark.parametrize("m", [3, 13, 41, 61, 101])
+    @pytest.mark.parametrize("digits", _SCREEN_DIGITS)
+    def test_routes_stop_where_the_exact_rule_does(self, digits, m, route):
+        cfg, exp_kernel, _, asech_kernel, _ = zeta_mod._degree_setup(
+            m, PrecisionConfig(digits, digits + 20)
+        )
+        kernel = exp_kernel if route == "exp" else asech_kernel
+        got = integrate_01_fixed(kernel, cfg)
+        want = _exact_rule(kernel, cfg)
+        assert ("stop", got.levels, got.value, got.error_estimate, got.nodes_used) == want
+
+    @pytest.mark.parametrize("n", [1, 50, 400])
+    @pytest.mark.parametrize("digits", _SCREEN_DIGITS)
+    def test_moments_stop_where_the_exact_rule_does(self, digits, n, monkeypatch):
+        cfg = PrecisionConfig(digits, digits + 20)
+        got = integral_In(n, cfg)
+        want = _exact_rule(_integral_in_kernel(n, cfg, monkeypatch), cfg)
+        assert ("stop", got.levels, got.value, got.error_estimate, got.nodes_used) == want
+
+    @pytest.mark.parametrize(
+        "term",
+        [
+            # test_growing_integrand_raises: Fe/q^2 in q, h = (e^x - 1)/x
+            lambda columns, prec: (columns[1] << 2 * prec) // max(columns[0] ** 2, 1),
+            # test_divergent_integrand_raises: ~ 1/(1-u) at u = 1
+            lambda columns, prec: (columns[1] << prec) // max((1 << prec) - columns[0], 1),
+        ],
+        ids=["growing", "divergent"],
+    )
+    def test_nonconvergence_reports_the_last_level(self, term, monkeypatch):
+        # the last level takes the exact rule whatever the screen says,
+        # so the error carries that level's estimate and outermost term
+        monkeypatch.setattr(quadrature, "_MAX_LEVELS", 4)
+        cfg = PrecisionConfig(target_digits=15, working_digits=30)
+        kernel = TermKernel(term)
+        with pytest.raises(NonConvergenceError) as exc:
+            integrate_01_fixed(kernel, cfg)
+        want = _exact_rule(kernel, cfg)
+        got = ("raise", exc.value.best_value, exc.value.error_estimate, str(exc.value))
+        assert got == want
+
+    @given(data=st.data())
+    def test_float_log10_within_its_bound(self, data):
+        # 2^-51 (1 + |log10 x|), a quarter of the screen's _LOG10_SLACK,
+        # against mpmath 60 digits up, for mantissas of 1..2000 bits and
+        # x from 10^-400 to 2^16
+        x = _mpf_of(data)
+        got = quadrature._log10_float(x)
+        with mp.workdps(80):
+            assert abs(got - mp.log10(x)) <= quadrature._LOG10_SLACK / 4 * (1 + abs(got))
+
+    @staticmethod
+    def _check_screen(d1, d2, target, eval_dps):
+        """d1 and d2 rounded to eval_dps, as the integrator holds them,
+        and screened where the integrator screens (0 < d2 < 1): the
+        screen says "certainly above" only where the exact rule does not
+        stop.  Returns the screen's answer."""
+        stop_exp = -(target + quadrature._STOP_HEADROOM)
+        with mp.workdps(eval_dps):
+            d1, d2 = +d1, +d2
+            if d2 >= 1:
+                return False
+            above = quadrature._certainly_above(d1, d2, stop_exp)
+            if above:
+                tol = mp.mpf(10) ** stop_exp
+                D1, D2 = mp.log10(d1), mp.log10(d2)
+                assert mp.mpf(10) ** max(D1 * D1 / D2, 2 * D1, -eval_dps) > tol
+        return above
+
+    @staticmethod
+    def _precision(data):
+        target = data.draw(st.integers(1, 330))
+        eval_dps = data.draw(st.sampled_from([target + 10, -(-(target + 10) // 10) * 10 + 10]))
+        return target, max(eval_dps, 20)
+
+    @given(data=st.data())
+    def test_screen_never_skips_a_stop(self, data):
+        target, eval_dps = self._precision(data)
+        d1 = _mpf_of(data, max_log2=4)
+        d2 = _mpf_of(data, max_log2=0)
+        self._check_screen(d1, d2, target, eval_dps)
+
+    @given(data=st.data())
+    def test_screen_defers_on_d2_just_below_one(self, data):
+        # log10(d2) rounds to 0 or near it in float: the screen must
+        # leave the level to the exact rule, never divide by it
+        target, eval_dps = self._precision(data)
+        man = data.draw(st.integers(1, 2**40 - 1))
+        shift = 40 + man.bit_length() + data.draw(st.integers(0, 25))
+        gap = mp.make_mpf(from_man_exp(man, -shift))  # in [2^-66, 2^-40)
+        with mp.workdps(eval_dps):
+            d2 = 1 - gap  # below 1 at 70 bits and more
+        d1 = _mpf_of(data, max_log2=0)
+        if self._check_screen(d1, d2, target, eval_dps):
+            assert 2 * quadrature._log10_float(d1) > -(target + quadrature._STOP_HEADROOM)
+
+    @given(data=st.data())
+    def test_screen_near_the_stop(self, data):
+        # D1^2/D2 placed within about 2^-35 |L| of L = -(target + 10),
+        # inside the band the screen leaves to the exact rule, and at
+        # eval_digits == target + 10 too, where the floor equals the
+        # tolerance
+        target, eval_dps = self._precision(data)
+        stop_exp = -(target + quadrature._STOP_HEADROOM)
+        shift = data.draw(st.integers(-(2**20), 2**20))
+        with mp.workdps(eval_dps + 20):
+            D2 = -mp.mpf(data.draw(st.integers(1, 2**20))) / 2**10
+            D1 = -mp.sqrt(stop_exp * D2 * (1 + mp.ldexp(shift, -55)))
+            d1, d2 = mp.mpf(10) ** D1, mp.mpf(10) ** D2
+        with mp.workdps(eval_dps):
+            d1, d2 = +d1, +d2
+        self._check_screen(d1, d2, target, eval_dps)
+
+    @given(data=st.data())
+    def test_screen_skips_clear_misses(self, data):
+        # not vacuous: an exponent 2^-30 (1 + |L|) above L, with |D2| at
+        # least 10^-3, is always ruled out in float
+        target, eval_dps = self._precision(data)
+        stop_exp = -(target + quadrature._STOP_HEADROOM)
+        with mp.workdps(eval_dps + 20):
+            D2 = -mp.mpf(data.draw(st.integers(1, 400_000))) / 1000
+            excess = 2.0**-30 * (1 - stop_exp) * (1 + data.draw(st.integers(0, 2**20)))
+            D1 = -mp.sqrt((stop_exp + excess) * D2)
+            d1, d2 = mp.mpf(10) ** D1, mp.mpf(10) ** D2
+        with mp.workdps(eval_dps):
+            d1, d2 = +d1, +d2
+        assert self._check_screen(d1, d2, target, eval_dps)
 
 
 def _half_line(h):
