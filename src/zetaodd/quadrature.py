@@ -73,7 +73,12 @@ them against textbook formulas in s = (pi/2) sinh t, 20 digits higher.
 The centre node u = 1/2 (t = 0) is outside the table but comes from the
 same generator, :func:`_pair_columns` at 2s = 0, where the pair's two
 members coincide, so it meets the same bounds; it is built once per
-precision.
+precision.  Past q, one series makes every node transcendental:
+atanh(v)/v (:func:`_atanh_ratio`), summed directly on the outer nodes
+and behind a fixed-point logarithm with two table reductions
+(:func:`_log_fixed`) on the inner ones; q itself is a fixed-point exp
+(:func:`_exp_neg_fixed`).  No mpmath logarithm, and no mpf, runs per
+node.
 
 Integer level sums.  Every production integral sums its levels in
 integers, where mpf overhead (a power, a division, conversions, the adds
@@ -124,7 +129,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import mpmath as mp
-from mpmath.libmp import dps_to_prec, from_man_exp, ln2_fixed, mpf_exp, mpf_log, pi_fixed, to_fixed
+from mpmath.libmp import dps_to_prec, from_man_exp, ln2_fixed, mpf_exp, pi_fixed, to_fixed
 
 __all__ = [
     "PrecisionConfig",
@@ -149,7 +154,7 @@ _NODE_TABLES_KEPT = 32
 # integral_In's bound is 2^14 units.  P, and so every output, depends on it
 _FIXED_GUARD_BITS = 20
 _COLUMN_GUARD_BITS = 32  # node arithmetic runs this far past the columns' bits
-_SERIES_MAX_TERMS = 32  # node logs by series once these end within about this many terms
+_SERIES_MAX_TERMS = 48  # node logs by series once these end within about this many terms
 _LOG2_E = 1 / math.log(2)
 _LOG10_2 = math.log10(2)
 # the stop screen's bounds (_certainly_above), per unit of 1 + |value|:
@@ -278,78 +283,162 @@ def _level_indices(eval_dps: int, depth: int, level: int) -> range:
     return range(1, k_max + 1, 1 if level == 0 else 2)
 
 
+def _atanh_ratio(w: int, prec: int) -> int:
+    """atanh(v)/v = sum_k w^k/(2k+1) for 0 <= w = v^2 <= 1/3, w and the
+    result integers in units of 2^-prec: the one series behind every node
+    logarithm.  Even and odd k take two accumulators over one power of
+    w^2, so a product serves two terms, and the odd sum is times w once at
+    the end; the loop ends when the power truncates to zero.  Over its N
+    passes the power stays within 2N units below w^(2i) (w^2 and each
+    product truncate once), each quotient within 1.5, and the dropped
+    terms sum below two units, so the result lies below its value by
+    less than 3N + 3 units."""
+    w2 = w * w >> prec
+    even = odd = 0
+    power, k = 1 << prec, 1
+    while power:
+        even += power // k
+        odd += power // (k + 2)
+        power = power * w2 >> prec
+        k += 4
+    return even + (odd * w >> prec)
+
+
+def _two_atanh(v: int, prec: int) -> int:
+    """2 atanh(v) = 2 v atanh(v)/v for 0 <= v <= 1/2, in units of 2^-prec,
+    by :func:`_atanh_ratio`."""
+    return v * _atanh_ratio(v * v >> prec, prec) >> prec - 1
+
+
 @lru_cache(maxsize=4)
-def _log_sixteenths(prec: int) -> tuple[int, ...]:
-    """ln(j/16) for j = 16 .. 31, in units of 2^-prec."""
-    return tuple(to_fixed(mpf_log(from_man_exp(j, -4), prec), prec) for j in range(16, 32))
+def _log_tables(prec: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """ln(j/16) for j = 16 .. 32 and ln(1 + k/256) for k = 0 .. 15, in
+    units of 2^-prec, by :func:`_two_atanh`:
+    ln((j+1)/16) = ln(j/16) + 2 atanh(1/(2j+1)) from ln(16/16) = 0, and
+    ln(1 + k/256) = 2 atanh(k/(512+k)).  While prec < 2^12 + 2^7, each
+    2 atanh lies below its value by less than 2^6 units (two from its
+    truncated argument, one from the product, and the series' 3N + 3,
+    N < prec/20 + 2, times 2v <= 2/33), so every entry, ln 2 = ln(32/16)
+    the sum of 16, lies below its value by less than 2^10 units."""
+    one = 1 << prec
+    sixteenths = [0]
+    for j in range(16, 32):
+        sixteenths.append(sixteenths[-1] + _two_atanh(one // (2 * j + 1), prec))
+    steps = tuple(_two_atanh((k << prec) // (512 + k), prec) for k in range(16))
+    return tuple(sixteenths), steps
 
 
 def _log_fixed(x: int, prec: int) -> int:
     """ln(x) for x >= 1, x and the result integers in units of 2^-prec,
-    within six units while x < e^2, which covers every x the node table
-    passes (at most 2 + sqrt 3): one from r, and two from ln(j/16) and
-    three from the log of 2^e r, each rounded and then truncated.
-    x = 2^e (j/16) r with 16 <= j < 32 its leading five bits and
-    1 <= r < 17/16, so mpf_log, whose table is indexed by a mantissa's
-    leading nine bits and filled one entry per new index, sees only the
-    16 heads of j/16 and of r: a cold process fills about 32 entries
-    instead of up to 256.  The ln(j/16) come at a multiple of 64 bits,
-    so nearby node precisions share them."""
-    j = x >> x.bit_length() - 5
-    table_prec = -(-prec // 64) * 64
-    head = _log_sixteenths(table_prec)[j - 16] >> table_prec - prec
-    return head + to_fixed(mpf_log(from_man_exp((x << 4) // j, -prec), prec), prec)
+    below ln(x) by less than 1 + 2^-5 units while prec < 2^12, with no
+    mpmath logarithm.
+
+    Argument reduction by two tables (Brent and Zimmermann, Modern
+    Computer Arithmetic, 2010, ch. 4): x = 2^e (j/16) r with
+    16 <= j < 32 x's leading five bits and 1 <= r < 1 + 1/j, then
+    r = (1 + k/256) r' with k = floor(256 (r - 1)) < 16 and
+    1 <= r' < 1 + 1/256, so that ln x = e ln 2 + ln(j/16) + ln(1 + k/256)
+    + 2 atanh(v) with v = (r' - 1)/(r' + 1) < 2^-9, one division from x.
+    The series for 2 atanh(v) (:func:`_atanh_ratio`) gains 36 bits per
+    product.
+
+    Tables.  The three entries come from :func:`_log_tables` at
+    T >= prec + 40 bits, a multiple of 64, so that nearby precisions
+    share one table: a process builds one or two per eval precision of
+    the node table, 0.2 to 2.4 ms each from 30 to 300 digits, and mpmath's
+    log cache stays untouched.
+
+    Error.  The entries lie below their values by less than 2^10 units of
+    2^-T each (e <= 1 on the node table; e ln 2 adds e such errors), less
+    than 2^-28 units of 2^-prec together.  The tail runs at
+    p = prec + 8 bits: the truncated v moves 2 atanh(v) by less than
+    2/(1 - v^2) units of 2^-p, the product by one more, and the series'
+    3N + 3 units, N < p/36 + 2, are times 2v < 2^-8.  With the tables'
+    sum truncated to p bits, these stay below 5 units of 2^-p, and the
+    last truncation to prec bits puts the result below ln x by less than
+    1 + 2^-5 units; x = 1 gives exactly 0."""
+    n = x.bit_length() - 5
+    j = x >> n
+    k = ((x - (j << n)) << 8 >> n) // j
+    table_prec = -(-(prec + 40) // 64) * 64
+    sixteenths, steps = _log_tables(table_prec)
+    head = (n + 4 - prec) * sixteenths[16] + sixteenths[j - 16] + steps[k]
+    tail_prec = prec + 8
+    top, bottom = 256 * x, (256 + k) * j << n
+    v = (top - bottom << tail_prec) // (top + bottom)
+    return (head >> table_prec - tail_prec) + _two_atanh(v, tail_prec) >> 8
 
 
-def _log1p_ratio(x: int, prec: int) -> int:
-    """log1p(x)/x = 2 atanh(v)/x = (2/(2+x)) sum_k v^(2k)/(2k+1) with
-    v = x/(2+x), x and the result integers in units of 2^-prec, summed
-    until the term truncates to zero: about prec/(2 log2(1/x)) terms,
-    each truncated once."""
-    two = 2 << prec
-    v = (x << prec) // (two + x)
-    v2 = v * v >> prec
-    total, term, k = 0, 1 << prec, 1
+def _exp_neg_fixed(x: int, wp: int, prec: int, bits: int) -> int:
+    """exp(-x) for x = X 2^-wp >= 0, in units of 2^-prec, from a
+    computation to ``bits`` > 0 bits relative, with no mpf.
+
+    x = n ln 2 + r with 0 <= r < ln 2, at R = bits + log2(x) + 8 bits: the
+    truncations of x and of ln 2 (mpmath.libmp's ln2_fixed) move r by
+    less than 2^(-bits-7).  Then exp(-r) = exp(-y)^(2^K) with y = r/2^K
+    and K = isqrt(R)/2, at S = R + K + 16 bits: the series in y < 2^-K,
+    summed as even and odd parts in two accumulators over y^2, ends
+    within T < S/K + 1 terms, each within 2.1 units of 2^-S, and each of
+    the K squarings truncates once and doubles the relative error before
+    it.  So exp(-r) >= 1/2 is within 2^(K-S) (4.2 T + 6) < 2^(-R-6)
+    relative while T < 240, which holds for R < 2^13, and the result,
+    2^-n exp(-r), within 2^(-bits-6) relative before its last shift to
+    2^-prec."""
+    mag = max(x.bit_length() - wp, 0)
+    rp = bits + mag + 8
+    t = x >> wp - rp if wp >= rp else x << rp - wp
+    n, r = divmod(t, ln2_fixed(rp))
+    halvings = math.isqrt(rp) // 2
+    sp = rp + halvings + 16
+    r <<= 16  # r at rp bits, read at sp = rp + K + 16 bits, is y = r/2^K
+    one = 1 << sp
+    even = odd = one
+    term = r2 = r * r >> sp
+    k = 2
     while term:
-        total += term // k
-        term = term * v2 >> prec
+        term //= k
+        even += term
+        term //= k + 1
+        odd += term
+        term = term * r2 >> sp
         k += 2
-    return (total << prec + 1) // (two + x)
+    e = even - (odd * r >> sp)
+    for _ in range(halvings):
+        e = e * e >> sp
+    shift = sp + n - prec
+    return e >> shift if shift >= 0 else e << -shift
 
 
-def _acosh_ratio(x: int, prec: int) -> int:
-    """acosh(1+x)/sqrt(2x) = sum_k (-1)^k C(2k,k)/(4^k (2k+1)) (x/2)^k, in
-    the units of :func:`_log1p_ratio` and summed the same way."""
-    total, term, k, sign = 0, 1 << prec, 0, 1
-    while term:
-        total += sign * (term // (2 * k + 1))
-        k += 1
-        term = (term * x >> (prec + 1)) * (2 * k - 1) // (2 * k)
-        sign = -sign
-    return total
-
-
-def _series_ratios(q: int, root: int, prec: int) -> tuple[int, int, int]:
-    """log1p(q)/q, acosh(1+q)/sqrt(2q) and ln(1 + q + sqrt(1 + 2q)) from
-    q and root = sqrt(1 + 2q), all in units of 2^-prec, by the series of
-    :func:`_log1p_ratio` and :func:`_acosh_ratio`, with
-    ln(1 + q + root) = ln 2 + log1p(y), y = q (1 + 2/(1 + root))/2."""
+def _series_ratios(q: int, root: int, sinh_a: int, prec: int) -> tuple[int, int, int]:
+    """log1p(q)/q, acosh(1+q)/sqrt(q (2+q)) and ln(1 + q + root) from q
+    and root = sqrt(1 + 2q), all in units of 2^-prec, by the series of
+    :func:`_atanh_ratio` (``sinh_a`` = sqrt(q (2+q)) is unused here).
+    With z = q/(2+q): log1p(q) = 2 atanh(z), so log1p(q)/q is 2/(2+q)
+    times atanh(z)/z; acosh(1+q) = 2 atanh(sqrt z) and
+    sqrt(z)/sqrt(q (2+q)) = 1/(2+q), so acosh(1+q)/sqrt(q (2+q)) is 2/(2+q)
+    times atanh(sqrt z)/sqrt z, the same series in z instead of z^2; and
+    1 + q + root = 2 ((1 + root)/2)^2, so ln(1 + q + root) = ln 2 +
+    4 atanh(v), v = (root - 1)/(root + 3)."""
     one = 1 << prec
-    y = q * (one + (one << prec + 1) // (one + root)) >> prec + 1
-    rest = ln2_fixed(prec) + (y * _log1p_ratio(y, prec) >> prec)
-    return _log1p_ratio(q, prec), _acosh_ratio(q, prec), rest
+    two = one << 1
+    z = (q << prec) // (two + q)
+    v = (root - one << prec) // (root + 3 * one)
+    return (
+        (_atanh_ratio(z * z >> prec, prec) << prec + 1) // (two + q),
+        (_atanh_ratio(z, prec) << prec + 1) // (two + q),
+        ln2_fixed(prec) + (_two_atanh(v, prec) << 1),
+    )
 
 
-def _log_ratios(q: int, root: int, prec: int) -> tuple[int, int, int]:
-    """:func:`_series_ratios` from three logarithms: of 1 + q, formed
-    exactly, of 1 + q + sqrt(q (2+q)) = exp(acosh(1+q)) and of
+def _log_ratios(q: int, root: int, sinh_a: int, prec: int) -> tuple[int, int, int]:
+    """:func:`_series_ratios` from three fixed-point logarithms
+    (:func:`_log_fixed`): of 1 + q, formed exactly, of
+    1 + q + sinh_a = exp(acosh(1+q)), sinh_a = sqrt(q (2+q)), and of
     1 + q + root."""
     one = 1 << prec
-    log_plus = _log_fixed(one + q, prec)
-    asech_plus = _log_fixed(one + q + math.isqrt(q * (2 * one + q)), prec)
     return (
-        (log_plus << prec) // q,
-        (asech_plus << prec) // math.isqrt(q << prec + 1),
+        (_log_fixed(one + q, prec) << prec) // q,
+        (_log_fixed(one + q + sinh_a, prec) << prec) // sinh_a,
         _log_fixed(one + q + root, prec),
     )
 
@@ -361,15 +450,14 @@ def _pair_columns(two_s: int, cosh_pi: int, wp: int, prec: int) -> tuple:
     # W + L/2 + log2 C bits: Fa ~ C sqrt(q/2) divides by sqrt(q)
     lift = log2_recip // 2 + 1 + cosh_pi.bit_length() - wp
     node_prec = wp + lift
-    # q to 8 bits below a unit of node_prec: node_prec - L bits relative;
-    # mpf_exp never returns at a precision <= 0
+    # q to 8 bits below a unit of node_prec: node_prec - L bits relative
     exp_prec = node_prec - log2_recip + 8
     if exp_prec <= 0:
         raise ValueError(
             f"tanh-sinh node at u ~ 10^-{log2_recip * math.log10(2):.0f} is deeper "
             f"than {prec}-bit node columns resolve"
         )
-    q = to_fixed(mpf_exp(from_man_exp(-two_s, -wp), exp_prec), node_prec)
+    q = _exp_neg_fixed(two_s, wp, node_prec, exp_prec)
     two_s <<= lift
     one = 1 << node_prec
     u_plus = (one << node_prec) // (one + q)
@@ -379,8 +467,9 @@ def _pair_columns(two_s: int, cosh_pi: int, wp: int, prec: int) -> tuple:
     w_plus = b * q >> node_prec  # w u_plus
     w_minus = w_plus * q >> node_prec  # w u_minus
     root = math.isqrt((one + 2 * q) << node_prec)
+    sinh_a = math.isqrt(q * (2 * one + q))  # sqrt((1+q)^2 - 1) = sinh(asech(u_plus))
     ratios = _series_ratios if _SERIES_MAX_TERMS * log2_recip >= node_prec else _log_ratios
-    log_ratio, acosh_ratio, rest = ratios(q, root, node_prec)
+    log_ratio, acosh_ratio, rest = ratios(q, root, sinh_a, node_prec)
     log_minus = two_s + (q * log_ratio >> node_prec)
     shift = node_prec - prec
     u_minus = q * u_plus >> node_prec + shift
@@ -392,7 +481,7 @@ def _pair_columns(two_s: int, cosh_pi: int, wp: int, prec: int) -> tuple:
     plus = (
         (1 << prec) - u_minus,
         (w_plus << node_prec) // log_ratio >> shift,
-        b * math.isqrt(q << node_prec - 1) // acosh_ratio >> shift,
+        (w_plus << 2 * node_prec) // (sinh_a * acosh_ratio) >> shift,
     )
     return minus, plus
 
@@ -426,26 +515,33 @@ def _ts_level_columns(eval_dps: int, depth: int, level: int) -> _NodeLevel:
     Per level, e^t comes from one exp and then one product per node, at
     W = P + _COLUMN_GUARD_BITS + bits(N) for the level's N nodes; 2s and
     C = pi cosh t follow in fixed point.  Per node, q = exp(-2s) is one
-    exp at the node's own relative precision, held in fixed point at
-    W + L/2 + log2 C bits with L = log2(1/q), since the largest column,
-    Fa ~ C sqrt(q/2) at the plus member, divides by sqrt(q).  The rest
-    is integer arithmetic at that precision.  The plus member's u column
-    is the exact complement 2^P - u_minus.  log1p(q)/q,
-    acosh(1+q)/sqrt(2q) and asech(u_minus) - 2s come from short series
-    once those end within about _SERIES_MAX_TERMS terms
-    (:func:`_series_ratios`), and from three fixed-point logs on the
-    inner nodes (:func:`_log_ratios`).
+    fixed-point exp (:func:`_exp_neg_fixed`) at the node's own relative
+    precision, held in fixed point at W + L/2 + log2 C bits with
+    L = log2(1/q), since the largest column, Fa ~ C sqrt(q/2) at the plus
+    member, divides by sqrt(q).  The rest is integer arithmetic at that
+    precision, with two square roots: sqrt(1 + 2q) for the minus member
+    and sqrt(q (2+q)) = sinh(asech(u_plus)) for the plus one, whose Fa is
+    w u over acosh(1+q) = sqrt(q (2+q)) times its ratio.  The plus
+    member's u column is the exact complement 2^P - u_minus.
+    log1p(q)/q, acosh(1+q)/sqrt(q (2+q)) and asech(u_minus) - 2s come
+    from the atanh series once those end within about _SERIES_MAX_TERMS
+    terms (:func:`_series_ratios`), and from three fixed-point logs on
+    the inner nodes (:func:`_log_ratios`).  At 420 to 700 bits the two
+    cost the same near 52 terms, and the series gain as the precision
+    rises.
 
     Error bound, in units of 2^-P.  Each of the N steps of e^t adds at
     most three units of 2^-W relative (the factor's, the product's, the
     start's), so e^t is within 3N 2^-W < 2^(-30-P) relative, and 2s
     within C 2^(-29-P) absolute.  q inherits that relatively, plus one
-    unit of the node precision.  Through the relative error, the columns
-    move by at most C^2 q or C^2 sqrt(q) times it, both below 10 on every
-    node; through the unit, by at most C/sqrt(q) units of the node
-    precision, which its extra L/2 + log2 C bits cancel.  With a unit of
-    the node precision per series term and six per log, the arithmetic
-    errs by less than 2^-16 units before the last truncation to P bits.
+    unit of the node precision (the exp errs by 2^-14 of one).  Through
+    the relative error, the columns move by at most C^2 q or C^2 sqrt(q)
+    times it, both below 10 on every node; through the unit, by at most
+    C/sqrt(q) units of the node precision, which its extra L/2 + log2 C
+    bits cancel.  With fewer than 3N + 3 units of the node precision per
+    atanh series of N products (N about _SERIES_MAX_TERMS/2 at most) and
+    fewer than 1 + 2^-5 per log (:func:`_log_fixed`), the arithmetic errs
+    by less than 2^-16 units before the last truncation to P bits.
     Hence u_minus, Fe and Fa are within one unit (and 2^-16) of their
     exact values, and u_plus too (it lies above, u_minus below).  The
     tests compare every column with textbook formulas in

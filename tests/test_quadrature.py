@@ -5,7 +5,7 @@ import mpmath as mp
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from mpmath.libmp import from_man_exp, pi_fixed
+from mpmath.libmp import from_man_exp, libelefun, pi_fixed
 
 import zetaodd.quadrature as quadrature
 import zetaodd.zeta as zeta_mod
@@ -18,9 +18,9 @@ from zetaodd.quadrature import (
     TermKernel,
     _COLUMN_GUARD_BITS,
     _NODE_TABLES_KEPT,
-    _acosh_ratio,
+    _atanh_ratio,
+    _exp_neg_fixed,
     _fixed_bits,
-    _log1p_ratio,
     _log_fixed,
     _log_ratios,
     _node_depth,
@@ -596,51 +596,56 @@ def _real(n, prec=_RATIO_PREC):
     return mp.ldexp(n, -prec)
 
 
+def _ratios(q, forms=(_series_ratios, _log_ratios)):
+    """Each form's (log1p(q)/q, acosh(1+q)/sqrt(q (2+q)), ln(1 + q + root))
+    at the fixed-point q, from the square roots the node table forms."""
+    one = 1 << _RATIO_PREC
+    fq = _fixed(q)
+    root = math.isqrt((one + 2 * fq) << _RATIO_PREC)
+    sinh_a = math.isqrt(fq * (2 * one + fq))
+    return [form(fq, root, sinh_a, _RATIO_PREC) for form in forms]
+
+
 class TestAsech:
     """asech(u) as the node table computes it, in integers from q: at the
-    plus member u = 1/(1+q), asech(u) = acosh(1+q) = sqrt(2q) times
-    acosh(1+q)/sqrt(2q); at the minus member u = q/(1+q),
+    plus member u = 1/(1+q), asech(u) = acosh(1+q) = sqrt(q (2+q)) times
+    acosh(1+q)/sqrt(q (2+q)); at the minus member u = q/(1+q),
     asech(u) = 2s + ln(1 + q + sqrt(1 + 2q)) with 2s = ln(1/q).  Series
     (_series_ratios) on the outer nodes, logs (_log_ratios) on the inner."""
 
-    @staticmethod
-    def _ratios(q, forms=(_series_ratios, _log_ratios)):
-        one = 1 << _RATIO_PREC
-        fq = _fixed(q)
-        root = math.isqrt((one + 2 * fq) << _RATIO_PREC)
-        return [form(fq, root, _RATIO_PREC) for form in forms]
-
     def test_branch_point_value(self):
-        # acosh(1+q)/sqrt(2q) -> 1 as u -> 1
-        assert _acosh_ratio(0, _RATIO_PREC) == 1 << _RATIO_PREC
+        # acosh(1+q)/sqrt(q (2+q)) -> 1 as u -> 1, and so does log1p(q)/q
+        one = 1 << _RATIO_PREC
+        log_ratio, acosh_ratio, _ = _series_ratios(0, one, 0, _RATIO_PREC)
+        assert log_ratio == acosh_ratio == one
 
     def test_matches_library_on_grid(self):
         # both forms, every ratio within 2^8 units of 2^-prec over q: a
-        # series errs by about a unit per term, and the logs' form divides
-        # by q and sqrt(2q)
+        # series errs by a few units per product, and the logs' form
+        # divides by q and sqrt(q (2+q))
         with mp.workdps(80):
             for i in range(1, 101):
                 q = _real(_fixed(mp.mpf(i) / 100))
                 unit = mp.ldexp(256, -_RATIO_PREC) / q
-                want = (mp.log1p(q) / q, mp.acosh(1 + q) / mp.sqrt(2 * q),
+                want = (mp.log1p(q) / q, mp.acosh(1 + q) / mp.sqrt(q * (2 + q)),
                         mp.log(1 + q + mp.sqrt(1 + 2 * q)))
-                for ratios in self._ratios(q):
+                for ratios in _ratios(q):
                     for got, ref in zip(ratios, want):
                         assert abs(_real(got) - ref) <= unit, (i, got)
 
     def test_near_one_expansion(self):
-        # acosh(1+q)/sqrt(2q) = 1 - q/12 + 3 q^2/160 - O(q^3): u = 1/(1+q)
+        # acosh(1+q)/sqrt(q (2+q)) = 1 - q/3 + 2 q^2/15 - O(q^3): u = 1/(1+q)
         with mp.workdps(80):
             q = mp.mpf("1e-10")
-            got = _real(_acosh_ratio(_fixed(q), _RATIO_PREC))
-            assert abs(got - (1 - q / 12 + 3 * q**2 / 160)) < mp.mpf("1e-28")
+            ((_, got, _),) = _ratios(q, (_series_ratios,))
+            assert abs(_real(got) - (1 - q / 3 + 2 * q**2 / 15)) < mp.mpf("1e-28")
 
     def test_near_zero_expansion(self):
         # asech(u) = ln(2/u) - u^2/4 - 3 u^4/32 - O(u^6) at u = q/(1+q)
         with mp.workdps(80):
             q = mp.mpf("1e-6")
             u = q / (1 + q)
-            (_, _, rest), = self._ratios(q, (_series_ratios,))
+            ((_, _, rest),) = _ratios(q, (_series_ratios,))
             got = mp.log(1 / q) + _real(rest)
             assert abs(got - (mp.log(2 / u) - u**2 / 4 - 3 * u**4 / 32)) < mp.mpf("1e-30")
 
@@ -651,8 +656,8 @@ class TestAsech:
         with mp.workdps(80):
             want = mp.log(2 + mp.sqrt(3))
             unit = mp.ldexp(256, -_RATIO_PREC)
-            for _, acosh_ratio, rest in self._ratios(mp.mpf(1)):
-                assert abs(_real(acosh_ratio) * mp.sqrt(2) - want) <= 2 * unit
+            for _, acosh_ratio, rest in _ratios(mp.mpf(1)):
+                assert abs(_real(acosh_ratio) * mp.sqrt(3) - want) <= 2 * unit
                 assert abs(_real(rest) - want) <= unit
 
     def test_exact_complement_beyond_precision(self):
@@ -675,46 +680,159 @@ class TestAsech:
             assert plus[2] > 0
             assert abs(plus[2] - mp.ldexp(want, prec)) <= 1
 
+    def test_two_square_roots_per_pair(self, monkeypatch):
+        # sqrt(1 + 2q) for the minus member and sqrt(q (2+q)) for the plus
+        # one, which the log of 1 + q + sqrt(q (2+q)) shares: the plus
+        # member's Fa divides w u by acosh(1+q) = sqrt(q (2+q)) times its
+        # ratio, so no sqrt(q/2) or sqrt(2q) is formed, on either branch
+        roots = []
+
+        class CountedMath:
+            def __getattr__(self, name):
+                return getattr(math, name)
+
+            @staticmethod
+            def isqrt(n):
+                roots.append(n.bit_length())
+                return math.isqrt(n)
+
+        monkeypatch.setattr(quadrature, "math", CountedMath())
+        _ts_level_columns.cache_clear()
+        try:
+            table = _ts_level_columns(130, 2 * 110 + 7, 2)
+        finally:
+            _ts_level_columns.cache_clear()
+        # each pair's exp takes one more on a small integer, isqrt(R)
+        assert sum(bits > 64 for bits in roots) == 2 * len(table)
+        assert len(roots) == 3 * len(table)
+
 
 class TestNegLog:
     """ln(1/u) as the node table computes it, in integers: log1p(q)/q
-    (_log1p_ratio) on the outer nodes, _log_fixed on the inner."""
+    by the atanh series on the outer nodes (_series_ratios), through
+    _log_fixed on the inner (_log_ratios)."""
 
     def test_matches_library_on_grid(self):
-        # _log_fixed within six units on [1, 2 + sqrt 3], the x the node
-        # table passes it; log1p(x)/x within 2^8, about a unit per series
-        # term
+        # log1p(x)/x within 2^8 units, a few units per product, by series
         with mp.workdps(80):
             unit = mp.ldexp(1, -_RATIO_PREC)
-            for i in range(101):
-                x = _real(_fixed(1 + (1 + mp.sqrt(3)) * i / 100))
-                got = _real(_log_fixed(_fixed(x), _RATIO_PREC))
-                assert abs(got - mp.log(x)) <= 6 * unit, x
             for i in range(1, 100):
                 x = _real(_fixed(mp.mpf(i) / 100))
-                got = _real(_log1p_ratio(_fixed(x), _RATIO_PREC))
-                assert abs(got - mp.log1p(x) / x) <= 256 * unit, x
+                ((got, _, _),) = _ratios(x, (_series_ratios,))
+                assert abs(_real(got) - mp.log1p(x) / x) <= 256 * unit, x
 
     def test_exact_complement_beyond_precision(self):
         # log1p(x)/x = 1 - x/2 + x^2/3 - ... never forms 1 + x, so x far
         # below the precision of 1 + x still shows: x = 1e-40 at 60 digits
         with mp.workdps(80):
             x = mp.mpf("1e-40")
-            got = _real(_log1p_ratio(_fixed(x), _RATIO_PREC))
-            assert abs(got - (1 - x / 2)) <= mp.ldexp(2, -_RATIO_PREC)
-            assert got != 1
+            ((got, _, _),) = _ratios(x, (_series_ratios,))
+            assert abs(_real(got) - (1 - x / 2)) <= mp.ldexp(2, -_RATIO_PREC)
+            assert _real(got) != 1
 
     def test_domain(self):
-        # _log_fixed takes any x >= 1: ln 1 = 0 exactly, and the edges of
-        # its 16-entry table (leading bits j = 16 and 31) below x = 4 stay
-        # within six units
-        assert _log_fixed(1 << _RATIO_PREC, _RATIO_PREC) == 0
-        with mp.workdps(80):
-            for e in (0, 1):
-                for j in (16, 31):
-                    x = mp.mpf(j) / 16 * 2**e
-                    got = _real(_log_fixed(_fixed(x), _RATIO_PREC))
-                    assert abs(got - mp.log(x)) <= mp.ldexp(6, -_RATIO_PREC), (e, j)
+        # _log_fixed takes any x >= 1: ln 1 = 0 exactly, and x just below
+        # 4, past the node table's 2 + sqrt 3, and far above it stay
+        # within its bound (_LOG_BOUND, derived in its docstring)
+        for prec in _LOG_PRECS:
+            assert _log_fixed(1 << prec, prec) == 0
+            for x in (1 << prec) + 1, (4 << prec) - 1, 4 << prec, 3 << prec + 40:
+                _assert_log_within_bound(x, prec)
+
+
+_LOG10_2 = math.log10(2)
+# node precisions from about 100 to 2100 bits, past the 800-digit columns
+_LOG_PRECS = (100, 353, 532, 1044, 1537, 2100)
+# _log_fixed's documented bound: below ln x by less than 1 + 2^-5 units
+_LOG_BOUND = 1 + 2**-5
+
+
+def _assert_log_within_bound(x: int, prec: int):
+    """_log_fixed(x, prec) against mpmath's log 20 digits up."""
+    with mp.workdps(int(prec * _LOG10_2) + 20):
+        exact = mp.ldexp(mp.log(mp.ldexp(x, -prec)), prec)
+        got = _log_fixed(x, prec)
+        assert exact - _LOG_BOUND < got <= exact + mp.mpf(2) ** -40, (prec, x, exact - got)
+
+
+class TestFixedLog:
+    """_log_fixed, the node table's logarithm: two table reductions and
+    the atanh series, below ln x by less than 1 + 2^-5 units of 2^-prec."""
+
+    @pytest.mark.parametrize("prec", _LOG_PRECS)
+    def test_table_edges(self, prec):
+        # leading bits j = 16 and 31, the second reduction's k = 0 and the
+        # largest k each j reaches (15 for j = 16), at the start and the end
+        # of its step, for x below 2 and below 4
+        for e in (0, 1):
+            for j in (16, 31):
+                top = -(-256 // j) - 1  # the largest k below 256/j
+                for k in (0, top):
+                    start = (j << prec + e - 4) * (256 + k) // 256
+                    end = min((j << prec + e - 4) * (257 + k) // 256, j + 1 << prec + e - 4) - 1
+                    for x in (start, start + 1, end):
+                        _assert_log_within_bound(x, prec)
+
+    @pytest.mark.parametrize("prec", _LOG_PRECS)
+    def test_node_range_grid(self, prec):
+        # [1, 2 + sqrt 3], every x the node table passes
+        with mp.workdps(int(prec * _LOG10_2) + 20):
+            span = 1 + mp.sqrt(3)
+            for i in range(41):
+                _assert_log_within_bound(int(mp.ldexp(1 + span * i / 40, prec)), prec)
+
+    @given(prec=st.integers(100, 2100), frac=st.integers(0, 2**64 - 1))
+    def test_any_x_in_one_to_four(self, prec, frac):
+        _assert_log_within_bound((1 << prec) + ((3 << prec) * frac >> 64), prec)
+
+
+class TestAtanhKernel:
+    """_atanh_ratio, the one series behind every node logarithm:
+    atanh(v)/v = sum_k w^k/(2k+1) for w = v^2, below its value by less
+    than 3N + 3 units over its N passes."""
+
+    @given(prec=st.integers(64, 2100), v=st.fractions(0, "1/4"))
+    def test_against_mpmath(self, prec, v):
+        # v up to 2^-2: the node table's series take w = z = q/(2+q) up
+        # to 2^-4, and its logs v < 2^-9
+        w = (v.numerator << prec) // v.denominator
+        w = w * w >> prec
+        got = _atanh_ratio(w, prec)
+        # w <= 2^-4: each pass, over w^2 <= 2^-8, gains 8 bits
+        passes = prec // 8 + 2
+        with mp.workdps(int(prec * _LOG10_2) + 20):
+            real_w = mp.ldexp(w, -prec)
+            root = mp.sqrt(real_w)
+            exact = mp.ldexp(mp.atanh(root) / root if w else mp.mpf(1), prec)
+            assert exact - (3 * passes + 3) < got <= exact + mp.mpf(2) ** -40, (prec, w)
+
+    def test_zero(self):
+        assert _atanh_ratio(0, 200) == 1 << 200
+
+
+class TestFixedExp:
+    """_exp_neg_fixed, the node's q = exp(-2s): within 2^(-bits-6)
+    relative before its last truncation to 2^-prec."""
+
+    @given(
+        wp=st.integers(100, 2200),
+        x=st.fractions(0, 1500),
+        prec=st.integers(100, 2200),
+        data=st.data(),
+    )
+    def test_against_mpmath(self, wp, x, prec, data):
+        fx = (x.numerator << wp) // x.denominator
+        log2_recip = int(fx / (1 << wp) * quadrature._LOG2_E)
+        bits = data.draw(st.integers(1, max(1, prec - log2_recip + 8)))
+        got = _exp_neg_fixed(fx, wp, prec, bits)
+        with mp.workdps(int((prec + wp) * _LOG10_2) + 20):
+            exact = mp.ldexp(mp.exp(-mp.ldexp(fx, -wp)), prec)
+            slack = exact * mp.mpf(2) ** (-bits - 6)
+            assert exact - slack - 1 < got <= exact + slack, (wp, x, prec, bits)
+
+    def test_zero_is_one(self):
+        # the centre node, 2s = 0: q = 1 exactly
+        assert _exp_neg_fixed(0, 300, 320, 330) == 1 << 320
 
 
 # Digits x moment index; the 300-digit corners run only with --run-slow.
@@ -1074,9 +1192,9 @@ class TestNodeColumns:
         for name, by_series in (("_series_ratios", True), ("_log_ratios", False)):
             real = getattr(quadrature, name)
 
-            def record(q, root, prec, real=real, by_series=by_series):
+            def record(*args, real=real, by_series=by_series):
                 branches.append(by_series)
-                return real(q, root, prec)
+                return real(*args)
 
             monkeypatch.setattr(quadrature, name, record)
         terms = quadrature._SERIES_MAX_TERMS
@@ -1091,6 +1209,27 @@ class TestNodeColumns:
                     assert 0 < switch
                     assert not any(branches[:switch]) and all(branches[switch:])
         finally:
+            _ts_level_columns.cache_clear()
+
+    def test_building_a_table_takes_no_mpmath_log(self):
+        # the node logarithms come from the atanh series and their own
+        # tables, not from mpf_log: once t_max is cached, a cold build
+        # leaves mpmath's log cache as it was
+        eval_dps, depth = 130, 2 * 110 + 7
+        quadrature._t_max(eval_dps, depth)
+        cache = libelefun.log_taylor_cache
+        saved = dict(cache)
+        cache.clear()
+        for cached in (_ts_level_columns, quadrature._centre_columns, quadrature._log_tables):
+            cached.cache_clear()
+        try:
+            for level in range(4):
+                _ts_level_columns(eval_dps, depth, level)
+            quadrature._centre_columns(_fixed_bits(eval_dps))
+            assert not cache
+        finally:
+            cache.clear()
+            cache.update(saved)
             _ts_level_columns.cache_clear()
 
     @pytest.mark.parametrize("cfg", [QUICK, PrecisionConfig(110, 130)])
