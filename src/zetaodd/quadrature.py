@@ -538,8 +538,8 @@ def _ts_level_columns(eval_dps: int, depth: int, level: int) -> _NodeLevel:
     the relative error, the columns move by at most C^2 q or C^2 sqrt(q)
     times it, both below 10 on every node; through the unit, by at most
     C/sqrt(q) units of the node precision, which its extra L/2 + log2 C
-    bits cancel.  With fewer than 3N + 3 units of the node precision per
-    atanh series of N products (N about _SERIES_MAX_TERMS/2 at most) and
+    bits cancel.  With fewer than 3n + 3 units of the node precision per
+    atanh series of n products (n about _SERIES_MAX_TERMS/2 at most) and
     fewer than 1 + 2^-5 per log (:func:`_log_fixed`), the arithmetic errs
     by less than 2^-16 units before the last truncation to P bits.
     Hence u_minus, Fe and Fa are within one unit (and 2^-16) of their
